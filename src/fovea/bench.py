@@ -2,7 +2,9 @@
 
 Timing is hardware-bound, so the report pairs each entry's median/p10/p90
 wall times with its multiply-accumulate count where one is defined; cost
-per MAC is then derivable on any machine.
+per MAC is then derivable on any machine.  The post-network ops
+(``soft_nms``, ``group_corners``) count no MACs; their ``size`` is the
+input pool size, or the number of corners per kind.
 """
 
 import time
@@ -12,7 +14,9 @@ import numpy as np
 from . import kernels
 from .analysis import cost_report
 from .builders import build_hourglass54, build_squeeze_hourglass
+from .decode import Corner, Detection, group_corners
 from .graph import forward, init_weights
+from .pipeline import soft_nms
 
 
 def _rng(seed=0):
@@ -47,6 +51,30 @@ def _bench_maxpool3x3(size):
     return (lambda: kernels.max_pool2d(x, 3, 1, 1)), 0
 
 
+def _bench_soft_nms(size):
+    rng = _rng()
+    x1, y1 = rng.uniform(0, 400, (2, size))
+    w, h = rng.uniform(8, 120, (2, size))
+    dets = [Detection(int(c), float(s), (float(a), float(b), float(a + dx), float(b + dy)))
+            for c, s, a, b, dx, dy in zip(rng.integers(0, 3, size),
+                                          rng.uniform(0.001, 1.0, size), x1, y1, w, h)]
+    return (lambda: soft_nms(dets)), 0
+
+
+def _bench_group_corners(size):
+    rng = _rng()
+
+    def corners(kind):  # 3 classes on a 64x64 heatmap grid
+        return [Corner(cls=int(rng.integers(0, 3)), score=float(rng.uniform()),
+                       x=int(rng.integers(0, 64)), y=int(rng.integers(0, 64)),
+                       dx=float(rng.uniform()), dy=float(rng.uniform()),
+                       embed=float(rng.normal()), kind=kind)
+                for _ in range(size)]
+
+    tl, br = corners("tl"), corners("br")
+    return (lambda: group_corners(tl, br)), 0
+
+
 def _bench_forward(builder, num_classes=3):
     def make(size):
         graph = builder(num_classes, input_hw=(size, size))
@@ -62,6 +90,8 @@ BENCH_OPS = {
     "dwconv3x3": _bench_dwconv3x3,
     "tconv4x4": _bench_tconv4x4,
     "maxpool3x3": _bench_maxpool3x3,
+    "soft_nms": _bench_soft_nms,
+    "group_corners": _bench_group_corners,
     "forward_hourglass54": _bench_forward(build_hourglass54),
     "forward_squeeze": _bench_forward(build_squeeze_hourglass),
 }

@@ -92,32 +92,39 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
     return corners
 
 
+def _corner_columns(corners, downsample_factor):
+    """Class, score, embedding and offset-corrected pixel x, y arrays."""
+    cls = np.array([c.cls for c in corners], dtype=np.int64)
+    score, embed, x, dx, y, dy = np.array(
+        [(c.score, c.embed, c.x, c.dx, c.y, c.dy) for c in corners], dtype=np.float64).T
+    return cls, score, embed, (x + dx) * downsample_factor, (y + dy) * downsample_factor
+
+
 def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor=4.0):
     """Pair top-left with bottom-right corners into detections.
 
     A pair (same class) forms a detection iff the embedding gap is within
     ``embed_threshold`` and, after offset correction, the top-left sits
     above-and-left of the bottom-right.  Detection score is the mean of the
-    two corner scores.
+    two corner scores.  Output sorts by (-score, class, box).
     """
     if embed_threshold < 0:
         raise ValueError(f"embed_threshold must be >= 0, got {embed_threshold}")
-    dets = []
-    for tl in tl_corners:
-        x1 = (tl.x + tl.dx) * downsample_factor
-        y1 = (tl.y + tl.dy) * downsample_factor
-        for br in br_corners:
-            if tl.cls != br.cls:
-                continue
-            if abs(tl.embed - br.embed) > embed_threshold:
-                continue
-            x2 = (br.x + br.dx) * downsample_factor
-            y2 = (br.y + br.dy) * downsample_factor
-            if x1 > x2 or y1 > y2:
-                continue
-            dets.append(Detection(tl.cls, (tl.score + br.score) / 2.0, (x1, y1, x2, y2)))
-    dets.sort(key=lambda d: (-d.score, d.cls, d.box))
-    return dets
+    if not tl_corners or not br_corners:
+        return []
+    tl_cls, tl_score, tl_embed, x1, y1 = _corner_columns(tl_corners, downsample_factor)
+    br_cls, br_score, br_embed, x2, y2 = _corner_columns(br_corners, downsample_factor)
+    # gates negated so a NaN passes them, as in a scalar `if gap > t: skip`
+    pairs = ((tl_cls[:, None] == br_cls[None, :])
+             & ~(np.abs(tl_embed[:, None] - br_embed[None, :]) > embed_threshold)
+             & ~(x1[:, None] > x2[None, :])
+             & ~(y1[:, None] > y2[None, :]))
+    t, b = np.nonzero(pairs)  # row-major: top-left-major pair order
+    cls, score = tl_cls[t], (tl_score[t] + br_score[b]) / 2.0
+    x1, y1, x2, y2 = x1[t], y1[t], x2[b], y2[b]
+    order = np.lexsort((y2, x2, y1, x1, cls, -score))
+    cls, score, x1, y1, x2, y2 = (v[order].tolist() for v in (cls, score, x1, y1, x2, y2))
+    return list(map(Detection, cls, score, zip(x1, y1, x2, y2)))
 
 
 def focal_loss(pred, gt, alpha=2.0):

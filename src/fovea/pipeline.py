@@ -279,35 +279,67 @@ def iou(box_a, box_b):
     return inter / union if union > 0 else 0.0
 
 
+def _iou_against(box, boxes):
+    """``iou(box, b)`` for every row ``b`` of the (n, 4) float64 ``boxes``.
+
+    Same operations in the same order as ``iou``, so each value is bit-equal.
+    """
+    ax1, ay1, ax2, ay2 = box
+    bx1, by1, bx2, by2 = boxes.T
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    ov = np.zeros(len(boxes))
+    np.divide(inter, union, out=ov, where=(iw > 0) & (ih > 0) & (union > 0))
+    return ov
+
+
 def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_threshold=0.3):
     """Per-class score-decay duplicate removal.
 
-    Repeatedly keep the highest-scoring remaining box; gaussian mode decays
-    every other box by exp(-iou^2 / sigma), linear mode scales by (1 - iou)
-    when iou exceeds ``linear_threshold``.  Boxes whose score ends up (or
-    starts) below ``score_floor`` are dropped.  Output sorts by final score.
+    Repeatedly keep the highest-scoring remaining box (ties: smallest box
+    tuple first); gaussian mode decays every other box by
+    exp(-iou^2 / sigma), linear mode scales by (1 - iou) when iou exceeds
+    ``linear_threshold``.  Boxes whose score ends up (or starts) below
+    ``score_floor`` are dropped.  Output sorts by final score, then class,
+    then box.  Raises ``ValueError`` for an unknown ``method`` and for a
+    detection with a non-finite score or box coordinate.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    if method not in ("gaussian", "linear"):
+        raise ValueError(f"unknown soft-NMS method {method!r}; expected 'gaussian' or 'linear'")
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(len(dets), 4)
+    bad = np.flatnonzero(~(np.isfinite(scores) & np.isfinite(boxes).all(axis=1)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"detection {i} has a non-finite score or box: {dets[i]}")
+    classes = np.array([d.cls for d in dets])
     out = []
-    classes = sorted({d.cls for d in dets})
-    for cls in classes:
-        pool = [(d.score, d.box) for d in dets if d.cls == cls and d.score >= score_floor]
-        pool.sort(key=lambda t: (-t[0], t[1]))
-        while pool:
-            score, box = pool.pop(0)
-            out.append(Detection(cls, score, box))
-            decayed = []
-            for s, b in pool:
-                ov = iou(box, b)
-                if method == "gaussian":
-                    s = s * math.exp(-(ov * ov) / sigma)
-                elif ov > linear_threshold:
-                    s = s * (1.0 - ov)
-                if s >= score_floor:
-                    decayed.append((s, b))
-            decayed.sort(key=lambda t: (-t[0], t[1]))
-            pool = decayed
+    for cls in np.unique(classes).tolist():
+        idx = np.flatnonzero((classes == cls) & (scores >= score_floor))
+        # box order once: argmax then returns the smallest box among equal
+        # top scores, the same pick as sorting by (-score, box) every round
+        idx = idx[np.lexsort(boxes[idx].T[::-1])]
+        s, b = scores[idx], boxes[idx]
+        while idx.size:
+            best = int(np.argmax(s))
+            out.append(Detection(cls, float(s[best]), dets[idx[best]].box))
+            ov = _iou_against(b[best], b)
+            if method == "gaussian":
+                # zero overlap decays by exactly exp(-0.0) == 1.0; math.exp, not
+                # np.exp, on the rest keeps every score bit-equal to the loop
+                hit = np.flatnonzero(ov > 0)
+                power = -(ov[hit] * ov[hit]) / sigma
+                s[hit] = s[hit] * np.fromiter(map(math.exp, power.tolist()), float, hit.size)
+            else:
+                hit = ov > linear_threshold
+                s[hit] = s[hit] * (1.0 - ov[hit])
+            alive = s >= score_floor
+            alive[best] = False
+            idx, s, b = idx[alive], s[alive], b[alive]
     out.sort(key=lambda d: (-d.score, d.cls, d.box))
     return out
 
@@ -425,7 +457,6 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                                                img_w, img_h)))
         crop_det_counts[idx] = n_kept
 
-    merged.sort(key=lambda d: (-d.score, d.cls, d.box))
     final = soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
                      method=config.nms_method, linear_threshold=config.nms_linear_threshold)
 

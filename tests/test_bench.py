@@ -13,6 +13,14 @@ def test_bench_report_schema_and_single_sample():
     assert entry["p10_s"] <= entry["median_s"] <= entry["p90_s"]
 
 
+def test_bench_post_network_ops_schema():
+    report = bench(["soft_nms", "group_corners"], [16], repetitions=2)
+    assert [(e["op"], e["size"], e["macs"], e["samples"]) for e in report["entries"]] == \
+           [("soft_nms", 16, 0, 2), ("group_corners", 16, 0, 2)]
+    for e in report["entries"]:
+        assert 0 < e["p10_s"] <= e["median_s"] <= e["p90_s"]
+
+
 def test_bench_forward_macs_ordering_at_255():
     # the per-entry MAC counts come from the exact graph cost report; the
     # compact backbone must undercut the saccade backbone at the same input

@@ -138,6 +138,56 @@ def test_group_matches_all_pairs_oracle():
         assert d.box[0] <= d.box[2] and d.box[1] <= d.box[3]
 
 
+def _group_corners_loop(tl_corners, br_corners, embed_threshold, downsample_factor):
+    """The scalar all-pairs loop ``group_corners`` vectorizes, kept as its
+    bit-exact reference."""
+    dets = []
+    for tl in tl_corners:
+        x1 = (tl.x + tl.dx) * downsample_factor
+        y1 = (tl.y + tl.dy) * downsample_factor
+        for br in br_corners:
+            if tl.cls != br.cls:
+                continue
+            if abs(tl.embed - br.embed) > embed_threshold:
+                continue
+            x2 = (br.x + br.dx) * downsample_factor
+            y2 = (br.y + br.dy) * downsample_factor
+            if x1 > x2 or y1 > y2:
+                continue
+            dets.append(Detection(tl.cls, (tl.score + br.score) / 2.0, (x1, y1, x2, y2)))
+    dets.sort(key=lambda d: (-d.score, d.cls, d.box))
+    return dets
+
+
+def _tied_corners(rng, n, kind, classes=3):
+    """Corners on a coarse grid: equal scores, equal embeddings, equal
+    offsets and equal boxes recur, across mixed classes."""
+    return [_corner(kind, int(rng.integers(0, classes)), float(rng.integers(1, 5)) / 4,
+                    int(rng.integers(0, 12)), int(rng.integers(0, 12)),
+                    float(rng.integers(0, 3)) / 2, float(rng.integers(0, 3)) / 2,
+                    float(rng.integers(0, 5)) / 4)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 30, 100])
+def test_group_matches_scalar_loop_exactly(n, threshold):
+    rng = np.random.default_rng(n)
+    tls, brs = _tied_corners(rng, n, "tl"), _tied_corners(rng, n, "br")
+    got = group_corners(tls, brs, threshold, 255 / 64)
+    want = _group_corners_loop(tls, brs, threshold, 255 / 64)
+    assert [(d.cls, d.score, d.box) for d in got] == [(d.cls, d.score, d.box) for d in want]
+    assert all(type(d.cls) is int and type(d.score) is float
+               and all(type(v) is float for v in d.box) for d in got)
+
+
+def test_group_empty_inputs():
+    corners = _tied_corners(np.random.default_rng(2), 5, "tl")
+    assert group_corners([], corners) == []
+    assert group_corners(corners, []) == []
+    assert group_corners([], []) == []
+
+
 # ---- focal loss ----------------------------------------------------------------
 
 

@@ -323,7 +323,7 @@ def test_soft_nms_drops_below_floor():
     assert out == []
 
 
-def _soft_nms_oracle(dets, sigma, floor):
+def _soft_nms_oracle(dets, sigma, floor, method="gaussian", linear_threshold=0.3):
     """Independent greedy reference: same conventions, plain loops."""
     out = []
     for cls in sorted({d.cls for d in dets}):
@@ -342,7 +342,10 @@ def _soft_nms_oracle(dets, sigma, floor):
                     union = ((box[2] - box[0]) * (box[3] - box[1])
                              + (b[2] - b[0]) * (b[3] - b[1]) - inter)
                     ov = inter / union
-                s2 = s * math.exp(-(ov * ov) / sigma)
+                if method == "gaussian":
+                    s2 = s * math.exp(-(ov * ov) / sigma)
+                else:
+                    s2 = s * (1.0 - ov) if ov > linear_threshold else s
                 if s2 >= floor:
                     rest.append([s2, b])
             pool = sorted(rest, key=lambda t: (-t[0], t[1]))
@@ -383,6 +386,64 @@ def test_soft_nms_tiny_sigma_approaches_hard_nms():
         hard.append(best)
         pool = [d for d in pool if iou(best.box, d.box) <= 0.05]
     assert [(d.cls, d.box) for d in got] == [(d.cls, d.box) for d in hard]
+
+
+def _tied_dets(rng, n, classes=4):
+    """Integer-grid pools rich in exact ties: repeated scores, repeated
+    boxes, exact duplicates, edge-touching neighbours (iw == 0) and far-off
+    disjoint boxes."""
+    dets = []
+    while len(dets) < n:
+        cls = int(rng.integers(0, classes))
+        x1, y1 = (float(v) for v in rng.integers(0, 60, 2))
+        w, h = (float(v) for v in rng.integers(1, 25, 2))
+        score = float(rng.integers(1, 21)) / 20
+        box = (x1, y1, x1 + w, y1 + h)
+        dets.append(Detection(cls, score, box))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            dets.append(Detection(cls, float(rng.integers(1, 21)) / 20, box))
+        elif kind == 1:
+            dets.append(Detection(cls, score, box))
+        elif kind == 2:
+            dets.append(Detection(cls, score, (x1 + w, y1, x1 + 2 * w, y1 + h)))
+        elif kind == 3:
+            dets.append(Detection(cls, score, (x1 + 500, y1 + 500, x1 + 500 + w, y1 + 500 + h)))
+    return dets[:n]
+
+
+@pytest.mark.parametrize("method", ["gaussian", "linear"])
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_soft_nms_matches_reference_at_benchmark_sizes(n, method):
+    dets = _tied_dets(np.random.default_rng(n), n)
+    got = soft_nms(dets, sigma=0.5, score_floor=0.001, method=method)
+    want = _soft_nms_oracle(dets, 0.5, 0.001, method=method)
+    assert [(d.cls, d.score, d.box) for d in got] == \
+           [(d.cls, d.score, d.box) for d in want]
+    assert all(type(d.score) is float for d in got)
+
+
+def test_soft_nms_ignores_input_order():
+    rng = np.random.default_rng(14)
+    dets = _tied_dets(rng, 600)
+    base = soft_nms(dets)
+    shuffled = [dets[i] for i in rng.permutation(len(dets))]
+    assert soft_nms(shuffled) == base
+
+
+def test_soft_nms_rejects_unknown_method():
+    with pytest.raises(ValueError, match="method 'hard'"):
+        soft_nms([Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0))], method="hard")
+
+
+@pytest.mark.parametrize("bad", [Detection(1, math.nan, (0.0, 0.0, 10.0, 10.0)),
+                                 Detection(1, 0.5, (0.0, math.inf, 10.0, 10.0)),
+                                 Detection(1, 0.5, (0.0, 0.0, -math.inf, 10.0))])
+def test_soft_nms_rejects_non_finite_input(bad):
+    dets = [Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0)),
+            Detection(0, 0.8, (5.0, 5.0, 15.0, 15.0)), bad]
+    with pytest.raises(ValueError, match="detection 2 "):
+        soft_nms(dets)
 
 
 def test_soft_nms_linear_mode():
