@@ -8,7 +8,7 @@ Run:  python demos/06_benchmarks.py
 
 from fovea import bench
 
-report = bench(["conv3x3", "dwconv3x3", "tconv4x4", "maxpool3x3"],
+report = bench(["conv3x3", "conv7x7s2", "dwconv3x3", "tconv4x4", "maxpool3x3"],
                sizes=[32, 64], repetitions=5)
 print(f"{'op':<12} {'size':>5} {'MMACs':>9} {'median ms':>10} {'p90 ms':>8}")
 for e in report["entries"]:

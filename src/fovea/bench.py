@@ -31,6 +31,16 @@ def _bench_conv3x3(size):
     return (lambda: kernels.conv2d(x, w, None, spec)), macs
 
 
+def _bench_conv7x7s2(size):
+    # the backbone stem: 3 -> 128 channels, 7x7, stride 2, pad 3
+    x = _rng().normal(size=(1, 3, size, size)).astype(np.float32)
+    w = _rng(1).normal(size=(128, 3, 7, 7)).astype(np.float32)
+    spec = kernels.ConvSpec(3, 128, (7, 7), stride=2, padding=3)
+    oh, ow = kernels.conv_output_hw(size, size, spec.kernel, spec.stride, spec.padding)
+    macs = oh * ow * 128 * 3 * 49
+    return (lambda: kernels.conv2d(x, w, None, spec)), macs
+
+
 def _bench_dwconv3x3(size):
     x = _rng().normal(size=(1, 64, size, size)).astype(np.float32)
     w = _rng(1).normal(size=(64, 1, 3, 3)).astype(np.float32)
@@ -87,6 +97,7 @@ def _bench_forward(builder, num_classes=3):
 
 BENCH_OPS = {
     "conv3x3": _bench_conv3x3,
+    "conv7x7s2": _bench_conv7x7s2,
     "dwconv3x3": _bench_dwconv3x3,
     "tconv4x4": _bench_tconv4x4,
     "maxpool3x3": _bench_maxpool3x3,

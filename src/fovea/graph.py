@@ -259,12 +259,12 @@ def init_weights(graph, seed=0, zeros=False):
 def _run_node(node, ins, params):
     if node.kind == "conv":
         spec = ConvSpec(node.in_channels, node.out_channels, node.kernel,
-                        stride=node.stride, padding=node.padding, has_bias=node.bias)
+                        stride=node.stride, padding=node.padding)
         y = conv2d(ins[0], params["w"], params.get("b"), spec)
     elif node.kind == "dwconv":
         spec = ConvSpec(node.in_channels, node.out_channels, node.kernel,
                         stride=node.stride, padding=node.padding,
-                        groups=node.in_channels, has_bias=False)
+                        groups=node.in_channels)
         y = depthwise_conv2d(ins[0], params["w"], spec)
     elif node.kind == "tconv":
         y = transpose_conv2d(ins[0], params["w"], params.get("b"),

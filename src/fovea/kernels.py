@@ -9,6 +9,11 @@ counterpart in ``fovea.naive`` used as an independent test oracle.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Upper bound on one band of im2col columns in ``conv2d`` and of the GEMM
+# product in ``transpose_conv2d``; their docstrings say why.
+_COLS_BYTES = 4 << 20
 
 # Open-interval bounds used to keep sigmoid outputs strictly inside (0, 1)
 # in float32, where the true value would otherwise round to 0.0 or 1.0.
@@ -36,7 +41,6 @@ class ConvSpec:
     stride: int = 1
     padding: int = 0
     groups: int = 1
-    has_bias: bool = True
 
     def __post_init__(self):
         kh, kw = self.kernel
@@ -63,11 +67,21 @@ def conv_output_hw(h, w, kernel, stride, padding):
 
 
 def conv2d(x, weights, bias, spec):
-    """Strided, grouped 2-D cross-correlation.
+    """Strided, grouped 2-D cross-correlation as one GEMM per band of output rows.
 
     ``weights`` has shape (out_channels, in_channels // groups, kh, kw);
     ``bias`` is a length-out_channels vector or None.  Output spatial dims
     follow floor((in + 2*pad - kernel) / stride) + 1.
+
+    The input is lowered to im2col columns laid out (n, groups, icg*kh*kw,
+    rows*ow), with the reduction axis in (channel, kh, kw) order: the order of
+    the weight layout, so ``weights.reshape(groups, ocg, icg*kh*kw)`` is the
+    left GEMM operand with no copy.  Every ``groups`` value, depthwise
+    included, takes this one path.  The columns are built one band of output
+    rows at a time, at most ``_COLS_BYTES`` each: a whole-image buffer is
+    kh*kw times the input (57 MB for a 384-channel 64x64 3x3 conv), which
+    would set the peak resident memory of a forward pass.  A 1x1, stride-1,
+    unpadded conv multiplies ``x`` itself.
     """
     x = as_tensor(x)
     w = np.asarray(weights, dtype=np.float32)
@@ -83,34 +97,27 @@ def conv2d(x, weights, bias, spec):
         if bias.shape != (spec.out_channels,):
             raise ValueError(f"bias shaped {bias.shape}, expected ({spec.out_channels},)")
 
-    s, p = spec.stride, spec.padding
+    s, p, g = spec.stride, spec.padding, spec.groups
     oh, ow = conv_output_hw(h, wd, spec.kernel, s, p)
     if oh < 1 or ow < 1:
         raise ValueError(f"kernel {spec.kernel} does not fit input {h}x{wd} with pad {p}")
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    ocg, k = spec.out_channels // g, c // g * kh * kw
+    wm = w.reshape(g, ocg, k)
 
-    if spec.groups == c == spec.out_channels:
-        # Depthwise fast path: one filter per channel, vectorized over channels.
-        out = np.zeros((n, c, oh, ow), dtype=np.float32)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, :, i : i + (oh - 1) * s + 1 : s, j : j + (ow - 1) * s + 1 : s]
-                out += patch * w[:, 0, i, j].reshape(1, c, 1, 1)
+    if (kh, kw, s, p) == (1, 1, 1, 0):
+        out = np.matmul(wm, x.reshape(n, g, k, h * wd))
     else:
-        icg = c // spec.groups
-        ocg = spec.out_channels // spec.groups
-        parts = []
-        for g in range(spec.groups):
-            xg = xp[:, g * icg : (g + 1) * icg]
-            wg = w[g * ocg : (g + 1) * ocg]
-            acc = np.zeros((n, oh, ow, ocg), dtype=np.float32)
-            for i in range(kh):
-                for j in range(kw):
-                    patch = xg[:, :, i : i + (oh - 1) * s + 1 : s, j : j + (ow - 1) * s + 1 : s]
-                    # (n, icg, oh, ow) x (icg, ocg) -> (n, oh, ow, ocg), a BLAS matmul
-                    acc += np.tensordot(patch, wg[:, :, i, j].T, axes=([1], [0]))
-            parts.append(np.moveaxis(acc, 3, 1))
-        out = parts[0] if spec.groups == 1 else np.concatenate(parts, axis=1)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        # (n, c, kh, kw, oh, ow) view of every window; a band's copy is its columns
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+        win = win.transpose(0, 1, 4, 5, 2, 3)
+        out = np.empty((n, g, ocg, oh * ow), dtype=np.float32)
+        band = max(1, _COLS_BYTES // (4 * n * c * kh * kw * ow))
+        for r0 in range(0, oh, band):
+            r1 = min(oh, r0 + band)
+            cols = np.ascontiguousarray(win[..., r0:r1, :]).reshape(n, g, k, (r1 - r0) * ow)
+            out[..., r0 * ow : r1 * ow] = np.matmul(wm, cols)
+    out = out.reshape(n, spec.out_channels, oh, ow)
 
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
@@ -128,11 +135,21 @@ def depthwise_conv2d(x, weights, spec):
 
 
 def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
-    """Transpose (fractionally-strided) convolution by scatter-accumulate.
+    """Transpose (fractionally-strided) convolution, one GEMM per band of output channels.
 
     ``weights`` has shape (in_channels, out_channels, kh, kw).  With the
     default 4x4 kernel / stride 2 / pad 1 the output spatial dims are exactly
     double the input's.
+
+    Each band is one GEMM over every tap, (oc_band*kh*kw, c) @ (c, h*w), whose
+    left operand is a transposed view of ``weights``: no weight copy, which
+    a GEMM per kernel row would need on every call.  Tap (i, j) of the
+    product is an (oc_band, h, w) block, scatter-added into the stride-spaced
+    pixels it stamps of an NCHW output.  The product holds kh*kw values per
+    input pixel and output channel, so a band holds at most ``_COLS_BYTES``
+    of it, as in ``conv2d``.  Splitting the taps into stride-phase
+    sub-kernels (sub-pixel convolution) makes GEMMs too small to pay off on
+    the 2-16 pixel maps the hourglass decoders run at.
     """
     x = as_tensor(x)
     w = np.asarray(weights, dtype=np.float32)
@@ -142,18 +159,24 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     ic, oc, kh, kw = w.shape
     if ic != c:
         raise ValueError(f"input has {c} channels, weights expect {ic}")
+    if stride < 1 or padding < 0:
+        raise ValueError(f"stride must be >= 1 and padding >= 0, got stride={stride} padding={padding}")
     oh = (h - 1) * stride - 2 * padding + kh
     ow = (wd - 1) * stride - 2 * padding + kw
     if oh < 1 or ow < 1:
         raise ValueError(f"degenerate transpose-conv output {oh}x{ow}")
 
-    buf = np.zeros((n, (h - 1) * stride + kh, (wd - 1) * stride + kw, oc), dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            contrib = np.tensordot(x, w[:, :, i, j], axes=([1], [0]))  # (n, h, w, oc)
-            buf[:, i : i + (h - 1) * stride + 1 : stride, j : j + (wd - 1) * stride + 1 : stride] += contrib
-    out = np.moveaxis(buf[:, padding : padding + oh, padding : padding + ow], 3, 1)
-    out = np.ascontiguousarray(out)
+    xm = x.reshape(n, c, h * wd)
+    buf = np.zeros((n, oc, (h - 1) * stride + kh, (wd - 1) * stride + kw), dtype=np.float32)
+    band = max(1, _COLS_BYTES // (4 * n * kh * kw * h * wd))
+    for o0 in range(0, oc, band):
+        o1 = min(oc, o0 + band)
+        prod = np.matmul(w[:, o0:o1].reshape(c, -1).T, xm).reshape(n, o1 - o0, kh, kw, h, wd)
+        for i in range(kh):
+            for j in range(kw):
+                buf[:, o0:o1, i : i + (h - 1) * stride + 1 : stride,
+                    j : j + (wd - 1) * stride + 1 : stride] += prod[:, :, i, j]
+    out = np.ascontiguousarray(buf[:, :, padding : padding + oh, padding : padding + ow])
 
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32)

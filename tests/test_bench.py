@@ -13,6 +13,14 @@ def test_bench_report_schema_and_single_sample():
     assert entry["p10_s"] <= entry["median_s"] <= entry["p90_s"]
 
 
+def test_bench_stem_conv_schema():
+    report = bench(["conv7x7s2"], [16], repetitions=2)
+    entry = report["entries"][0]
+    assert (entry["op"], entry["size"], entry["samples"]) == ("conv7x7s2", 16, 2)
+    assert entry["macs"] == 8 * 8 * 128 * 3 * 49  # 16 px, stride 2, pad 3 -> 8x8
+    assert 0 < entry["p10_s"] <= entry["median_s"] <= entry["p90_s"]
+
+
 def test_bench_post_network_ops_schema():
     report = bench(["soft_nms", "group_corners"], [16], repetitions=2)
     assert [(e["op"], e["size"], e["macs"], e["samples"]) for e in report["entries"]] == \

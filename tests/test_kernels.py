@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fovea import naive
+from fovea import kernels, naive
 from fovea.kernels import (ConvSpec, bilinear_resize, conv2d, depthwise_conv2d,
                            elementwise, max_pool2d, nearest_upsample2x, relu,
                            resize_longer_side, sigmoid, transpose_conv2d, zero_pad_to)
@@ -68,6 +68,38 @@ def test_conv2d_shape_errors():
         ConvSpec(3, 5, (3, 3), groups=2)
 
 
+def test_conv2d_band_seams_match_naive(monkeypatch):
+    # a column budget of 3 output rows: 7 rows (pad 0) run as bands 3+3+1,
+    # 9 rows (pad 1) as 3+3+3 and 5 rows (stride 2) as 3+2, so every seam
+    # and a part-filled last band are compared
+    x = rand((2, 4, 9, 9), seed=30)
+    for stride, pad in [(1, 0), (1, 1), (2, 1)]:
+        ow = (9 + 2 * pad - 3) // stride + 1
+        monkeypatch.setattr(kernels, "_COLS_BYTES", 4 * 2 * 4 * 9 * ow * 3)
+        for groups in (1, 2, 4):
+            w = rand((4, 4 // groups, 3, 3), seed=31 + groups)
+            b = rand((4,), seed=35)
+            got = conv2d(x, w, b, ConvSpec(4, 4, (3, 3), stride=stride, padding=pad, groups=groups))
+            want = naive.conv2d_naive(x, w, b, stride, pad)
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
+        got = depthwise_conv2d(x, w, ConvSpec(4, 4, (3, 3), stride=stride, padding=pad, groups=4))
+        want = naive.depthwise_conv2d_naive(x, w, stride, pad)
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
+
+
+def test_conv2d_single_row_bands_and_pointwise_match_naive(monkeypatch):
+    # a budget below one output row still makes progress, one row per band
+    monkeypatch.setattr(kernels, "_COLS_BYTES", 1)
+    x = rand((2, 6, 5, 7), seed=36)
+    w = rand((4, 3, 3, 3), seed=37)
+    got = conv2d(x, w, None, ConvSpec(6, 4, (3, 3), stride=2, padding=1, groups=2))
+    np.testing.assert_allclose(got, naive.conv2d_naive(x, w, None, 2, 1), rtol=RTOL, atol=1e-6)
+    w1 = rand((8, 3, 1, 1), seed=38)
+    b1 = rand((8,), seed=39)
+    got = conv2d(x, w1, b1, ConvSpec(6, 8, (1, 1), groups=2))
+    np.testing.assert_allclose(got, naive.conv2d_naive(x, w1, b1, 1, 0), rtol=RTOL, atol=1e-6)
+
+
 # ---- depthwise -----------------------------------------------------------------
 
 
@@ -131,9 +163,42 @@ def test_transpose_conv_matches_scatter_naive():
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
 
 
+def test_transpose_conv_general_shapes_match_naive():
+    x = rand((2, 3, 4, 5), seed=40)
+    b = rand((2,), seed=41)
+    for stride, pad, k in [(1, 0, 3), (3, 0, 3), (1, 2, 5), (3, 2, 5), (3, 2, 3)]:
+        wt = rand((3, 2, k, k), seed=42 + k)
+        got = transpose_conv2d(x, wt, b, stride=stride, padding=pad)
+        want = naive.transpose_conv2d_naive(x, wt, b, stride, pad)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
+
+
+def test_transpose_conv_band_seams_match_naive(monkeypatch):
+    # 5 output channels under a 2-channel product budget run as bands
+    # 2+2+1; a budget of 1 byte runs one channel per band
+    x = rand((2, 3, 5, 4), seed=50)
+    wt = rand((3, 5, 4, 4), seed=51)
+    b = rand((5,), seed=52)
+    for budget in (4 * 2 * 16 * 5 * 4 * 2, 1):
+        monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
+        for stride, pad in [(2, 1), (3, 2), (1, 0)]:
+            got = transpose_conv2d(x, wt, b, stride=stride, padding=pad)
+            want = naive.transpose_conv2d_naive(x, wt, b, stride, pad)
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
+
+
 def test_transpose_conv_channel_mismatch():
     with pytest.raises(ValueError, match="channels"):
         transpose_conv2d(rand((1, 3, 4, 4)), rand((2, 2, 4, 4)))
+
+
+def test_transpose_conv_rejects_bad_stride_and_padding():
+    # negative padding would otherwise crop the output silently
+    x, wt = rand((1, 1, 3, 3)), rand((1, 1, 4, 4))
+    for stride, pad in [(0, 1), (-1, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="stride must be >= 1 and padding >= 0"):
+            transpose_conv2d(x, wt, stride=stride, padding=pad)
 
 
 # ---- upsample / pool -----------------------------------------------------------
