@@ -4,7 +4,9 @@ Timing is hardware-bound, so the report pairs each entry's median/p10/p90
 wall times with its multiply-accumulate count where one is defined; cost
 per MAC is then derivable on any machine.  The post-network ops
 (``soft_nms``, ``group_corners``) count no MACs; their ``size`` is the
-input pool size, or the number of corners per kind.
+input pool size, or the number of corners per kind.  The sampling ops
+(``crop_pixels``, ``resize255``) count no MACs either; their ``size`` is the
+side of a square source image.
 """
 
 import time
@@ -16,7 +18,8 @@ from .analysis import cost_report
 from .builders import build_hourglass54, build_squeeze_hourglass
 from .decode import Corner, Detection, group_corners
 from .graph import forward, init_weights
-from .pipeline import soft_nms
+from .pipeline import (CROP_SIZE, ObjectLocation, SaccadeConfig, crop_pixels, make_crop,
+                       resize_affine, soft_nms)
 
 
 def _rng(seed=0):
@@ -85,6 +88,25 @@ def _bench_group_corners(size):
     return (lambda: group_corners(tl, br)), 0
 
 
+def _square_image(size):
+    return _rng().normal(size=(1, 3, size, size)).astype(np.float32)
+
+
+def _bench_crop_pixels(size):
+    # the zoom-2 window run_saccade would place on the centre of the image
+    image = _square_image(size)
+    content = (CROP_SIZE, CROP_SIZE)
+    centre = ObjectLocation(x=CROP_SIZE / 2, y=CROP_SIZE / 2, size="medium", score=1.0)
+    window = make_crop(centre, SaccadeConfig(zoom_medium=2.0), content,
+                       resize_affine((size, size), content))
+    return (lambda: crop_pixels(image, window)), 0
+
+
+def _bench_resize255(size):
+    image = _square_image(size)
+    return (lambda: kernels.resize_longer_side(image, 255)), 0
+
+
 def _bench_forward(builder, num_classes=3):
     def make(size):
         graph = builder(num_classes, input_hw=(size, size))
@@ -103,6 +125,8 @@ BENCH_OPS = {
     "maxpool3x3": _bench_maxpool3x3,
     "soft_nms": _bench_soft_nms,
     "group_corners": _bench_group_corners,
+    "crop_pixels": _bench_crop_pixels,
+    "resize255": _bench_resize255,
     "forward_hourglass54": _bench_forward(build_hourglass54),
     "forward_squeeze": _bench_forward(build_squeeze_hourglass),
 }

@@ -75,21 +75,21 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
         raise ValueError(f"expected (1, C, H, W) heatmaps, got {heat.shape}")
     pooled = max_pool2d(heat, 3, 1, 1)
     keep = heat >= pooled  # equality: pooled >= heat everywhere by construction
-    cs, ys, xs = np.nonzero(keep[0])
+    cs, ys, xs = np.nonzero(keep[0])  # (class, y, x) order
     scores = heat[0, cs, ys, xs]
-    order = np.lexsort((xs, ys, cs, -scores))[:k]
+    # stable, so equal scores keep np.nonzero's (class, y, x) order
+    order = np.argsort(-scores, kind="stable")[:k]
+    cs, ys, xs = cs[order], ys[order], xs[order]
 
-    corners = []
-    for idx in order:
-        c, y, x = int(cs[idx]), int(ys[idx]), int(xs[idx])
-        corner = Corner(cls=c, score=float(scores[idx]), x=x, y=y, kind=kind)
-        if offsets is not None:
-            corner.dx = float(offsets[0, 0, y, x])
-            corner.dy = float(offsets[0, 1, y, x])
-        if embeddings is not None:
-            corner.embed = float(embeddings[0, 0, y, x])
-        corners.append(corner)
-    return corners
+    def read(maps, channel):
+        if maps is None:
+            return [0.0] * len(order)
+        return np.asarray(maps[0, channel, ys, xs], dtype=np.float64).tolist()
+
+    return [Corner(c, score, x, y, dx, dy, embed, kind)
+            for c, score, x, y, dx, dy, embed in zip(
+                cs.tolist(), scores[order].tolist(), xs.tolist(), ys.tolist(),
+                read(offsets, 0), read(offsets, 1), read(embeddings, 0))]
 
 
 def _corner_columns(corners, downsample_factor):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .decode import Detection, group_corners, heatmap_peaks, size_class_of
 from .graph import forward
-from .kernels import as_tensor, resize_longer_side, zero_pad_to
+from .kernels import _bilinear_sample, as_tensor, resize_longer_side, zero_pad_to
 
 CROP_SIZE = 255
 DOWNSIZE_SCALES = (255, 192)
@@ -191,12 +191,19 @@ def suppress_locations(locations, boxes_from_downsized=(), radius=16.0):
     pool = [location_from_detection(d) for d in boxes_from_downsized]
     pool += list(locations)
     pool.sort(key=lambda l: (0 if l.source == "box" else 1, -l.score, l.y, l.x))
+    xs = np.array([l.x for l in pool], dtype=np.float64)
+    ys = np.array([l.y for l in pool], dtype=np.float64)
+    live = np.ones(len(pool), dtype=bool)
     kept = []
-    while pool:
-        best = pool.pop(0)
-        kept.append(best)
-        pool = [l for l in pool
-                if max(abs(l.x - best.x), abs(l.y - best.y)) > radius]
+    for i in range(len(pool)):
+        if not live[i]:
+            continue
+        kept.append(pool[i])
+        dx = np.abs(xs[i:] - xs[i])
+        dy = np.abs(ys[i:] - ys[i])
+        # Python's max(dx, dy) keeps dx unless dy > dx, so a NaN in either
+        # distance behaves as in the scalar loop
+        live[i:] &= np.where(dy > dx, dy, dx) > radius
     return kept
 
 
@@ -232,28 +239,10 @@ def crop_pixels(image, window):
     Sample points whose bilinear support falls outside the canvas read zero.
     """
     image = as_tensor(image)
-    n, c, h, w = image.shape
     aff = window.to_original
     px = np.arange(window.size, dtype=np.float64)
-    sx = aff.sx * px + aff.ox
-    sy = aff.sy * px + aff.oy
-
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = (sx - x0).astype(np.float32)
-    fy = (sy - y0).astype(np.float32)
-
-    def gather(yi, xi):
-        inside = ((yi[:, None] >= 0) & (yi[:, None] < h) &
-                  (xi[None, :] >= 0) & (xi[None, :] < w))
-        vals = image[:, :, np.clip(yi, 0, h - 1)[:, None], np.clip(xi, 0, w - 1)[None, :]]
-        return vals * inside[None, None, :, :]
-
-    fx2 = fx.reshape(1, 1, 1, -1)
-    fy2 = fy.reshape(1, 1, -1, 1)
-    top = gather(y0, x0) * (1 - fx2) + gather(y0, x0 + 1) * fx2
-    bot = gather(y0 + 1, x0) * (1 - fx2) + gather(y0 + 1, x0 + 1) * fx2
-    return (top * (1 - fy2) + bot * fy2).astype(np.float32)
+    return _bilinear_sample(image, aff.sy * px + aff.oy, aff.sx * px + aff.ox,
+                            zero_outside=True)
 
 
 def strip_boundary_boxes(dets, margin=0.0, crop_size=CROP_SIZE):
@@ -396,12 +385,18 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     ``model`` provides ``infer(frame, to_original)``; pass a dict as
     ``trace`` to collect locations, suppression decisions, crop windows and
     pixel counts.  ``crop_order`` permutes crop processing order (the result
-    is invariant to it; exists for order-independence tests).
+    is invariant to it; exists for order-independence tests).  Raises
+    ``ValueError`` for an image with a batch other than 1 or a non-finite
+    pixel.
     """
     config = config or SaccadeConfig()
     if not hasattr(model, "infer"):  # a weighted ArchGraph works directly
         model = GraphModel(model)
     image = as_tensor(image)
+    if image.shape[0] != 1:
+        raise ValueError(f"image must hold a single picture (batch 1), got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise ValueError("image has non-finite (NaN or inf) pixels")
     _, _, img_h, img_w = image.shape
 
     f255, aff255, content255, f192, aff192, content192 = downsize_pair(image)

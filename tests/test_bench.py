@@ -29,6 +29,14 @@ def test_bench_post_network_ops_schema():
         assert 0 < e["p10_s"] <= e["median_s"] <= e["p90_s"]
 
 
+def test_bench_sampling_ops_schema():
+    report = bench(["crop_pixels", "resize255"], [64], repetitions=2)
+    assert [(e["op"], e["size"], e["macs"], e["samples"]) for e in report["entries"]] == \
+           [("crop_pixels", 64, 0, 2), ("resize255", 64, 0, 2)]
+    for e in report["entries"]:
+        assert 0 < e["p10_s"] <= e["median_s"] <= e["p90_s"]
+
+
 def test_bench_forward_macs_ordering_at_255():
     # the per-entry MAC counts come from the exact graph cost report; the
     # compact backbone must undercut the saccade backbone at the same input

@@ -65,6 +65,53 @@ def test_peaks_gather_offsets_and_embeddings():
     assert (c.dx, c.dy, c.embed, c.kind) == (0.25, 0.75, 3.0, "br")
 
 
+def _peaks_lexsort(heat, k, offsets=None, embeddings=None, kind="tl"):
+    """The former heatmap_peaks order and readout: a 4-key lexsort, then
+    scalar reads per corner."""
+    pooled = naive.max_pool2d_naive(heat, 3, 1, 1)
+    cs, ys, xs = np.nonzero(heat[0] >= pooled[0])
+    scores = heat[0, cs, ys, xs]
+    corners = []
+    for idx in np.lexsort((xs, ys, cs, -scores))[:k]:
+        c, y, x = int(cs[idx]), int(ys[idx]), int(xs[idx])
+        corner = Corner(cls=c, score=float(scores[idx]), x=x, y=y, kind=kind)
+        if offsets is not None:
+            corner.dx = float(offsets[0, 0, y, x])
+            corner.dy = float(offsets[0, 1, y, x])
+        if embeddings is not None:
+            corner.embed = float(embeddings[0, 0, y, x])
+        corners.append(corner)
+    return corners
+
+
+def _peak_fixtures():
+    rng = np.random.default_rng(12)
+    plateau = np.zeros((1, 3, 24, 24), np.float32)  # every pixel survives
+    plateau[0, 1, 5, 5] = 0.5
+    cross = np.zeros((1, 3, 16, 16), np.float32)  # equal peaks in every class
+    cross[0, :, 4, 9] = 0.7
+    cross[0, :, 12, 2] = 0.7
+    cross[0, 2, 8, 8] = 0.9
+    coarse = (rng.integers(0, 4, (1, 2, 20, 20)) / 4).astype(np.float32)
+    noisy = rng.uniform(0, 1, (1, 3, 32, 32)).astype(np.float32)
+    return [(plateau, 100), (plateau, 5000), (cross, 3), (cross, 50), (coarse, 100),
+            (noisy, 1000)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_peaks_match_lexsort_reference_exactly(case):
+    heat, k = _peak_fixtures()[case]
+    rng = np.random.default_rng(case)
+    h, w = heat.shape[2:]
+    off = rng.uniform(-1, 1, (1, 2, h, w)).astype(np.float32)
+    emb = rng.normal(size=(1, 1, h, w)).astype(np.float32)
+    for kw in ({}, {"offsets": off, "embeddings": emb, "kind": "br"}):
+        got = heatmap_peaks(heat, k, **kw)
+        want = _peaks_lexsort(heat, k, **kw)
+        assert got == want
+        assert all(type(c.score) is float and type(c.dx) is float for c in got)
+
+
 def test_peaks_rejects_bad_k():
     with pytest.raises(ValueError, match="k must be"):
         heatmap_peaks(np.zeros((1, 1, 4, 4), np.float32), 0)

@@ -323,6 +323,40 @@ def test_bilinear_resize_matches_naive_many_seeds():
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-5)
 
 
+def _bilinear_resize_2d_gather(x, out_h, out_w):
+    """The former bilinear_resize: one 2-D broadcast gather per bilinear tap."""
+    n, c, h, w = x.shape
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    fy = (ys - y0).astype(np.float32)
+    fx = (xs - x0).astype(np.float32)
+    y0c = np.clip(y0, 0, h - 1)
+    y1c = np.clip(y0 + 1, 0, h - 1)
+    x0c = np.clip(x0, 0, w - 1)
+    x1c = np.clip(x0 + 1, 0, w - 1)
+
+    fy = fy.reshape(1, 1, out_h, 1)
+    fx = fx.reshape(1, 1, 1, out_w)
+    top = x[:, :, y0c[:, None], x0c[None, :]] * (1 - fx) + x[:, :, y0c[:, None], x1c[None, :]] * fx
+    bot = x[:, :, y1c[:, None], x0c[None, :]] * (1 - fx) + x[:, :, y1c[:, None], x1c[None, :]] * fx
+    return (top * (1 - fy) + bot * fy).astype(np.float32)
+
+
+@pytest.mark.parametrize("shape,out_hw", [
+    ((1, 3, 1020, 1020), (255, 255)), ((1, 3, 480, 640), (144, 192)),
+    ((1, 3, 720, 960), (191, 255)), ((2, 3, 50, 70), (255, 127)),
+    ((1, 1, 9, 300), (1, 17)), ((2, 1, 1, 1), (3, 5)), ((1, 2, 64, 33), (64, 33)),
+])
+def test_bilinear_resize_bit_equal_to_2d_gather(shape, out_hw):
+    x = rand(shape, seed=sum(shape) + sum(out_hw))  # signed values
+    x[..., :3, :3] = -0.0
+    got, want = bilinear_resize(x, *out_hw), _bilinear_resize_2d_gather(x, *out_hw)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_pad_layout_and_sum():
     x = np.abs(rand((1, 3, 192, 144), seed=26))
     y = zero_pad_to(x, 255, 255)

@@ -161,6 +161,44 @@ def test_suppress_matches_brute_force_greedy():
            [(l.x, l.y, l.score, l.source) for l in want]
 
 
+def _tie_rich_locations(rng, n, nan_share=0.0):
+    """Integer-grid positions and scores on a coarse ladder, so equal keys
+    and exact-radius distances are common; some coordinates NaN."""
+    locs = []
+    for _ in range(n):
+        x, y = (float(v) for v in rng.integers(0, 256, 2))
+        if rng.random() < nan_share:
+            if rng.random() < 0.5:
+                x = math.nan
+            else:
+                y = math.nan
+        locs.append(_loc(x, y, float(rng.integers(1, 41)) / 40,
+                         size=str(rng.choice(["small", "medium", "large"]))))
+    return locs
+
+
+@pytest.mark.parametrize("radius", [0.0, 2.5, 16.0])
+@pytest.mark.parametrize("nan_share", [0.0, 0.01])
+def test_suppress_matches_loop_reference_on_large_pools(radius, nan_share):
+    rng = np.random.default_rng(int(radius * 10) + int(nan_share * 100))
+    locs = _tie_rich_locations(rng, 2000, nan_share)
+    got = suppress_locations(locs, radius=radius)
+    want = _suppress_oracle(locs, radius)
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_suppress_with_boxes_matches_loop_reference():
+    rng = np.random.default_rng(31)
+    locs = _tie_rich_locations(rng, 2000, nan_share=0.005)
+    boxes = [Detection(0, float(rng.integers(1, 41)) / 40, (x - 3.0, y - 3.0, x + 3.0, y + 3.0))
+             for x, y in rng.integers(0, 256, (60, 2)).astype(float)]
+    boxes.append(Detection(0, 0.5, (math.nan, 10.0, 20.0, 20.0)))
+    got = suppress_locations(locs, boxes, radius=16.0)
+    want = _suppress_oracle([location_from_detection(b) for b in boxes] + locs, 16.0)
+    assert [(repr(l.x), repr(l.y), l.score, l.source, l.size) for l in got] == \
+           [(repr(l.x), repr(l.y), l.score, l.source, l.size) for l in want]
+
+
 def test_suppress_is_idempotent():
     rng = np.random.default_rng(5)
     locs = [_loc(float(rng.uniform(0, 255)), float(rng.uniform(0, 255)),
@@ -257,6 +295,54 @@ def test_crop_pixels_matches_per_pixel_oracle():
     xx = np.repeat(sx[None, :], 16, axis=0)
     want = naive.bilinear_sample_naive(img, yy, xx)
     np.testing.assert_allclose(crop, want, rtol=1e-5, atol=1e-6)
+
+
+def _crop_pixels_2d_gather(image, window):
+    """The former crop_pixels: one 2-D broadcast gather per bilinear tap."""
+    n, c, h, w = image.shape
+    aff = window.to_original
+    px = np.arange(window.size, dtype=np.float64)
+    sx = aff.sx * px + aff.ox
+    sy = aff.sy * px + aff.oy
+
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = (sx - x0).astype(np.float32)
+    fy = (sy - y0).astype(np.float32)
+
+    def gather(yi, xi):
+        inside = ((yi[:, None] >= 0) & (yi[:, None] < h) &
+                  (xi[None, :] >= 0) & (xi[None, :] < w))
+        vals = image[:, :, np.clip(yi, 0, h - 1)[:, None], np.clip(xi, 0, w - 1)[None, :]]
+        return vals * inside[None, None, :, :]
+
+    fx2 = fx.reshape(1, 1, 1, -1)
+    fy2 = fy.reshape(1, 1, -1, 1)
+    top = gather(y0, x0) * (1 - fx2) + gather(y0, x0 + 1) * fx2
+    bot = gather(y0 + 1, x0) * (1 - fx2) + gather(y0 + 1, x0 + 1) * fx2
+    return (top * (1 - fy2) + bot * fy2).astype(np.float32)
+
+
+@pytest.mark.parametrize("hw", [(510, 510), (480, 640), (720, 960), (1020, 1020), (97, 41)])
+def test_crop_pixels_bit_equal_to_2d_gather(hw):
+    rng = np.random.default_rng(hw[0] * hw[1])
+    img = rng.normal(size=(1, 3) + hw).astype(np.float32)  # signed pixels
+    img[:, :, :9, :9] = -0.0
+    _, aff, content, *_ = downsize_pair(img)
+    windows = []
+    for size in ("large", "medium", "small"):  # zoom 1, 2, 4
+        for x, y in ((0.0, 0.0), (127.0, 90.0), (254.0, 254.0)):
+            windows.append(make_crop(_loc(x, y, 0.9, size=size), SaccadeConfig(), content, aff))
+    for zoom in (1.0, 2.0, 4.0):
+        s = aff.sx / zoom
+        for ox, oy in ((-40.0, 3.3), (hw[1] - 30.5, -25.0), (-5000.0, 10.0), (2.0, hw[0] + 7.0)):
+            # partly and fully off the canvas
+            windows.append(CropWindow(zoom=zoom, x0=0, y0=0,
+                                      to_original=Affine(s, s * 1.01, ox, oy)))
+    for w in windows:
+        got, want = crop_pixels(img, w), _crop_pixels_2d_gather(img, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), w
 
 
 # ---- boundary stripping --------------------------------------------------------
@@ -539,6 +625,20 @@ def test_run_saccade_rejects_bad_crop_order():
     img = rand_image((510, 510), seed=26)
     with pytest.raises(ValueError, match="permutation"):
         run_saccade(img, blank_model(), crop_order=[0])
+
+
+def test_run_saccade_rejects_batch_and_non_finite_image():
+    img = rand_image((64, 64), seed=28)
+    with pytest.raises(ValueError, match="image.*batch 1"):
+        run_saccade(np.concatenate([img, img]), blank_model())
+    bad = [np.full_like(img, np.nan)]
+    for value in (np.nan, np.inf):
+        one = img.copy()
+        one[0, 2, 40, 7] = value
+        bad.append(one)
+    for image in bad:
+        with pytest.raises(ValueError, match="image.*non-finite"):
+            run_saccade(image, blank_model())
 
 
 def test_run_saccade_accepts_weighted_graph_directly():
