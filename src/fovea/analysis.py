@@ -4,9 +4,9 @@ Counting conventions (used consistently, reported never asserted against
 any nominal layer-count constants):
 
 * weights exclude biases; biases are tallied separately;
-* MACs are multiply-accumulates: conv = out_elems * (in_c / groups) * kh *
-  kw, transpose conv = in_elems * out_c * kh * kw; elementwise ops,
-  upsampling, adds and concats count zero;
+* MACs are multiply-accumulates, from each kind's ``graph.OPS`` rule: conv
+  = out_elems * (in_c / groups) * kh * kw, transpose conv = in_elems * out_c
+  * kh * kw; elementwise ops, upsampling, adds and concats count zero;
 * activation sizes are float32 node outputs: ``peak_*`` is the single
   largest node output, ``activation_bytes`` sums every node output (the
   everything-live worst case);
@@ -16,44 +16,10 @@ any nominal layer-count constants):
 
 import io
 import csv
+import math
 from dataclasses import dataclass, field
 
-
-def _with_input_dims(graph, input_dims):
-    if input_dims is None or tuple(input_dims) == graph.input_dims:
-        return graph
-    clone = graph.__class__.__new__(graph.__class__)
-    clone.__dict__.update(graph.__dict__)
-    clone.input_dims = tuple(int(v) for v in input_dims)
-    return clone
-
-
-def node_param_counts(node):
-    """(weights, biases) a node owns."""
-    kh, kw = node.kernel
-    if node.kind == "conv":
-        w = node.out_channels * node.in_channels * kh * kw
-    elif node.kind == "dwconv":
-        w = node.in_channels * kh * kw
-    elif node.kind == "tconv":
-        w = node.in_channels * node.out_channels * kh * kw
-    else:
-        return 0, 0
-    return w, (node.out_channels if node.bias else 0)
-
-
-def node_macs(node, in_shape, out_shape):
-    kh, kw = node.kernel
-    if node.kind == "conv":
-        n, _, oh, ow = out_shape
-        return n * oh * ow * node.out_channels * node.in_channels * kh * kw
-    if node.kind == "dwconv":
-        n, _, oh, ow = out_shape
-        return n * oh * ow * node.out_channels * kh * kw
-    if node.kind == "tconv":
-        n, _, ih, iw = in_shape
-        return n * ih * iw * node.in_channels * node.out_channels * kh * kw
-    return 0
+from .graph import OPS, param_shapes
 
 
 @dataclass
@@ -65,19 +31,22 @@ class StageCost:
     peak_activation_bytes: int = 0
     peak_activation_area: int = 0
 
+    def add(self, other):
+        """Sum ``other``'s counts into these; each peak keeps the larger."""
+        self.weights += other.weights
+        self.biases += other.biases
+        self.macs += other.macs
+        self.activation_bytes += other.activation_bytes
+        self.peak_activation_bytes = max(self.peak_activation_bytes, other.peak_activation_bytes)
+        self.peak_activation_area = max(self.peak_activation_area, other.peak_activation_area)
+
     def to_dict(self):
         return dict(self.__dict__)
 
 
 @dataclass
-class CostReport:
-    input_dims: tuple
-    weights: int = 0
-    biases: int = 0
-    macs: int = 0
-    activation_bytes: int = 0
-    peak_activation_bytes: int = 0
-    peak_activation_area: int = 0
+class CostReport(StageCost):
+    input_dims: tuple = ()
     per_stage: dict = field(default_factory=dict)
 
     def stage_aggregate(self, include=None, exclude=()):
@@ -88,12 +57,7 @@ class CostReport:
                 continue
             if stage in exclude:
                 continue
-            agg.weights += c.weights
-            agg.biases += c.biases
-            agg.macs += c.macs
-            agg.activation_bytes += c.activation_bytes
-            agg.peak_activation_bytes = max(agg.peak_activation_bytes, c.peak_activation_bytes)
-            agg.peak_activation_area = max(agg.peak_activation_area, c.peak_activation_area)
+            agg.add(c)
         return agg
 
     def to_dict(self):
@@ -106,33 +70,18 @@ class CostReport:
 
 
 def cost_report(graph, input_dims=None):
-    graph = _with_input_dims(graph, input_dims)
-    shapes = graph.shapes()
-    report = CostReport(input_dims=graph.input_dims)
+    shapes = graph.shapes(input_dims)
+    report = CostReport(input_dims=shapes["input"])
     for node in graph.nodes:
-        stage = node.stage or "other"
-        sc = report.per_stage.setdefault(stage, StageCost())
-        w, b = node_param_counts(node)
-        in_shape = shapes[node.inputs[0]] if node.inputs else None
+        sizes = {name: math.prod(shape) for name, shape in param_shapes(node).items()}
         out_shape = shapes[node.id]
-        macs = node_macs(node, in_shape, out_shape)
-        n, c, h, wd = out_shape
-        act_bytes = 4 * n * c * h * wd
-        area = h * wd
-
-        sc.weights += w
-        sc.biases += b
-        sc.macs += macs
-        sc.activation_bytes += act_bytes
-        sc.peak_activation_bytes = max(sc.peak_activation_bytes, act_bytes)
-        sc.peak_activation_area = max(sc.peak_activation_area, area)
-
-        report.weights += w
-        report.biases += b
-        report.macs += macs
-        report.activation_bytes += act_bytes
-        report.peak_activation_bytes = max(report.peak_activation_bytes, act_bytes)
-        report.peak_activation_area = max(report.peak_activation_area, area)
+        macs = (OPS[node.kind].macs(node, [shapes[i] for i in node.inputs], out_shape)
+                if node.is_weighted() else 0)
+        act_bytes = 4 * math.prod(out_shape)
+        cost = StageCost(sizes.get("w", 0), sizes.get("b", 0), macs, act_bytes,
+                         act_bytes, math.prod(out_shape[2:]))
+        report.per_stage.setdefault(node.stage or "other", StageCost()).add(cost)
+        report.add(cost)
     return report
 
 

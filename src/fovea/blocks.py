@@ -3,9 +3,7 @@
 Each block is a pure function of an input tensor and a parameter bundle.
 Parameter bundles own raw weight arrays so counts can be audited by
 enumeration.  Convention: standard and 1x1 convolutions carry biases,
-depthwise branches do not.  An optional ``norm`` hook (callable applied
-after each convolution) exists on residual and fire blocks and defaults
-to identity; nothing in this library uses it.
+depthwise branches do not.
 """
 
 from dataclasses import dataclass
@@ -71,20 +69,13 @@ class ResidualParams:
             n += self.proj_w.size
         return n
 
-    def bias_count(self):
-        n = self.conv1_b.size + self.conv2_b.size
-        if self.proj_b is not None:
-            n += self.proj_b.size
-        return n
 
-
-def residual_block(x, params, norm=None):
+def residual_block(x, params):
     """out = ReLU(conv2(ReLU(conv1(x))) + shortcut(x))"""
     k, kp, s = params.in_channels, params.out_channels, params.stride
-    norm = norm or (lambda t: t)
     y = conv2d(x, params.conv1_w, params.conv1_b, ConvSpec(k, kp, (3, 3), stride=s, padding=1))
-    y = relu(norm(y))
-    y = norm(conv2d(y, params.conv2_w, params.conv2_b, ConvSpec(kp, kp, (3, 3), padding=1)))
+    y = relu(y)
+    y = conv2d(y, params.conv2_w, params.conv2_b, ConvSpec(kp, kp, (3, 3), padding=1))
     if params.has_projection:
         shortcut = conv2d(x, params.proj_w, params.proj_b, ConvSpec(k, kp, (1, 1), stride=s))
     else:
@@ -141,18 +132,14 @@ class FireParams:
     def weight_count(self):
         return self.squeeze_w.size + self.expand1_w.size + self.dw_w.size
 
-    def bias_count(self):
-        return self.squeeze_b.size + self.expand1_b.size
 
-
-def fire_module(x, params, norm=None):
+def fire_module(x, params):
     k, kp, s = params.in_channels, params.out_channels, params.stride
     sq = params.squeeze_channels
-    norm = norm or (lambda t: t)
-    squeezed = norm(conv2d(x, params.squeeze_w, params.squeeze_b, ConvSpec(k, sq, (1, 1))))
+    squeezed = conv2d(x, params.squeeze_w, params.squeeze_b, ConvSpec(k, sq, (1, 1)))
     branch1 = conv2d(squeezed, params.expand1_w, params.expand1_b, ConvSpec(sq, sq, (1, 1), stride=s))
     branch3 = depthwise_conv2d(squeezed, params.dw_w, ConvSpec(sq, sq, (3, 3), stride=s, padding=1, groups=sq))
-    return relu(norm(np.concatenate([branch1, branch3], axis=1)))
+    return relu(np.concatenate([branch1, branch3], axis=1))
 
 
 @dataclass
@@ -185,9 +172,6 @@ class AttentionHeadParams:
 
     def weight_count(self):
         return self.conv1_w.size + self.conv2_w.size
-
-    def bias_count(self):
-        return self.conv1_b.size + self.conv2_b.size
 
 
 def attention_head(feature, params):
@@ -242,9 +226,6 @@ class CornerHeadParams:
     def weight_count(self):
         return self.lead_w.size + self.heat_w.size + self.embed_w.size + self.off_w.size
 
-    def bias_count(self):
-        return self.lead_b.size + self.heat_b.size + self.embed_b.size + self.off_b.size
-
 
 def corner_head(feature, params):
     """Returns (heatmaps C-channel in (0,1), embeddings 1-channel, offsets 2-channel)."""
@@ -255,6 +236,3 @@ def corner_head(feature, params):
     embed = conv2d(y, params.embed_w, params.embed_b, ConvSpec(m, 1, (1, 1)))
     off = conv2d(y, params.off_w, params.off_b, ConvSpec(m, 2, (1, 1)))
     return heat, embed, off
-
-
-BlockParams = (ResidualParams, FireParams, AttentionHeadParams, CornerHeadParams)

@@ -187,7 +187,7 @@ def build_hourglass54(num_classes, input_hw=(255, 255)):
     })
     g.tap("feature", x)
     _emit_corner_heads(e, g, x, 256, num_classes, lead_kernel=3)
-    g.validate()
+    g.shapes()
     return g
 
 
@@ -216,7 +216,7 @@ def build_hourglass104_reference(num_classes=80, input_hw=(255, 255)):
 
     g.tap("feature", feat)
     _emit_corner_heads(e, g, feat, 256, num_classes, lead_kernel=3)
-    g.validate()
+    g.shapes()
     return g
 
 
@@ -251,7 +251,7 @@ def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsamp
 
     g.tap("feature", feat)
     _emit_corner_heads(e, g, feat, 256, num_classes, lead_kernel=1)
-    g.validate()
+    g.shapes()
     return g
 
 
@@ -263,7 +263,7 @@ def build_single_module(block="residual", dims=(256, 384, 384, 512), mult=1,
     out, _ = _emit_module(e, "module1", "input", list(dims), mult=mult,
                           middle_mult=middle_mult, block=block, upsample=upsample)
     g.tap("feature", out)
-    g.validate()
+    g.shapes()
     return g
 
 

@@ -294,7 +294,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except (ValueError, OSError) as exc:
+        sys.exit(f"fovea: error: {exc}")
 
 
 if __name__ == "__main__":

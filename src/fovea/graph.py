@@ -1,20 +1,33 @@
 """Declarative layer graphs: build once, then execute, count or serialize.
 
-A graph is an ordered DAG of primitive nodes (conv / dwconv / tconv /
-upsample2x / add / concat / relu / sigmoid).  Composite blocks are emitted
-as groups of primitive nodes sharing a ``block`` id and ``block_kind``
-label, which is what the structure census and audits key on.  ``stage``
-and ``role`` labels locate a node in the backbone (stem / moduleN / ...).
+A graph is an ordered DAG of primitive nodes: first ``input``, then nodes
+of the kinds in ``OPS`` (conv / dwconv / tconv / upsample2x / add / concat /
+relu / sigmoid).  ``OPS`` is the one place a kind's meaning lives: input
+arity, output-shape rule and its checks, the ``w`` shape with its init
+fan-in, MACs, and the run rule.  Run rules look their kernels up as module
+globals at call time, so a caller may wrap them (e.g. to time each call).
+
+Composite blocks are emitted as groups of primitive nodes sharing a
+``block`` id and ``block_kind`` label, which is what the structure census
+and audits key on.  ``stage`` and ``role`` labels locate a node in the
+backbone (stem / moduleN / ...).
+
+Weights are ``{node id: {name: array}}``: a weighted node owns ``w``, and
+``b`` exactly when ``node.bias`` is set.  ``load_weights`` and ``forward``
+run ``check_weights``, which lists every missing, extra or mis-shaped tensor.
 
 Graphs are immutable once built (nothing enforces this; builders simply
 never mutate) and forward() is a pure function, so one graph may serve
 many threads.
 """
 
+import functools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,8 +35,9 @@ from . import skt
 from .kernels import (ConvSpec, conv2d, conv_output_hw, depthwise_conv2d,
                       relu, sigmoid, nearest_upsample2x, transpose_conv2d)
 
-NODE_KINDS = ("input", "conv", "dwconv", "tconv", "upsample2x", "add", "concat", "relu", "sigmoid")
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_LABELS = ("stage", "role", "block", "block_kind", "activation")
+_ACTIVATIONS = ("", "relu", "sigmoid")  # fused post-op nonlinearities
 
 
 @dataclass
@@ -44,11 +58,12 @@ class Node:
     activation: str = ""  # optional fused post-conv nonlinearity
 
     def is_weighted(self):
-        return self.kind in ("conv", "dwconv", "tconv")
+        op = OPS.get(self.kind)
+        return op is not None and op.weight is not None
 
     def to_dict(self):
         d = {"id": self.id, "kind": self.kind, "inputs": list(self.inputs)}
-        for key in ("stage", "role", "block", "block_kind", "activation"):
+        for key in _LABELS:
             if getattr(self, key):
                 d[key] = getattr(self, key)
         if self.is_weighted():
@@ -59,17 +74,109 @@ class Node:
 
     @classmethod
     def from_dict(cls, d):
-        node = cls(id=d["id"], kind=d["kind"], inputs=list(d.get("inputs", [])))
-        for key in ("stage", "role", "block", "block_kind", "activation"):
-            setattr(node, key, d.get(key, ""))
-        if node.is_weighted():
-            node.in_channels = int(d["in_channels"])
-            node.out_channels = int(d["out_channels"])
-            node.kernel = tuple(d["kernel"])
-            node.stride = int(d["stride"])
-            node.padding = int(d["padding"])
-            node.bias = bool(d.get("bias", False))
+        try:
+            node = cls(id=d["id"], kind=d["kind"], inputs=list(d.get("inputs", [])))
+            for key in _LABELS:
+                setattr(node, key, d.get(key, ""))
+            if node.is_weighted():
+                node.in_channels = int(d["in_channels"])
+                node.out_channels = int(d["out_channels"])
+                node.kernel = tuple(d["kernel"])
+                node.stride = int(d["stride"])
+                node.padding = int(d["padding"])
+                node.bias = bool(d.get("bias", False))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"node {d.get('id')!r}: missing or bad field {exc}") from None
         return node
+
+
+# ---- the op table --------------------------------------------------------------
+
+
+class Op(NamedTuple):
+    """What a node kind means; every rule takes the node first."""
+
+    shape: Callable           # (node, input shapes) -> output shape; raises ValueError
+    run: Callable             # (node, input arrays, {name: tensor}) -> output array
+    arity: tuple = (1, 1)     # (fewest, most) inputs; most None means no limit
+    weight: Callable = None   # node -> (``w`` shape, init fan-in); None: owns no tensors
+    macs: Callable = None     # (node, input shapes, output shape) -> MACs; None: 0 MACs
+
+
+def _spec(node, groups=1):
+    return ConvSpec(node.in_channels, node.out_channels, node.kernel,
+                    stride=node.stride, padding=node.padding, groups=groups)
+
+
+def _tconv_output_hw(h, w, kernel, stride, padding):
+    return (h - 1) * stride - 2 * padding + kernel[0], (w - 1) * stride - 2 * padding + kernel[1]
+
+
+def _conv_shape(node, ins, groups=1, output_hw=conv_output_hw):
+    _spec(node, groups)  # checks kernel, stride, padding and groups
+    n, c, h, w = ins[0]
+    if c != node.in_channels:
+        raise ValueError(f"input has {c} channels, in_channels is {node.in_channels}")
+    oh, ow = output_hw(h, w, node.kernel, node.stride, node.padding)
+    if oh < 1 or ow < 1:
+        raise ValueError(f"output {oh}x{ow} from a {h}x{w} input is smaller than 1x1")
+    return (n, node.out_channels, oh, ow)
+
+
+def _dwconv_shape(node, ins):
+    if node.out_channels != node.in_channels:
+        raise ValueError(f"dwconv out_channels {node.out_channels} != in_channels {node.in_channels}")
+    if node.bias:
+        raise ValueError("dwconv takes no bias")
+    return _conv_shape(node, ins, groups=node.in_channels)
+
+
+def _add_shape(node, ins):
+    if len(set(ins)) != 1:
+        raise ValueError(f"add inputs disagree: {ins}")
+    return ins[0]
+
+
+def _concat_shape(node, ins):
+    n, _, h, w = ins[0]
+    if any(s[0] != n or s[2] != h or s[3] != w for s in ins):
+        raise ValueError(f"concat spatial dims disagree: {ins}")
+    return (n, sum(s[1] for s in ins), h, w)
+
+
+OPS = {
+    "conv": Op(_conv_shape,
+               lambda node, ins, p: conv2d(ins[0], p["w"], p.get("b"), _spec(node)),
+               weight=lambda node: ((node.out_channels, node.in_channels, *node.kernel),
+                                    node.in_channels * math.prod(node.kernel)),
+               macs=lambda node, ins, out: math.prod(out) * node.in_channels * math.prod(node.kernel)),
+    "dwconv": Op(_dwconv_shape,
+                 lambda node, ins, p: depthwise_conv2d(ins[0], p["w"], _spec(node, node.in_channels)),
+                 weight=lambda node: ((node.in_channels, 1, *node.kernel), math.prod(node.kernel)),
+                 macs=lambda node, ins, out: math.prod(out) * math.prod(node.kernel)),
+    "tconv": Op(lambda node, ins: _conv_shape(node, ins, output_hw=_tconv_output_hw),
+                lambda node, ins, p: transpose_conv2d(ins[0], p["w"], p.get("b"),
+                                                      stride=node.stride, padding=node.padding),
+                weight=lambda node: ((node.in_channels, node.out_channels, *node.kernel),
+                                     node.in_channels * math.prod(node.kernel) // node.stride ** 2),
+                macs=lambda node, ins, out: math.prod(ins[0]) * node.out_channels * math.prod(node.kernel)),
+    "upsample2x": Op(lambda node, ins: (*ins[0][:2], 2 * ins[0][2], 2 * ins[0][3]),
+                     lambda node, ins, p: nearest_upsample2x(ins[0])),
+    "add": Op(_add_shape, lambda node, ins, p: functools.reduce(np.add, ins), arity=(2, None)),
+    "concat": Op(_concat_shape, lambda node, ins, p: np.concatenate(ins, axis=1), arity=(2, None)),
+    "relu": Op(lambda node, ins: ins[0], lambda node, ins, p: relu(ins[0])),
+    "sigmoid": Op(lambda node, ins: ins[0], lambda node, ins, p: sigmoid(ins[0])),
+}
+
+
+def param_shapes(node):
+    """{tensor name: shape} of the weights a node owns."""
+    if not node.is_weighted():
+        return {}
+    shapes = {"w": OPS[node.kind].weight(node)[0]}
+    if node.bias:
+        shapes["b"] = (node.out_channels,)
+    return shapes
 
 
 class ArchGraph:
@@ -78,22 +185,30 @@ class ArchGraph:
     def __init__(self, input_dims):
         n, c, h, w = input_dims
         self.input_dims = (int(n), int(c), int(h), int(w))
-        self.nodes = []
-        self._index = {}
+        self.nodes = [Node(id="input", kind="input", stage="input")]
+        self._index = {"input": self.nodes[0]}
         self.taps = {}
         self.params = {}
-        self.add(Node(id="input", kind="input", stage="input"))
 
     def add(self, node):
-        if node.kind not in NODE_KINDS:
-            raise ValueError(f"unknown node kind {node.kind!r}")
-        if not _ID_RE.match(node.id):
+        """Append a node; the only gate for its id, kind, inputs and activation."""
+        if not isinstance(node.id, str) or not _ID_RE.match(node.id):
             raise ValueError(f"bad node id {node.id!r}")
         if node.id in self._index:
             raise ValueError(f"duplicate node id {node.id!r}")
+        op = OPS.get(node.kind)
+        if op is None:
+            raise ValueError(f"node {node.id!r}: unknown kind {node.kind!r}, expected one of {sorted(OPS)}")
+        fewest, most = op.arity
+        if len(node.inputs) < fewest or (most is not None and len(node.inputs) > most):
+            raise ValueError(f"node {node.id!r}: {node.kind} takes {fewest}"
+                             f"{'' if most else ' or more'} inputs, got {len(node.inputs)}")
         for inp in node.inputs:
             if inp not in self._index:
                 raise ValueError(f"node {node.id!r} consumes unknown input {inp!r}")
+        if node.activation not in _ACTIVATIONS:
+            raise ValueError(f"node {node.id!r}: unknown activation {node.activation!r}, "
+                             f"expected one of {_ACTIVATIONS}")
         self._index[node.id] = node
         self.nodes.append(node)
         return node.id
@@ -108,52 +223,35 @@ class ArchGraph:
 
     # ---- shape propagation -------------------------------------------------
 
-    def shapes(self):
-        """Propagate (n, c, h, w) through every node; raises on any mismatch."""
-        out = {}
-        for node in self.nodes:
-            ins = [out[i] for i in node.inputs]
-            if node.kind == "input":
-                shape = self.input_dims
-            elif node.kind in ("conv", "dwconv"):
-                n, c, h, w = ins[0]
-                if c != node.in_channels:
-                    raise ValueError(f"node {node.id!r}: input has {c} channels, expected {node.in_channels}")
-                oh, ow = conv_output_hw(h, w, node.kernel, node.stride, node.padding)
-                if oh < 1 or ow < 1:
-                    raise ValueError(f"node {node.id!r}: kernel does not fit {h}x{w}")
-                shape = (n, node.out_channels, oh, ow)
-            elif node.kind == "tconv":
-                n, c, h, w = ins[0]
-                if c != node.in_channels:
-                    raise ValueError(f"node {node.id!r}: input has {c} channels, expected {node.in_channels}")
-                kh, kw = node.kernel
-                oh = (h - 1) * node.stride - 2 * node.padding + kh
-                ow = (w - 1) * node.stride - 2 * node.padding + kw
-                shape = (n, node.out_channels, oh, ow)
-            elif node.kind == "upsample2x":
-                n, c, h, w = ins[0]
-                shape = (n, c, 2 * h, 2 * w)
-            elif node.kind == "add":
-                if len(set(ins)) != 1:
-                    raise ValueError(f"node {node.id!r}: add inputs disagree: {ins}")
-                shape = ins[0]
-            elif node.kind == "concat":
-                n, _, h, w = ins[0]
-                if any(s[0] != n or s[2] != h or s[3] != w for s in ins):
-                    raise ValueError(f"node {node.id!r}: concat spatial dims disagree: {ins}")
-                shape = (n, sum(s[1] for s in ins), h, w)
-            else:  # relu / sigmoid
-                shape = ins[0]
-            out[node.id] = shape
+    def shapes(self, input_dims=None):
+        """Propagate (n, c, h, w) through every node; raises on any mismatch.
+
+        ``input_dims`` replaces the declared input size for this call only.
+        """
+        dims = self.input_dims if input_dims is None else tuple(int(v) for v in input_dims)
+        out = {"input": dims}
+        for node in self.nodes[1:]:
+            try:
+                out[node.id] = OPS[node.kind].shape(node, [out[i] for i in node.inputs])
+            except ValueError as exc:
+                raise ValueError(f"node {node.id!r}: {exc}") from None
         return out
 
-    def validate(self):
-        shapes = self.shapes()
-        for name, node_id in self.taps.items():
-            if node_id not in shapes:
-                raise ValueError(f"tap {name!r} points at unknown node {node_id!r}")
-        return shapes
+    def check_weights(self, params):
+        """Raise one ValueError listing every missing, extra or mis-shaped tensor."""
+        problems = [f"unknown node {node_id!r}" for node_id in params if node_id not in self._index]
+        for node in self.nodes:
+            want, got = param_shapes(node), params.get(node.id, {})
+            for name in sorted(want.keys() | got.keys()):
+                if name not in got:
+                    problems.append(f"node {node.id!r}: missing {name!r} shaped {want[name]}")
+                elif name not in want:
+                    problems.append(f"node {node.id!r}: extra {name!r}")
+                elif np.shape(got[name]) != want[name]:
+                    problems.append(f"node {node.id!r}: {name!r} shaped "
+                                    f"{np.shape(got[name])}, expected {want[name]}")
+        if problems:
+            raise ValueError("weights do not match the graph: " + "; ".join(problems))
 
     # ---- serialization -----------------------------------------------------
 
@@ -167,21 +265,15 @@ class ArchGraph:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        graph = cls.__new__(cls)
-        graph.input_dims = tuple(int(v) for v in doc["input_dims"])
-        graph.nodes = []
-        graph._index = {}
-        graph.taps = {}
-        graph.params = {}
-        for nd in doc["nodes"]:
-            node = Node.from_dict(nd)
-            if node.id in graph._index:
-                raise ValueError(f"duplicate node id {node.id!r}")
-            for inp in node.inputs:
-                if inp not in graph._index:
-                    raise ValueError(f"node {node.id!r} consumes unknown input {inp!r}")
-            graph._index[node.id] = node
-            graph.nodes.append(node)
+        missing = [key for key in ("input_dims", "nodes") if key not in doc]
+        if missing:
+            raise ValueError(f"graph JSON is missing {missing}")
+        graph = cls(doc["input_dims"])
+        first = Node.from_dict(doc["nodes"][0]) if doc["nodes"] else None
+        if first is None or (first.id, first.kind, first.inputs) != ("input", "input", []):
+            raise ValueError("graph JSON must start with the node {'id': 'input', 'kind': 'input'}")
+        for nd in doc["nodes"][1:]:
+            graph.add(Node.from_dict(nd))
         for name, node_id in doc.get("taps", {}).items():
             graph.tap(name, node_id)
         graph.shapes()
@@ -209,9 +301,8 @@ class ArchGraph:
                 continue
             stem = fname[:-4]
             node_id, _, pname = stem.rpartition(".")
-            if node_id not in self._index:
-                raise ValueError(f"weight file {fname!r} names unknown node {node_id!r}")
             params.setdefault(node_id, {})[pname] = skt.read_tensor(os.path.join(directory, fname))
+        self.check_weights(params)
         self.params = params
         return params
 
@@ -231,16 +322,7 @@ def init_weights(graph, seed=0, zeros=False):
     for node in graph.nodes:
         if not node.is_weighted():
             continue
-        kh, kw = node.kernel
-        if node.kind == "conv":
-            fan_in = node.in_channels * kh * kw
-            shape = (node.out_channels, node.in_channels, kh, kw)
-        elif node.kind == "dwconv":
-            fan_in = kh * kw
-            shape = (node.in_channels, 1, kh, kw)
-        else:  # tconv
-            fan_in = node.in_channels * kh * kw // (node.stride * node.stride)
-            shape = (node.in_channels, node.out_channels, kh, kw)
+        shape, fan_in = OPS[node.kind].weight(node)
         if zeros:
             w = np.zeros(shape, np.float32)
         else:
@@ -256,36 +338,6 @@ def init_weights(graph, seed=0, zeros=False):
 # ---- execution ---------------------------------------------------------------
 
 
-def _run_node(node, ins, params):
-    if node.kind == "conv":
-        spec = ConvSpec(node.in_channels, node.out_channels, node.kernel,
-                        stride=node.stride, padding=node.padding)
-        y = conv2d(ins[0], params["w"], params.get("b"), spec)
-    elif node.kind == "dwconv":
-        spec = ConvSpec(node.in_channels, node.out_channels, node.kernel,
-                        stride=node.stride, padding=node.padding,
-                        groups=node.in_channels)
-        y = depthwise_conv2d(ins[0], params["w"], spec)
-    elif node.kind == "tconv":
-        y = transpose_conv2d(ins[0], params["w"], params.get("b"),
-                             stride=node.stride, padding=node.padding)
-    elif node.kind == "upsample2x":
-        y = nearest_upsample2x(ins[0])
-    elif node.kind == "add":
-        y = ins[0].copy()
-        for extra in ins[1:]:
-            y += extra
-    elif node.kind == "concat":
-        y = np.concatenate(ins, axis=1)
-    elif node.kind == "relu":
-        y = relu(ins[0])
-    else:  # sigmoid
-        y = sigmoid(ins[0])
-    if node.activation:
-        y = relu(y) if node.activation == "relu" else sigmoid(y)
-    return y
-
-
 def forward(graph, x, params=None):
     """Evaluate the graph on one input tensor; returns {tap name: tensor}.
 
@@ -296,6 +348,7 @@ def forward(graph, x, params=None):
     x = np.asarray(x, dtype=np.float32)
     if tuple(x.shape) != graph.input_dims:
         raise ValueError(f"input shaped {x.shape}, graph declares {graph.input_dims}")
+    graph.check_weights(params)
 
     refcount = {}
     for node in graph.nodes:
@@ -303,22 +356,18 @@ def forward(graph, x, params=None):
             refcount[inp] = refcount.get(inp, 0) + 1
     tapped = set(graph.taps.values())
 
-    values = {}
-    for node in graph.nodes:
-        if node.kind == "input":
-            values[node.id] = x
-            continue
+    values = {"input": x}
+    for node in graph.nodes[1:]:
         ins = [values[i] for i in node.inputs]
         try:
-            values[node.id] = _run_node(node, ins, params.get(node.id, {}))
-        except (ValueError, KeyError) as exc:
+            y = OPS[node.kind].run(node, ins, params.get(node.id, {}))
+        except ValueError as exc:
             raise ValueError(f"node {node.id!r}: {exc}") from exc
+        if node.activation:
+            y = relu(y) if node.activation == "relu" else sigmoid(y)
+        values[node.id] = y
         for inp in node.inputs:
             refcount[inp] -= 1
             if refcount[inp] == 0 and inp not in tapped:
                 del values[inp]  # free dead intermediates
-
-    missing = [name for name, nid in graph.taps.items() if nid not in values]
-    if missing:
-        raise ValueError(f"taps never populated: {missing}")
     return {name: values[nid] for name, nid in graph.taps.items()}

@@ -8,7 +8,7 @@ distances and crop construction live in one coordinate system.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -114,6 +114,16 @@ class SaccadeConfig:
             raise ValueError("nms_sigma must be > 0")
         if self.nms_method not in ("gaussian", "linear"):
             raise ValueError(f"unknown nms_method {self.nms_method!r}")
+        if not (0.0 <= self.nms_floor < 1.0):
+            raise ValueError("nms_floor must lie in [0, 1)")
+        if not (0.0 <= self.nms_linear_threshold <= 1.0):
+            raise ValueError("nms_linear_threshold must lie in [0, 1]")
+        if self.corners_per_kind < 1:
+            raise ValueError("corners_per_kind must be >= 1")
+        if not (0.0 <= self.boundary_margin < CROP_SIZE / 2):
+            raise ValueError(f"boundary_margin must lie in [0, {CROP_SIZE / 2})")
+        if not (self.embed_threshold >= 0.0):
+            raise ValueError("embed_threshold must be >= 0")
 
     def zoom_for(self, size):
         return {"small": self.zoom_small, "medium": self.zoom_medium,
@@ -124,6 +134,9 @@ class SaccadeConfig:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown SaccadeConfig key(s) {unknown}")
         return cls(**d)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fovea
 from fovea import skt
 from fovea.cli import main
 
@@ -140,3 +144,19 @@ def test_compare_graphs(tmp_path):
     csv_out = tmp_path / "table.csv"
     run(["compare", "--graphs", str(a), str(b), "--csv", "--out", str(csv_out)])
     assert csv_out.read_text().startswith("name,")
+
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda tmp: "/nonexistent/graph.json",
+    lambda tmp: tmp / "graph.json",
+], ids=["missing-file", "graph-without-input-dims"])
+def test_cli_errors_are_one_line(tmp_path, make_path):
+    (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
+    src = os.path.dirname(os.path.dirname(fovea.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "fovea.cli", "arch", "stats",
+                           str(make_path(tmp_path))], capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fovea: error:"), proc.stderr

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from fovea.blocks import ResidualParams, residual_block
+from fovea import graph as graph_module, skt
+from fovea.blocks import FireParams, ResidualParams, fire_module, residual_block
 from fovea.builders import _Emit, build_squeeze_hourglass
 from fovea.graph import ArchGraph, Node, forward, init_weights
 
@@ -50,20 +53,32 @@ def test_forward_shape_error_names_the_node():
         forward(g, rand((1, 3, 8, 8)))
 
 
-def test_emitted_residual_matches_block_function():
+@pytest.mark.parametrize("block", ["residual", "fire"])
+def test_emitted_residual_matches_block_function(block):
     # the builder's node expansion and the array-level block must agree exactly
     g = ArchGraph((1, 4, 6, 6))
     e = _Emit(g)
-    out = e.residual("res", "input", 4, 6, stride=2)
+    out = getattr(e, block)("blk", "input", 4, 6, stride=2)
     g.tap("out", out)
-    p = ResidualParams.create(4, 6, stride=2, rng=np.random.default_rng(3))
-    g.params = {
-        "res.conv1": {"w": p.conv1_w, "b": p.conv1_b},
-        "res.conv2": {"w": p.conv2_w, "b": p.conv2_b},
-        "res.proj": {"w": p.proj_w, "b": p.proj_b},
-    }
+    rng = np.random.default_rng(3)
+    if block == "residual":
+        p = ResidualParams.create(4, 6, stride=2, rng=rng)
+        g.params = {
+            "blk.conv1": {"w": p.conv1_w, "b": p.conv1_b},
+            "blk.conv2": {"w": p.conv2_w, "b": p.conv2_b},
+            "blk.proj": {"w": p.proj_w, "b": p.proj_b},
+        }
+        want = residual_block
+    else:
+        p = FireParams.create(4, 6, stride=2, rng=rng)
+        g.params = {
+            "blk.squeeze": {"w": p.squeeze_w, "b": p.squeeze_b},
+            "blk.expand1x1": {"w": p.expand1_w, "b": p.expand1_b},
+            "blk.expand3x3": {"w": p.dw_w},
+        }
+        want = fire_module
     x = rand((1, 4, 6, 6), seed=4)
-    assert np.array_equal(forward(g, x)["out"], residual_block(x, p))
+    assert np.array_equal(forward(g, x)["out"], want(x, p))
 
 
 def test_forward_is_deterministic():
@@ -126,3 +141,103 @@ def test_forward_is_threadsafe_on_shared_graph():
     for a, b in zip(got, want):
         for name in b:
             assert np.array_equal(a[name], b[name])
+
+
+def _conv(node_id, inputs=("input",), **kw):
+    fields = dict(in_channels=3, out_channels=2, kernel=(3, 3), stride=1, padding=1, bias=True)
+    fields.update(kw)
+    return Node(id=node_id, kind=fields.pop("kind", "conv"), inputs=list(inputs), **fields)
+
+
+def _graph_json(*nodes, **doc):
+    g = ArchGraph((1, 3, 8, 8))
+    base = {"input_dims": list(g.input_dims), "nodes": [g.nodes[0].to_dict()], "taps": {}}
+    base["nodes"] += [n if isinstance(n, dict) else n.to_dict() for n in nodes]
+    base.update(doc)
+    return json.dumps({k: v for k, v in base.items() if v is not None})
+
+
+@pytest.mark.parametrize("text, match", [
+    (_graph_json({"id": "t", "kind": "tanh", "inputs": ["input"]}), "'t'.*kind 'tanh'"),
+    (_graph_json({"id": "a b", "kind": "relu", "inputs": ["input"]}), "id 'a b'"),
+    (_graph_json({k: v for k, v in _conv("c").to_dict().items() if k != "out_channels"}),
+     "'c'.*out_channels"),
+    (_graph_json(input_dims=None), "input_dims"),
+    (_graph_json(nodes=[{"id": "r", "kind": "relu", "inputs": []}]), "start with.*input"),
+], ids=["unknown-kind", "bad-id", "missing-field", "missing-input-dims", "first-not-input"])
+def test_from_json_rejects_bad_graph(text, match):
+    with pytest.raises(ValueError, match=match):
+        ArchGraph.from_json(text)
+
+
+@pytest.mark.parametrize("node, match", [
+    (_conv("c", activation="tanh"), "'c'.*activation 'tanh'"),
+    (Node(id="r", kind="relu", inputs=["input", "input"]), "'r'.*takes 1 inputs, got 2"),
+    (_conv("c", inputs=()), "'c'.*takes 1 inputs, got 0"),
+    (Node(id="s", kind="add", inputs=["input"]), "'s'.*takes 2 or more inputs, got 1"),
+], ids=["activation", "relu-two-inputs", "conv-no-input", "add-one-input"])
+def test_add_rejects_bad_node(node, match):
+    with pytest.raises(ValueError, match=match):
+        ArchGraph((1, 3, 8, 8)).add(node)
+
+
+@pytest.mark.parametrize("node, match", [
+    (_conv("d", kind="dwconv", in_channels=3, out_channels=6, bias=False), "'d'.*out_channels 6"),
+    (_conv("d", kind="dwconv", in_channels=3, out_channels=3, bias=True), "'d'.*bias"),
+    (_conv("t", kind="tconv", kernel=(1, 1), stride=1, padding=5), "'t'.*smaller than 1x1"),
+], ids=["dwconv-channels", "dwconv-bias", "tconv-too-small"])
+def test_shapes_rejects_bad_node(node, match):
+    g = ArchGraph((1, 3, 8, 8))
+    g.add(node)
+    with pytest.raises(ValueError, match=match):
+        g.shapes()
+
+
+def _weighted_graph():
+    g = ArchGraph((1, 3, 8, 8))
+    g.add(_conv("c1"))
+    g.add(_conv("c2", inputs=["c1"], in_channels=2, bias=False))
+    g.add(_conv("up", kind="tconv", inputs=["c2"], in_channels=2, kernel=(4, 4), stride=2))
+    g.tap("out", "up")
+    init_weights(g, seed=1)
+    return g
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda p: p["c1"].pop("b"), r"node 'c1': missing 'b' shaped \(2,\)"),
+    (lambda p: p["c2"].update(b=np.zeros(2, np.float32)), "node 'c2': extra 'b'"),
+    (lambda p: p["up"].update(w=rand((2, 3, 4, 4))), r"node 'up': 'w' shaped \(2, 3, 4, 4\), expected \(2, 2, 4, 4\)"),
+    (lambda p: p.update(ghost={"w": rand((1,))}), "unknown node 'ghost'"),
+], ids=["missing-bias", "stray-bias", "tconv-out-channels", "unknown-node"])
+def test_forward_checks_weights_against_graph(edit, match):
+    g = _weighted_graph()
+    edit(g.params)
+    with pytest.raises(ValueError, match=match):
+        forward(g, rand((1, 3, 8, 8)))
+
+
+def test_load_weights_lists_every_mismatch(tmp_path):
+    g = _weighted_graph()
+    g.save_weights(tmp_path)
+    (tmp_path / "c1.b.skt").unlink()
+    skt.write_tensor(tmp_path / "c2.b.skt", np.zeros(2, np.float32))
+    skt.write_tensor(tmp_path / "c2.extra.skt", np.zeros(2, np.float32))
+    skt.write_tensor(tmp_path / "ghost.w.skt", np.zeros(2, np.float32))
+    with pytest.raises(ValueError) as err:
+        g.load_weights(tmp_path)
+    for part in ("unknown node 'ghost'", "node 'c1': missing 'b'",
+                 "node 'c2': extra 'b'", "node 'c2': extra 'extra'"):
+        assert part in str(err.value)
+
+
+def test_forward_calls_kernels_through_module_globals(monkeypatch):
+    # callers (e.g. a per-kernel timer) wrap the kernels where forward looks them up
+    calls = []
+    for name in ("conv2d", "transpose_conv2d", "relu"):
+        fn = getattr(graph_module, name)
+        monkeypatch.setattr(graph_module, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    g = _weighted_graph()
+    g.nodes[1].activation = "relu"
+    forward(g, rand((1, 3, 8, 8)))
+    assert calls == ["conv2d", "relu", "conv2d", "transpose_conv2d"]

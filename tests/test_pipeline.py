@@ -657,6 +657,28 @@ def test_run_saccade_accepts_weighted_graph_directly():
     assert trace["n_crops"] <= 2
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"nms_floor": -1.0}, "nms_floor"),
+    ({"nms_floor": 1.5}, "nms_floor"),
+    ({"corners_per_kind": 0}, "corners_per_kind"),
+    ({"nms_linear_threshold": 1.5}, "nms_linear_threshold"),
+    ({"nms_linear_threshold": -0.1}, "nms_linear_threshold"),
+    ({"boundary_margin": -1.0}, "boundary_margin"),
+    ({"boundary_margin": 200.0}, "boundary_margin"),
+    ({"embed_threshold": -0.5}, "embed_threshold"),
+])
+def test_saccade_config_rejects_out_of_range_field(fields, match):
+    with pytest.raises(ValueError, match=match):
+        SaccadeConfig(**fields)
+    with pytest.raises(ValueError, match=match):
+        SaccadeConfig.from_dict({**SaccadeConfig().to_dict(), **fields})
+
+
+def test_saccade_config_from_dict_rejects_unknown_key():
+    with pytest.raises(ValueError, match="nms_flor"):
+        SaccadeConfig.from_dict({"nms_flor": 0.1})
+
+
 def test_saccade_config_validation():
     with pytest.raises(ValueError, match="zoom"):
         SaccadeConfig(zoom_small=1.0)
