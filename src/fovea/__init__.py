@@ -20,7 +20,7 @@ from .decode import (Corner, Detection, heatmap_peaks, group_corners, focal_loss
 from .pipeline import (Affine, ObjectLocation, CropWindow, SaccadeConfig, downsize_pair,
                        extract_locations, suppress_locations, make_crop, crop_pixels,
                        strip_boundary_boxes, soft_nms, iou, run_saccade, GraphModel,
-                       decode_frame_detections, CROP_SIZE)
+                       CROP_SIZE)
 from .scene import (SceneSpec, SceneObject, OracleOutputs, OracleModel, gen_scene,
                     random_scene, oracle_outputs, blank_model)
 from .bench import bench

@@ -60,14 +60,8 @@ class Detection:
         return max(x2 - x1, y2 - y1)
 
 
-def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
-    """Top-k corners per kind from a (1, C, H, W) heatmap tensor.
-
-    A location survives only if it equals its 3x3 window maximum.  Survivors
-    sort by score descending with ties broken by (class, y, x) ascending.
-    Offsets (1, 2, H, W; channel 0 = x) and embeddings (1, 1, H, W) are read
-    out at each kept location when provided.
-    """
+def _peak_columns(heatmaps, k, offsets=None, embeddings=None):
+    """Array core of ``heatmap_peaks``: class, score, x, y, dx, dy, embed columns."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     heat = np.asarray(heatmaps, dtype=np.float32)
@@ -83,21 +77,49 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
 
     def read(maps, channel):
         if maps is None:
-            return [0.0] * len(order)
-        return np.asarray(maps[0, channel, ys, xs], dtype=np.float64).tolist()
+            return np.zeros(len(order))
+        return np.asarray(maps[0, channel, ys, xs], dtype=np.float64)
 
-    return [Corner(c, score, x, y, dx, dy, embed, kind)
-            for c, score, x, y, dx, dy, embed in zip(
-                cs.tolist(), scores[order].tolist(), xs.tolist(), ys.tolist(),
-                read(offsets, 0), read(offsets, 1), read(embeddings, 0))]
+    return cs, scores[order], xs, ys, read(offsets, 0), read(offsets, 1), read(embeddings, 0)
 
 
-def _corner_columns(corners, downsample_factor):
-    """Class, score, embedding and offset-corrected pixel x, y arrays."""
-    cls = np.array([c.cls for c in corners], dtype=np.int64)
-    score, embed, x, dx, y, dy = np.array(
-        [(c.score, c.embed, c.x, c.dx, c.y, c.dy) for c in corners], dtype=np.float64).T
-    return cls, score, embed, (x + dx) * downsample_factor, (y + dy) * downsample_factor
+def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
+    """Top-k corners per kind from a (1, C, H, W) heatmap tensor.
+
+    A location survives only if it equals its 3x3 window maximum.  Survivors
+    sort by score descending with ties broken by (class, y, x) ascending.
+    Offsets (1, 2, H, W; channel 0 = x) and embeddings (1, 1, H, W) are read
+    out at each kept location when provided.  Wraps ``_peak_columns``.
+    """
+    columns = _peak_columns(heatmaps, k, offsets, embeddings)
+    return [Corner(*row, kind) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _group_columns(tl, br, embed_threshold, downsample_factor, floor=None):
+    """Array core of ``group_corners`` over each kind's ``_peak_columns``:
+    class, score and (n, 4) box columns.  With ``floor``, pairs scoring below
+    it (not NaN ones) are dropped before the sort."""
+    (tl_cls, tl_score, x1, y1, tl_embed), (br_cls, br_score, x2, y2, br_embed) = (
+        (cls, np.asarray(score, dtype=np.float64), (x + dx) * downsample_factor,
+         (y + dy) * downsample_factor, embed)
+        for cls, score, x, y, dx, dy, embed in (tl, br))
+    # gates negated so a NaN passes them, as in a scalar `if gap > t: skip`
+    pairs = ((tl_cls[:, None] == br_cls[None, :])
+             & ~(np.abs(tl_embed[:, None] - br_embed[None, :]) > embed_threshold)
+             & ~(x1[:, None] > x2[None, :])
+             & ~(y1[:, None] > y2[None, :]))
+    if floor is not None:
+        pairs &= ~((tl_score[:, None] + br_score[None, :]) / 2.0 < floor)
+    t, b = np.nonzero(pairs)  # row-major: top-left-major pair order
+    cls, score = tl_cls[t], (tl_score[t] + br_score[b]) / 2.0
+    boxes = np.stack([x1[t], y1[t], x2[b], y2[b]], axis=1)
+    order = np.lexsort((*boxes.T[::-1], cls, -score))
+    return cls[order], score[order], boxes[order]
+
+
+def _detections(cls, score, boxes):
+    """``Detection``s from class, score and (n, 4) box columns."""
+    return list(map(Detection, cls.tolist(), score.tolist(), map(tuple, boxes.tolist())))
 
 
 def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor=4.0):
@@ -106,25 +128,18 @@ def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor
     A pair (same class) forms a detection iff the embedding gap is within
     ``embed_threshold`` and, after offset correction, the top-left sits
     above-and-left of the bottom-right.  Detection score is the mean of the
-    two corner scores.  Output sorts by (-score, class, box).
+    two corner scores.  Output sorts by (-score, class, box).  Wraps the
+    array core ``_group_columns``.
     """
     if embed_threshold < 0:
         raise ValueError(f"embed_threshold must be >= 0, got {embed_threshold}")
     if not tl_corners or not br_corners:
         return []
-    tl_cls, tl_score, tl_embed, x1, y1 = _corner_columns(tl_corners, downsample_factor)
-    br_cls, br_score, br_embed, x2, y2 = _corner_columns(br_corners, downsample_factor)
-    # gates negated so a NaN passes them, as in a scalar `if gap > t: skip`
-    pairs = ((tl_cls[:, None] == br_cls[None, :])
-             & ~(np.abs(tl_embed[:, None] - br_embed[None, :]) > embed_threshold)
-             & ~(x1[:, None] > x2[None, :])
-             & ~(y1[:, None] > y2[None, :]))
-    t, b = np.nonzero(pairs)  # row-major: top-left-major pair order
-    cls, score = tl_cls[t], (tl_score[t] + br_score[b]) / 2.0
-    x1, y1, x2, y2 = x1[t], y1[t], x2[b], y2[b]
-    order = np.lexsort((y2, x2, y1, x1, cls, -score))
-    cls, score, x1, y1, x2, y2 = (v[order].tolist() for v in (cls, score, x1, y1, x2, y2))
-    return list(map(Detection, cls, score, zip(x1, y1, x2, y2)))
+    tl, br = ((np.array([c.cls for c in corners], dtype=np.int64),
+               *np.array([(c.score, c.x, c.y, c.dx, c.dy, c.embed) for c in corners],
+                         dtype=np.float64).T)
+              for corners in (tl_corners, br_corners))
+    return _detections(*_group_columns(tl, br, embed_threshold, downsample_factor))
 
 
 def focal_loss(pred, gt, alpha=2.0):

@@ -8,11 +8,13 @@ distances and crop construction live in one coordinate system.
 """
 
 import math
-from dataclasses import dataclass, field, fields, asdict
+from collections import Counter
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .decode import Detection, group_corners, heatmap_peaks, size_class_of
+from .decode import Detection, _detections, _group_columns, _peak_columns, size_class_of
+from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
 from .kernels import _bilinear_sample, as_tensor, resize_longer_side, zero_pad_to
 
@@ -41,9 +43,10 @@ class Affine:
                       self.sx * inner.ox + self.ox, self.sy * inner.oy + self.oy)
 
     def apply_box(self, box):
-        x1, y1 = self.apply(box[0], box[1])
-        x2, y2 = self.apply(box[2], box[3])
-        return (x1, y1, x2, y2)
+        """Map an (x1, y1, x2, y2) box, or every row of an (n, 4) array."""
+        if isinstance(box, np.ndarray):
+            return box * (self.sx, self.sy, self.sx, self.sy) + (self.ox, self.oy, self.ox, self.oy)
+        return (*self.apply(box[0], box[1]), *self.apply(box[2], box[3]))
 
 
 def resize_affine(src_hw, dst_hw):
@@ -80,9 +83,7 @@ class CropWindow:
     to_original: Affine = None
 
     def to_dict(self):
-        d = {"zoom": self.zoom, "x0": self.x0, "y0": self.y0, "size": self.size}
-        d["to_original"] = asdict(self.to_original)
-        return d
+        return asdict(self)
 
 
 @dataclass
@@ -258,34 +259,27 @@ def crop_pixels(image, window):
                             zero_outside=True)
 
 
+def _inside_margin(x1, y1, x2, y2, margin, crop_size=CROP_SIZE):
+    """Whether a box (or each, given arrays) lies more than ``margin`` px inside the crop."""
+    lo, hi = margin, crop_size - 1 - margin
+    return (x1 > lo) & (y1 > lo) & (x2 < hi) & (y2 < hi)
+
+
 def strip_boundary_boxes(dets, margin=0.0, crop_size=CROP_SIZE):
     """Drop detections whose box comes within ``margin`` pixels of a crop edge."""
-    lo = margin
-    hi = crop_size - 1 - margin
-    return [d for d in dets
-            if d.box[0] > lo and d.box[1] > lo and d.box[2] < hi and d.box[3] < hi]
+    return [d for d in dets if _inside_margin(*d.box, margin, crop_size)]
 
 
 # ---- merging ---------------------------------------------------------------------
 
 
 def iou(box_a, box_b):
-    ax1, ay1, ax2, ay2 = box_a
-    bx1, by1, bx2, by2 = box_b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union if union > 0 else 0.0
+    return float(_iou_against(box_a, np.array([box_b], dtype=np.float64))[0])
 
 
 def _iou_against(box, boxes):
-    """``iou(box, b)`` for every row ``b`` of the (n, 4) float64 ``boxes``.
-
-    Same operations in the same order as ``iou``, so each value is bit-equal.
-    """
+    """IoU of ``box`` with every row of the (n, 4) float64 ``boxes``; 0.0
+    where they do not overlap or their union is not positive."""
     ax1, ay1, ax2, ay2 = box
     bx1, by1, bx2, by2 = boxes.T
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
@@ -368,28 +362,80 @@ class GraphModel:
         return {"attention": attention, "corners": corners}
 
 
-def decode_frame_detections(corners, frame_size, config):
-    """Peaks + grouping for one frame's corner maps, in frame pixels."""
-    heat_h = corners["tl"]["heat"].shape[2]
-    factor = frame_size / heat_h
-    tl = heatmap_peaks(corners["tl"]["heat"], config.corners_per_kind,
-                       offsets=corners["tl"]["off"], embeddings=corners["tl"]["embed"],
-                       kind="tl")
-    br = heatmap_peaks(corners["br"]["heat"], config.corners_per_kind,
-                       offsets=corners["br"]["off"], embeddings=corners["br"]["embed"],
-                       kind="br")
-    return group_corners(tl, br, config.embed_threshold, factor)
+_CORNER_MAP_CHANNELS = {"heat": None, "off": 2, "embed": 1}  # heat: the class count
+
+
+def _checked_corner_maps(out, frame):
+    """The ``tl`` and ``br`` corner maps of one model output, checked.
+
+    Raises a ``ValueError`` naming the frame (``255``, ``192``, ``crop 3``)
+    and the map for a missing map, a map not shaped (1, C, H, W), class
+    counts that differ between ``tl`` and ``br``, an ``off`` other than 2 or
+    an ``embed`` other than 1 channel, maps that disagree in H x W, a
+    non-finite value, or a heatmap value outside [0, 1].
+    """
+    where = f"model output for frame {frame}"
+    corners = out.get("corners") if isinstance(out, dict) else None
+    if not isinstance(corners, dict):
+        raise ValueError(f"{where}: no 'corners' maps")
+    maps = {}
+    for kind in ("tl", "br"):
+        if not isinstance(corners.get(kind), dict):
+            raise ValueError(f"{where}: no '{kind}' corner maps")
+        maps[kind] = {}
+        for name, channels in _CORNER_MAP_CHANNELS.items():
+            label = f"{kind}.{name}"
+            if name not in corners[kind]:
+                raise ValueError(f"{where}: {label} is missing")
+            arr = np.asarray(corners[kind][name])
+            if arr.ndim != 4 or arr.shape[0] != 1:
+                raise ValueError(f"{where}: {label} must be shaped (1, C, H, W), got {arr.shape}")
+            if channels is not None and arr.shape[1] != channels:
+                raise ValueError(f"{where}: {label} must have {channels} channel(s), "
+                                 f"got {arr.shape[1]}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{where}: {label} holds non-finite values")
+            maps[kind][name] = arr
+        heat = maps[kind]["heat"]
+        if heat.min() < 0.0 or heat.max() > 1.0:
+            raise ValueError(f"{where}: {kind}.heat lies outside [0, 1] "
+                             f"(min {heat.min()}, max {heat.max()})")
+    hw = maps["tl"]["heat"].shape[2:]
+    for kind, name in ((k, n) for k in ("tl", "br") for n in _CORNER_MAP_CHANNELS):
+        if maps[kind][name].shape[2:] != hw:
+            raise ValueError(f"{where}: {kind}.{name} is {maps[kind][name].shape[2:]} (H, W), "
+                             f"tl.heat is {hw}")
+    if maps["tl"]["heat"].shape[1] != maps["br"]["heat"].shape[1]:
+        raise ValueError(f"{where}: tl.heat has {maps['tl']['heat'].shape[1]} classes, "
+                         f"br.heat has {maps['br']['heat'].shape[1]}")
+    return maps
+
+
+def _detect_frame(model, frame, to_original, name, config, margin=None):
+    """The model output for one 255x255 frame, then the class, score and
+    (n, 4) frame-pixel box columns of its detections scoring at least
+    ``nms_floor`` (with a ``margin``, only those inside it)."""
+    out = model.infer(frame, to_original)
+    corners = _checked_corner_maps(out, name)
+    tl, br = (_peak_columns(m["heat"], config.corners_per_kind, m["off"], m["embed"])
+              for m in (corners["tl"], corners["br"]))
+    factor = CROP_SIZE / corners["tl"]["heat"].shape[2]
+    cls, score, boxes = _group_columns(tl, br, config.embed_threshold, factor, config.nms_floor)
+    if margin is not None:
+        inside = _inside_margin(*boxes.T, margin)
+        cls, score, boxes = cls[inside], score[inside], boxes[inside]
+    return out, cls, score, boxes
 
 
 # ---- the full pipeline ------------------------------------------------------------
 
 
-def _clamp_box(box, width, height):
-    x1 = min(max(box[0], 0.0), width - 1.0)
-    y1 = min(max(box[1], 0.0), height - 1.0)
-    x2 = min(max(box[2], 0.0), width - 1.0)
-    y2 = min(max(box[3], 0.0), height - 1.0)
-    return (x1, y1, x2, y2)
+def _clamp_boxes(boxes, width, height):
+    """Clamp (n, 4) boxes into the image as ``min(max(v, 0.0), side - 1.0)``
+    does, keeping -0.0 and NaN (``np.clip`` and ``np.maximum`` give +0.0)."""
+    hi = np.array([width - 1.0, height - 1.0, width - 1.0, height - 1.0])
+    boxes = np.where(0.0 > boxes, 0.0, boxes)
+    return np.where(hi < boxes, hi, boxes)
 
 
 def run_saccade(image, model, config=None, trace=None, crop_order=None):
@@ -398,9 +444,12 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     ``model`` provides ``infer(frame, to_original)``; pass a dict as
     ``trace`` to collect locations, suppression decisions, crop windows and
     pixel counts.  ``crop_order`` permutes crop processing order (the result
-    is invariant to it; exists for order-independence tests).  Raises
-    ``ValueError`` for an image with a batch other than 1 or a non-finite
-    pixel.
+    is invariant to it; exists for order-independence tests).  Each frame's
+    checked corner maps become class, score and box columns through the array
+    cores that ``heatmap_peaks`` and ``group_corners`` wrap; ``Detection``s
+    are built only for box-sourced candidates and for ``soft_nms``'s input.
+    Raises ``ValueError`` for an image with a batch other than 1 or a
+    non-finite pixel, and for bad corner maps.
     """
     config = config or SaccadeConfig()
     if not hasattr(model, "infer"):  # a weighted ArchGraph works directly
@@ -417,10 +466,9 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
 
     attention_locations = []
     box_dets_canonical = []
-    merged = []
-    n_downsized_dets = 0
+    columns = []  # (class, score, boxes in source pixels) of each frame
     for frame, aff, tag in ((f255, aff255, 255), (f192, aff192, 192)):
-        out = model.infer(frame, aff)
+        out, cls, score, boxes = _detect_frame(model, frame, aff, tag, config)
         # map this frame's coordinates into the canonical 255 frame
         remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
         if out.get("attention"):
@@ -430,15 +478,10 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
             for loc in locs:
                 loc.x, loc.y = remap.apply(loc.x, loc.y)
             attention_locations += locs
-        for det in decode_frame_detections(out["corners"], CROP_SIZE, config):
-            if det.score < config.nms_floor:
-                continue
-            n_downsized_dets += 1
-            if det.score > config.attention_threshold:
-                box_dets_canonical.append(Detection(det.cls, det.score,
-                                                    remap.apply_box(det.box)))
-            merged.append(Detection(det.cls, det.score,
-                                    _clamp_box(aff.apply_box(det.box), img_w, img_h)))
+        strong = score > config.attention_threshold
+        box_dets_canonical += _detections(cls[strong], score[strong],
+                                          remap.apply_box(boxes[strong]))
+        columns.append((cls, score, aff.apply_box(boxes)))
 
     kept = suppress_locations(attention_locations, box_dets_canonical,
                               config.suppress_radius)
@@ -452,19 +495,13 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     for idx in order:
         window = windows[idx]
         crop = crop_pixels(image, window)
-        out = model.infer(crop, window.to_original)
-        dets = decode_frame_detections(out["corners"], CROP_SIZE, config)
-        dets = strip_boundary_boxes(dets, config.boundary_margin)
-        n_kept = 0
-        for det in dets:
-            if det.score < config.nms_floor:
-                continue
-            n_kept += 1
-            merged.append(Detection(det.cls, det.score,
-                                    _clamp_box(window.to_original.apply_box(det.box),
-                                               img_w, img_h)))
-        crop_det_counts[idx] = n_kept
+        _, cls, score, boxes = _detect_frame(model, crop, window.to_original, f"crop {idx}",
+                                             config, config.boundary_margin)
+        crop_det_counts[idx] = len(score)
+        columns.append((cls, score, window.to_original.apply_box(boxes)))
 
+    cls, score, boxes = (np.concatenate(column) for column in zip(*columns))
+    merged = _detections(cls, score, _clamp_boxes(boxes, img_w, img_h))
     final = soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
                      method=config.nms_method, linear_threshold=config.nms_linear_threshold)
 
@@ -474,15 +511,11 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
         # distinct candidates can share a key (same object seen on both
         # downsized scales); consume kept keys as a multiset so the flagged
         # count equals the kept count
-        kept_keys = {}
-        for loc in kept:
-            kept_keys[loc.key()] = kept_keys.get(loc.key(), 0) + 1
+        kept_keys = Counter(loc.key() for loc in kept)
         entries = []
         for loc in all_locations:
-            k = loc.key()
-            flag = kept_keys.get(k, 0) > 0
-            if flag:
-                kept_keys[k] -= 1
+            flag = kept_keys[loc.key()] > 0
+            kept_keys[loc.key()] -= flag
             entries.append({**asdict(loc), "kept": flag})
         trace["locations"] = entries
         trace["n_locations"] = len(all_locations)
@@ -491,7 +524,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                            "size_class": selected[i].size}
                           for i, w in enumerate(windows)]
         trace["n_crops"] = len(windows)
-        trace["n_downsized_detections"] = n_downsized_dets
+        trace["n_downsized_detections"] = sum(len(score) for _, score, _ in columns[:2])
         trace["pixels_processed"] = (2 + len(windows)) * CROP_SIZE * CROP_SIZE
         trace["pixels_full_resolution"] = img_h * img_w
         trace["pixels_ratio"] = trace["pixels_processed"] / trace["pixels_full_resolution"]

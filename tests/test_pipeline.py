@@ -1,17 +1,24 @@
+import importlib
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fovea import naive
-from fovea.decode import Detection
+from fovea import naive, pipeline
+from fovea.decode import (Corner, Detection, _detections, _group_columns, group_corners,
+                          heatmap_peaks)
 from fovea.kernels import resize_longer_side
 from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
-                            SaccadeConfig, crop_pixels, downsize_pair,
+                            SaccadeConfig, _clamp_boxes, crop_pixels, downsize_pair,
                             extract_locations, iou, location_from_detection,
                             make_crop, run_saccade, soft_nms, strip_boundary_boxes,
                             suppress_locations)
-from fovea.scene import OracleModel, blank_model, gen_scene, random_scene
+from fovea.scene import (OracleModel, SceneObject, SceneSpec, blank_model, gen_scene,
+                         random_scene)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def rand_image(hw, seed=0):
@@ -695,3 +702,313 @@ def test_saccade_config_validation():
     assert cfg.corners_per_kind == 100
     assert (cfg.nms_sigma, cfg.nms_floor) == (0.5, 0.001)
     assert cfg.suppress_radius == 16.0 and cfg.boundary_margin == 0.0
+
+
+# ---- model-output checks -------------------------------------------------------
+
+
+class _Tampered:
+    """An oracle whose corner maps for the ``call``-th frame pass through
+    ``tamper`` (calls go 255, 192, then crop 0, 1, ...)."""
+
+    def __init__(self, model, tamper, call=0):
+        self.model, self.tamper, self.call, self.calls = model, tamper, call, 0
+
+    def infer(self, image, to_original):
+        out = self.model.infer(image, to_original)
+        if self.calls == self.call:
+            self.tamper(out["corners"])
+        self.calls += 1
+        return out
+
+
+def _set(kind, name, fn):
+    def tamper(corners):
+        corners[kind][name] = fn(corners[kind][name])
+    return tamper
+
+
+def _drop(kind, name=None):
+    def tamper(corners):
+        if name:
+            del corners[kind][name]
+        else:
+            del corners[kind]
+    return tamper
+
+
+def _poke(value):
+    def fn(arr):
+        arr = arr.copy()
+        arr[0, 0, 5, 7] = value
+        return arr
+    return fn
+
+
+@pytest.mark.parametrize("tamper, call, match", [
+    (_drop("tl"), 0, "frame 255: no 'tl' corner maps"),
+    (_drop("tl", "off"), 0, "frame 255: tl.off is missing"),
+    (_drop("br", "heat"), 1, "frame 192: br.heat is missing"),
+    (_drop("br", "embed"), 2, r"frame crop 0: br.embed is missing"),
+    (_set("tl", "heat", lambda a: a[0]), 0, r"tl.heat must be shaped \(1, C, H, W\)"),
+    (_set("br", "embed", lambda a: np.concatenate([a, a])), 4,
+     r"frame crop 2: br.embed must be shaped \(1, C, H, W\), got \(2, 1, 64, 64\)"),
+    (_set("br", "heat", lambda a: a[:, :2]), 0, "tl.heat has 3 classes, br.heat has 2"),
+    (_set("tl", "off", lambda a: a[:, :1]), 1, "frame 192: tl.off must have 2 channel"),
+    (_set("br", "embed", lambda a: np.concatenate([a, a], axis=1)), 0,
+     "br.embed must have 1 channel"),
+    (_set("tl", "embed", lambda a: a[:, :, :10, :10]), 0, r"tl.embed is \(10, 10\)"),
+    (_set("br", "off", lambda a: a[:, :, :32]), 3, r"frame crop 1: br.off is \(32, 64\)"),
+    (_set("br", "heat", lambda a: a[:, :, :32, :32]), 0, r"br.heat is \(32, 32\)"),
+    (_set("br", "heat", _poke(np.nan)), 0, "frame 255: br.heat holds non-finite"),
+    (_set("tl", "off", _poke(np.inf)), 2, "frame crop 0: tl.off holds non-finite"),
+    (_set("tl", "embed", _poke(-np.inf)), 1, "tl.embed holds non-finite"),
+    (_set("tl", "heat", lambda a: a * 5), 0, r"tl.heat lies outside \[0, 1\]"),
+    (_set("br", "heat", _poke(-0.25)), 4, r"frame crop 2: br.heat lies outside \[0, 1\]"),
+])
+def test_run_saccade_rejects_bad_corner_maps(tamper, call, match):
+    img, gt = gen_scene(random_scene(0, 3))
+    model = _Tampered(OracleModel(gt, num_classes=3), tamper, call)
+    with pytest.raises(ValueError, match=match):
+        run_saccade(img, model)
+    assert model.calls == call + 1  # raised at the tampered frame, before decoding it
+
+
+def test_tampered_oracle_reaches_every_frame_untouched():
+    img, gt = gen_scene(random_scene(0, 3))
+    model = _Tampered(OracleModel(gt, num_classes=3), lambda corners: None, call=4)
+    trace = {}
+    assert run_saccade(img, model, trace=trace) == run_saccade(img, OracleModel(gt, 3))
+    assert trace["n_crops"] == 3 and model.calls == 5
+
+
+# ---- the object path the column path replaced ----------------------------------
+
+
+def _reference_decode(corners, config):
+    """One frame through the list APIs, as the object path decoded it."""
+    factor = CROP_SIZE / corners["tl"]["heat"].shape[2]
+    tl, br = (heatmap_peaks(corners[k]["heat"], config.corners_per_kind,
+                            offsets=corners[k]["off"], embeddings=corners[k]["embed"], kind=k)
+              for k in ("tl", "br"))
+    return group_corners(tl, br, config.embed_threshold, factor)
+
+
+def _reference_box(aff, box, width, height):
+    """``apply_box`` on a tuple, then the former ``_clamp_box``."""
+    x1, y1 = aff.apply(box[0], box[1])
+    x2, y2 = aff.apply(box[2], box[3])
+    return (min(max(x1, 0.0), width - 1.0), min(max(y1, 0.0), height - 1.0),
+            min(max(x2, 0.0), width - 1.0), min(max(y2, 0.0), height - 1.0))
+
+
+def _run_saccade_reference(image, model, config):
+    """run_saccade as it was before the column path: one ``Detection`` per
+    decoded pair, skipped below the floor one at a time, then stripped,
+    mapped and clamped box by box.  Returns the merged detections, the
+    downsized-frame detection count and each crop's detection count."""
+    _, _, img_h, img_w = image.shape
+    f255, aff255, content255, f192, aff192, _ = downsize_pair(image)
+    to_canonical = aff255.invert()
+    attention_locations, box_dets_canonical, merged = [], [], []
+    n_downsized = 0
+    for frame, aff, tag in ((f255, aff255, 255), (f192, aff192, 192)):
+        out = model.infer(frame, aff)
+        remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
+        if out.get("attention"):
+            strides = {size: CROP_SIZE / arr.shape[2] for size, arr in out["attention"].items()}
+            locs = extract_locations(out["attention"], config.attention_threshold,
+                                     strides, scale=tag)
+            for loc in locs:
+                loc.x, loc.y = remap.apply(loc.x, loc.y)
+            attention_locations += locs
+        for det in _reference_decode(out["corners"], config):
+            if det.score < config.nms_floor:
+                continue
+            n_downsized += 1
+            if det.score > config.attention_threshold:
+                x1, y1 = remap.apply(det.box[0], det.box[1])
+                x2, y2 = remap.apply(det.box[2], det.box[3])
+                box_dets_canonical.append(Detection(det.cls, det.score, (x1, y1, x2, y2)))
+            merged.append(Detection(det.cls, det.score,
+                                    _reference_box(aff, det.box, img_w, img_h)))
+    kept = suppress_locations(attention_locations, box_dets_canonical, config.suppress_radius)
+    windows = [make_crop(loc, config, content255, aff255) for loc in kept[:config.max_regions]]
+    lo, hi = config.boundary_margin, CROP_SIZE - 1 - config.boundary_margin
+    crop_counts = []
+    for window in windows:
+        out = model.infer(crop_pixels(image, window), window.to_original)
+        dets = [d for d in _reference_decode(out["corners"], config)
+                if d.box[0] > lo and d.box[1] > lo and d.box[2] < hi and d.box[3] < hi]
+        n_kept = 0
+        for det in dets:
+            if det.score < config.nms_floor:
+                continue
+            n_kept += 1
+            merged.append(Detection(det.cls, det.score,
+                                    _reference_box(window.to_original, det.box, img_w, img_h)))
+        crop_counts.append(n_kept)
+    final = soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
+                     method=config.nms_method, linear_threshold=config.nms_linear_threshold)
+    return final, n_downsized, crop_counts
+
+
+def _packed(dets):
+    """The bytes perfbench's ``output_digest`` hashes."""
+    return b"".join(struct.pack("<q5d", d.cls, d.score, *d.box) for d in dets)
+
+
+def _corner_scene(h, w):
+    """Boxes touching two image corners: their mapped boxes need the clamp."""
+    return SceneSpec(h, w, [SceneObject(0, (0.0, 0.0, 60.0, 40.0)),
+                            SceneObject(1, (w - 71.0, h - 51.0, w - 1.0, h - 1.0))], seed=1)
+
+
+# the random scenes hold boxes within 8 px of a crop edge, so the margin
+# changes what is stripped.  Oracle maps are zero plateaus around the peaks,
+# which at floor 0 pair into hundreds of score-0 boxes per frame that
+# soft-NMS walks one by one; fewer corners per kind keep that quick
+@pytest.mark.parametrize("floor, corners", [(0.0, 20), (0.001, 100), (0.5, 100)])
+@pytest.mark.parametrize("margin", [0.0, 8.0])
+@pytest.mark.parametrize("spec", [random_scene(3, 3, hw=(97, 641)), _corner_scene(97, 641),
+                                  random_scene(2, 4, hw=(510, 510)),
+                                  random_scene(7, 3, hw=(720, 960))],
+                         ids=["97x641", "97x641-corners", "510x510", "720x960"])
+def test_run_saccade_equals_object_path_reference(spec, margin, floor, corners):
+    img, gt = gen_scene(spec)
+    model = OracleModel(gt, num_classes=3)
+    config = SaccadeConfig(boundary_margin=margin, nms_floor=floor, corners_per_kind=corners)
+    trace = {}
+    got = run_saccade(img, model, config, trace=trace)
+    want, n_downsized, crop_counts = _run_saccade_reference(img, model, config)
+    assert _packed(got) == _packed(want)
+    assert got == want
+    assert trace["n_downsized_detections"] == n_downsized
+    assert [c["n_detections"] for c in trace["crops"]] == crop_counts
+
+
+# ---- edge semantics the column path keeps --------------------------------------
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_clamp_boxes_acts_like_python_min_max():
+    width, height = 641, 97
+    eps_w = math.nextafter(width - 1.0, math.inf)
+    row = [-0.0, 0.0, -1e-300, -3.5, width - 1.0, eps_w, math.nan, math.inf, -math.inf, 12.25]
+    boxes = np.array([[v, v, v, v] for v in row] + [[height - 1.0, eps_w, 96.5, 97.0]])
+    got = _clamp_boxes(boxes, width, height)
+    for box, out in zip(boxes.tolist(), got.tolist()):
+        want = [min(max(v, 0.0), side - 1.0) for v, side in zip(box, (width, height) * 2)]
+        assert _bits(out) == _bits(want), (box, out, want)
+    assert _bits(got[0]) == _bits([-0.0] * 4)  # np.maximum(-0.0, 0.0) would give +0.0
+    assert got[4, 0] == width - 1.0 and got[5, 0] == width - 1.0 and got[5, 1] == height - 1.0
+    assert np.isnan(got[6]).all()
+
+
+def test_floor_mask_keeps_nan_scores_for_soft_nms_to_reject():
+    # (cls, score, x, y, embed): only equal-index corners share an embedding
+    tl_rows = [(0, 0.9, 1, 1, 0.0), (0, math.nan, 2, 2, 1.0), (0, 0.1, 3, 3, 2.0)]
+    br_rows = [(0, 0.9, 9, 9, 0.0), (0, 0.5, 8, 8, 1.0), (0, 0.2, 7, 7, 2.0)]
+
+    def columns(rows):
+        cls, score, x, y, embed = (np.array(c) for c in zip(*rows))
+        return cls.astype(np.int64), score, x, y, np.zeros(3), np.zeros(3), embed
+
+    cls, score, boxes = _group_columns(columns(tl_rows), columns(br_rows), 0.5, 4.0, floor=0.15)
+    # the NaN pair passes, and (0.1 + 0.2) / 2 = 0.15000000000000002 is not below 0.15
+    assert len(score) == 3 and np.isnan(score).sum() == 1
+    dets = _detections(cls, score, boxes)
+    listed = group_corners([Corner(c, s, x, y, embed=e) for c, s, x, y, e in tl_rows],
+                           [Corner(c, s, x, y, embed=e, kind="br") for c, s, x, y, e in br_rows],
+                           0.5, 4.0)
+    assert _packed(dets) == _packed([d for d in listed if not d.score < 0.15])
+    with pytest.raises(ValueError, match="non-finite score"):
+        soft_nms(dets, score_floor=0.15)
+    _, score, _ = _group_columns(columns(tl_rows), columns(br_rows), 0.5, 4.0, floor=0.16)
+    assert len(score) == 2
+
+
+# ---- seeded properties over random scenes --------------------------------------
+
+
+def _perfbench(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+SCENE_SIZES = ((510, 510), (480, 640), (720, 960), (1020, 1020))
+
+
+def _random_scenes(count, seed):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield gen_scene(random_scene(int(rng.integers(2 ** 31)), 1 + i % 8,
+                                     hw=SCENE_SIZES[i % len(SCENE_SIZES)]))
+
+
+def test_run_saccade_output_passes_benchmark_checks(monkeypatch):
+    check_detections = _perfbench("workloads", monkeypatch).check_detections
+    for floor in (0.001, 0.3):
+        config = SaccadeConfig(nms_floor=floor)
+        for img, gt in _random_scenes(8, seed=int(floor * 1000)):
+            dets = run_saccade(img, OracleModel(gt, num_classes=3), config)
+            assert dets and check_detections(dets, img, floor) == []
+
+
+def test_run_saccade_ignores_seeded_crop_order():
+    rng = np.random.default_rng(60)
+    for img, gt in _random_scenes(6, seed=61):
+        model = OracleModel(gt, num_classes=3)
+        trace = {}
+        base = run_saccade(img, model, trace=trace)
+        perm = rng.permutation(trace["n_crops"]).tolist()
+        shuffled_trace = {}
+        shuffled = run_saccade(img, model, trace=shuffled_trace, crop_order=perm)
+        assert _packed(shuffled) == _packed(base)
+        assert shuffled_trace == trace
+
+
+def test_soft_nms_never_raises_a_score():
+    rng = np.random.default_rng(62)
+    for trial in range(12):
+        dets = (_tied_dets if trial % 2 else _random_dets)(rng, int(rng.integers(5, 400)))
+        method = ("gaussian", "linear")[trial % 3 == 0]
+        out = soft_nms(dets, sigma=float(rng.uniform(0.05, 2.0)), method=method)
+        # match outputs to inputs with the same class and box, best to best
+        pools = {}
+        for d in dets:
+            pools.setdefault((d.cls, d.box), []).append(d.score)
+        taken = {}
+        for d in sorted(out, key=lambda d: -d.score):
+            key = (d.cls, d.box)
+            ranked = sorted(pools[key], reverse=True)
+            i = taken.get(key, 0)
+            taken[key] = i + 1
+            assert d.score <= ranked[i]
+
+
+# ---- the benchmark's tracer hooks ----------------------------------------------
+
+
+def test_tracer_wraps_live_names_and_restores_them(monkeypatch):
+    tracing = _perfbench("tracing", monkeypatch)
+    originals = {}
+    for name, targets in tracing.WRAPPED.items():
+        for owner, attr in targets:
+            assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+            originals[owner, attr] = getattr(owner, attr)
+    img, gt = gen_scene(random_scene(0, 3))
+    tracer = tracing.Tracer({})
+    tracer.install()
+    try:
+        dets = pipeline.run_saccade(img, OracleModel(gt, num_classes=3))
+    finally:
+        tracer.uninstall()
+    for (owner, attr), fn in originals.items():
+        assert getattr(owner, attr) is fn, f"{owner.__name__}.{attr} not restored"
+    rows = tracer.summarize()
+    assert rows["pipeline.run_saccade"]["calls"] == 1
+    assert rows["pipeline.soft_nms"]["out"] == len(dets)
