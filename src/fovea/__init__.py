@@ -8,10 +8,8 @@ network-free end-to-end testing, and cost/depth analysis tooling.
 from .kernels import (ConvSpec, conv2d, depthwise_conv2d, transpose_conv2d,
                       nearest_upsample2x, max_pool2d, relu, sigmoid, elementwise,
                       bilinear_resize, resize_longer_side, zero_pad_to)
-from .blocks import (ResidualParams, FireParams, AttentionHeadParams, CornerHeadParams,
-                     residual_block, fire_module, attention_head, corner_head)
 from .graph import ArchGraph, Node, forward, init_weights
-from .builders import (build_hourglass54, build_hourglass104_reference,
+from .builders import (Emit, build_hourglass54, build_hourglass104_reference,
                        build_squeeze_hourglass, build_single_module, BUILDERS)
 from .analysis import (cost_report, depth_report, structure_census, compare_archs,
                        param_enumeration, CostReport, DepthReport)

@@ -31,8 +31,14 @@ upsampled partner (roughly: the post-stem resolution must be divisible by
 from .graph import ArchGraph, Node
 
 
-class _Emit:
-    """Small helper that appends tagged primitive nodes to a graph."""
+class Emit:
+    """Appends the tagged primitive nodes of one block to a graph.
+
+    The only definition of each block: the builders emit whole backbones
+    through it, and a one-block graph built with it is how a single block is
+    run (``init_weights`` + ``forward``) or counted (``cost_report``).
+    Standard and 1x1 convolutions carry biases; depthwise branches do not.
+    """
 
     def __init__(self, graph):
         self.g = graph
@@ -48,6 +54,8 @@ class _Emit:
         return node_id
 
     def residual(self, name, src, in_c, out_c, stride=1, stage="", role=""):
+        """ReLU(conv3x3(ReLU(conv3x3/stride(x))) + shortcut), where the
+        shortcut is x or, when channels or stride change, a 1x1/stride conv."""
         tags = dict(stage=stage, role=role, block=name, block_kind="residual")
         c1 = self.conv(f"{name}.conv1", src, in_c, out_c, 3, stride=stride, act="relu", **tags)
         c2 = self.conv(f"{name}.conv2", c1, out_c, out_c, 3, **tags)
@@ -60,6 +68,10 @@ class _Emit:
         return f"{name}.out"
 
     def fire(self, name, src, in_c, out_c, stride=1, stage="", role=""):
+        """Squeeze 1x1 to out/2, then 1x1/stride and 3x3-depthwise/stride
+        expands (out/2 each), concatenated and ReLU'd; no shortcut."""
+        if out_c % 2:
+            raise ValueError(f"fire module {name!r} needs even out_channels, got {out_c}")
         tags = dict(stage=stage, role=role, block=name, block_kind="fire")
         sq = out_c // 2
         s0 = self.conv(f"{name}.squeeze", src, in_c, sq, 1, **tags)
@@ -91,6 +103,32 @@ class _Emit:
         self.g.add(Node(id=f"{name}.out", kind="relu", inputs=[f"{name}.add"], stage=stage,
                         role=role, block=name, block_kind=block_kind))
         return f"{name}.out"
+
+    def corner_heads(self, src, in_c, num_classes, lead_kernel, mid=256):
+        """Per corner kind (tl, br): a lead conv (``lead_kernel``) + ReLU, then
+        1x1 convs to sigmoid heatmaps, embeddings and offsets, each tapped."""
+        for kind in ("tl", "br"):
+            tags = dict(stage="heads", block=f"heads.{kind}", block_kind="corner_head")
+            lead = self.conv(f"heads.{kind}.lead", src, in_c, mid, lead_kernel, act="relu",
+                             role=f"{kind}_lead", **tags)
+            heat = self.conv(f"heads.{kind}.heat", lead, mid, num_classes, 1, act="sigmoid",
+                             role=f"{kind}_heat", **tags)
+            embed = self.conv(f"heads.{kind}.embed", lead, mid, 1, 1, role=f"{kind}_embed", **tags)
+            off = self.conv(f"heads.{kind}.off", lead, mid, 2, 1, role=f"{kind}_off", **tags)
+            self.g.tap(f"{kind}_heat", heat)
+            self.g.tap(f"{kind}_embed", embed)
+            self.g.tap(f"{kind}_off", off)
+
+    def attention_heads(self, scale_feats, mid=256):
+        """Per size class, a 3x3 conv + ReLU then a 1x1 conv + sigmoid to one
+        channel, tapped as ``attn_<size>``.  ``scale_feats`` maps "small" |
+        "medium" | "large" to (node id, channels), the finest resolution
+        scoring the smallest objects."""
+        for name, (src, ch) in scale_feats.items():
+            tags = dict(stage="attn", block=f"attn.{name}", block_kind="attention_head")
+            c1 = self.conv(f"attn.{name}.conv1", src, ch, mid, 3, act="relu", role=name, **tags)
+            score = self.conv(f"attn.{name}.score", c1, mid, 1, 1, act="sigmoid", role=name, **tags)
+            self.g.tap(f"attn_{name}", score)
 
 
 def _emit_module(e, m, x, dims, mult, middle_mult, block, upsample):
@@ -133,34 +171,10 @@ def _emit_module(e, m, x, dims, mult, middle_mult, block, upsample):
     return cur, up_feats
 
 
-def _emit_corner_heads(e, g, src, in_c, num_classes, lead_kernel, mid=256):
-    for kind in ("tl", "br"):
-        tags = dict(stage="heads", block=f"heads.{kind}", block_kind="corner_head")
-        lead = e.conv(f"heads.{kind}.lead", src, in_c, mid, lead_kernel, act="relu",
-                      role=f"{kind}_lead", **tags)
-        heat = e.conv(f"heads.{kind}.heat", lead, mid, num_classes, 1, act="sigmoid",
-                      role=f"{kind}_heat", **tags)
-        embed = e.conv(f"heads.{kind}.embed", lead, mid, 1, 1, role=f"{kind}_embed", **tags)
-        off = e.conv(f"heads.{kind}.off", lead, mid, 2, 1, role=f"{kind}_off", **tags)
-        g.tap(f"{kind}_heat", heat)
-        g.tap(f"{kind}_embed", embed)
-        g.tap(f"{kind}_off", off)
-
-
-def _emit_attention_heads(e, g, scale_feats, mid=256):
-    # scale_feats: {"small" | "medium" | "large": (node id, channels)},
-    # finest resolution scoring the smallest objects.
-    for name, (src, ch) in scale_feats.items():
-        tags = dict(stage="attn", block=f"attn.{name}", block_kind="attention_head")
-        c1 = e.conv(f"attn.{name}.conv1", src, ch, mid, 3, act="relu", role=name, **tags)
-        score = e.conv(f"attn.{name}.score", c1, mid, 1, 1, act="sigmoid", role=name, **tags)
-        g.tap(f"attn_{name}", score)
-
-
 def build_hourglass54(num_classes, input_hw=(255, 255)):
     """Saccade backbone: 3 shallow hourglass modules plus attention heads."""
     g = ArchGraph((1, 3) + tuple(input_hw))
-    e = _Emit(g)
+    e = Emit(g)
     x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
                stage="stem", role="down1")
     x = e.residual("stem.res1", x, 128, 256, stride=2, stage="stem", role="down2")
@@ -180,13 +194,13 @@ def build_hourglass54(num_classes, input_hw=(255, 255)):
             x = y
 
     by_level = dict(up_feats)  # level -> node id; level 0 is the finest scale
-    _emit_attention_heads(e, g, {
+    e.attention_heads({
         "small": (by_level[0], dims[0]),
         "medium": (by_level[1], dims[1]),
         "large": (by_level[2], dims[2]),
     })
     g.tap("feature", x)
-    _emit_corner_heads(e, g, x, 256, num_classes, lead_kernel=3)
+    e.corner_heads(x, 256, num_classes, lead_kernel=3)
     g.shapes()
     return g
 
@@ -194,7 +208,7 @@ def build_hourglass54(num_classes, input_hw=(255, 255)):
 def build_hourglass104_reference(num_classes=80, input_hw=(255, 255)):
     """Two-module deep-hourglass baseline used as the comparison reference."""
     g = ArchGraph((1, 3) + tuple(input_hw))
-    e = _Emit(g)
+    e = Emit(g)
     x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
                stage="stem", role="down1")
     x = e.residual("stem.res1", x, 128, 256, stride=2, stage="stem", role="down2")
@@ -215,7 +229,7 @@ def build_hourglass104_reference(num_classes=80, input_hw=(255, 255)):
             x = e.residual(f"inter{m}.res", j, 256, 256, stage=stage, role="carry")
 
     g.tap("feature", feat)
-    _emit_corner_heads(e, g, feat, 256, num_classes, lead_kernel=3)
+    e.corner_heads(feat, 256, num_classes, lead_kernel=3)
     g.shapes()
     return g
 
@@ -227,7 +241,7 @@ def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsamp
     only meant for activation-memory comparisons against the default build.
     """
     g = ArchGraph((1, 3) + tuple(input_hw))
-    e = _Emit(g)
+    e = Emit(g)
     x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
                stage="stem", role="down1")
     x = e.fire("stem.fire1", x, 128, 256, stride=2, stage="stem", role="down2")
@@ -250,7 +264,7 @@ def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsamp
             x = e.fire(f"inter{m}.fire", j, 256, 256, stage=stage, role="carry")
 
     g.tap("feature", feat)
-    _emit_corner_heads(e, g, feat, 256, num_classes, lead_kernel=1)
+    e.corner_heads(feat, 256, num_classes, lead_kernel=1)
     g.shapes()
     return g
 
@@ -259,7 +273,7 @@ def build_single_module(block="residual", dims=(256, 384, 384, 512), mult=1,
                         middle_mult=1, upsample="nearest", input_hw=(64, 64)):
     """A bare one-module graph, handy for block-for-block cost comparisons."""
     g = ArchGraph((1, dims[0]) + tuple(input_hw))
-    e = _Emit(g)
+    e = Emit(g)
     out, _ = _emit_module(e, "module1", "input", list(dims), mult=mult,
                           middle_mult=middle_mult, block=block, upsample=upsample)
     g.tap("feature", out)

@@ -59,8 +59,7 @@ def _load_graph(args):
 
 
 def cmd_arch_build(args):
-    builder = BUILDERS[args.variant]
-    graph = builder(args.classes) if args.variant != "hg104-ref" else builder(num_classes=args.classes)
+    graph = BUILDERS[args.variant](num_classes=args.classes)
     graph.save(args.out)
     print(f"wrote {args.out}: {len(graph.nodes)} nodes, taps {sorted(graph.taps)}")
 

@@ -113,6 +113,9 @@ def _tconv_output_hw(h, w, kernel, stride, padding):
 
 
 def _conv_shape(node, ins, groups=1, output_hw=conv_output_hw):
+    if node.in_channels < 1 or node.out_channels < 1:
+        raise ValueError(f"in_channels and out_channels must be >= 1, "
+                         f"got {node.in_channels} and {node.out_channels}")
     _spec(node, groups)  # checks kernel, stride, padding and groups
     n, c, h, w = ins[0]
     if c != node.in_channels:

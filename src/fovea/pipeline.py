@@ -365,6 +365,23 @@ class GraphModel:
 _CORNER_MAP_CHANNELS = {"heat": None, "off": 2, "embed": 1}  # heat: the class count
 
 
+def _checked_map(frame, label, arr, channels=None, unit=False):
+    """One model map of a frame as an array, shaped (1, C, H, W), finite,
+    with ``channels`` channels if given and, if ``unit``, within [0, 1]."""
+    where = f"model output for frame {frame}"
+    arr = np.asarray(arr)
+    if arr.ndim != 4 or arr.shape[0] != 1:
+        raise ValueError(f"{where}: {label} must be shaped (1, C, H, W), got {arr.shape}")
+    if channels is not None and arr.shape[1] != channels:
+        raise ValueError(f"{where}: {label} must have {channels} channel(s), got {arr.shape[1]}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where}: {label} holds non-finite values")
+    if unit and (arr.min() < 0.0 or arr.max() > 1.0):
+        raise ValueError(f"{where}: {label} lies outside [0, 1] "
+                         f"(min {arr.min()}, max {arr.max()})")
+    return arr
+
+
 def _checked_corner_maps(out, frame):
     """The ``tl`` and ``br`` corner maps of one model output, checked.
 
@@ -384,22 +401,10 @@ def _checked_corner_maps(out, frame):
             raise ValueError(f"{where}: no '{kind}' corner maps")
         maps[kind] = {}
         for name, channels in _CORNER_MAP_CHANNELS.items():
-            label = f"{kind}.{name}"
             if name not in corners[kind]:
-                raise ValueError(f"{where}: {label} is missing")
-            arr = np.asarray(corners[kind][name])
-            if arr.ndim != 4 or arr.shape[0] != 1:
-                raise ValueError(f"{where}: {label} must be shaped (1, C, H, W), got {arr.shape}")
-            if channels is not None and arr.shape[1] != channels:
-                raise ValueError(f"{where}: {label} must have {channels} channel(s), "
-                                 f"got {arr.shape[1]}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{where}: {label} holds non-finite values")
-            maps[kind][name] = arr
-        heat = maps[kind]["heat"]
-        if heat.min() < 0.0 or heat.max() > 1.0:
-            raise ValueError(f"{where}: {kind}.heat lies outside [0, 1] "
-                             f"(min {heat.min()}, max {heat.max()})")
+                raise ValueError(f"{where}: {kind}.{name} is missing")
+            maps[kind][name] = _checked_map(frame, f"{kind}.{name}", corners[kind][name],
+                                            channels, unit=name == "heat")
     hw = maps["tl"]["heat"].shape[2:]
     for kind, name in ((k, n) for k in ("tl", "br") for n in _CORNER_MAP_CHANNELS):
         if maps[kind][name].shape[2:] != hw:
@@ -449,7 +454,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     cores that ``heatmap_peaks`` and ``group_corners`` wrap; ``Detection``s
     are built only for box-sourced candidates and for ``soft_nms``'s input.
     Raises ``ValueError`` for an image with a batch other than 1 or a
-    non-finite pixel, and for bad corner maps.
+    non-finite pixel, and for bad corner maps or downsized-frame attention maps.
     """
     config = config or SaccadeConfig()
     if not hasattr(model, "infer"):  # a weighted ArchGraph works directly
@@ -465,26 +470,27 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     to_canonical = aff255.invert()
 
     attention_locations = []
-    box_dets_canonical = []
+    box_locations = []
     columns = []  # (class, score, boxes in source pixels) of each frame
     for frame, aff, tag in ((f255, aff255, 255), (f192, aff192, 192)):
         out, cls, score, boxes = _detect_frame(model, frame, aff, tag, config)
         # map this frame's coordinates into the canonical 255 frame
         remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
-        if out.get("attention"):
-            strides = {size: CROP_SIZE / arr.shape[2] for size, arr in out["attention"].items()}
-            locs = extract_locations(out["attention"], config.attention_threshold,
-                                     strides, scale=tag)
+        attention = {size: _checked_map(tag, f"attn {size}", arr, 1, unit=True)
+                     for size, arr in (out.get("attention") or {}).items()}
+        if attention:
+            strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
+            locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)
             for loc in locs:
                 loc.x, loc.y = remap.apply(loc.x, loc.y)
             attention_locations += locs
         strong = score > config.attention_threshold
-        box_dets_canonical += _detections(cls[strong], score[strong],
-                                          remap.apply_box(boxes[strong]))
+        box_locations += [location_from_detection(d, scale=tag) for d in
+                          _detections(cls[strong], score[strong], remap.apply_box(boxes[strong]))]
         columns.append((cls, score, aff.apply_box(boxes)))
 
-    kept = suppress_locations(attention_locations, box_dets_canonical,
-                              config.suppress_radius)
+    candidates = box_locations + attention_locations
+    kept = suppress_locations(candidates, radius=config.suppress_radius)
     selected = kept[:config.max_regions]
     windows = [make_crop(loc, config, content255, aff255) for loc in selected]
 
@@ -506,19 +512,17 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                      method=config.nms_method, linear_threshold=config.nms_linear_threshold)
 
     if trace is not None:
-        all_locations = [location_from_detection(d) for d in box_dets_canonical]
-        all_locations += attention_locations
         # distinct candidates can share a key (same object seen on both
         # downsized scales); consume kept keys as a multiset so the flagged
         # count equals the kept count
         kept_keys = Counter(loc.key() for loc in kept)
         entries = []
-        for loc in all_locations:
+        for loc in candidates:
             flag = kept_keys[loc.key()] > 0
             kept_keys[loc.key()] -= flag
             entries.append({**asdict(loc), "kept": flag})
         trace["locations"] = entries
-        trace["n_locations"] = len(all_locations)
+        trace["n_locations"] = len(candidates)
         trace["n_kept_locations"] = len(kept)
         trace["crops"] = [{**w.to_dict(), "n_detections": crop_det_counts[i],
                            "size_class": selected[i].size}

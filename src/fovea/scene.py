@@ -76,6 +76,12 @@ def random_scene(seed, n_objects, hw=(510, 510), num_classes=3):
     h, w = hw
     rng = np.random.default_rng(seed)
     margin = 24
+    # the smallest candidate is 36 x 0.6*36 px; a candidate that cannot fit
+    # inside the margin is redrawn before its position is drawn
+    if n_objects and (0.55 * min(h, w) < 36 or max(h, w) - 2 * margin < 36
+                      or min(h, w) - 2 * margin < 0.6 * 36):
+        raise ValueError(f"random_scene: no box with a 36 px side fits inside the "
+                         f"{margin} px margin of hw={tuple(hw)}")
     boxes = []
     classes = []
     attempts = 0
@@ -84,6 +90,8 @@ def random_scene(seed, n_objects, hw=(510, 510), num_classes=3):
         side_a = rng.uniform(36, 0.55 * min(h, w))
         side_b = side_a * rng.uniform(0.6, 1.0)
         bw, bh = (side_a, side_b) if rng.random() < 0.5 else (side_b, side_a)
+        if w - margin - bw - margin < 0 or h - margin - bh - margin < 0:
+            continue
         x1 = rng.uniform(margin, w - margin - bw)
         y1 = rng.uniform(margin, h - margin - bh)
         cand = (x1, y1, x1 + bw, y1 + bh)

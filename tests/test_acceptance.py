@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from fovea import naive
-from fovea.analysis import compare_archs, cost_report, structure_census
-from fovea.blocks import FireParams, ResidualParams, fire_module
-from fovea.builders import (build_hourglass54, build_hourglass104_reference,
+from fovea.analysis import compare_archs, cost_report, param_enumeration, structure_census
+from fovea.builders import (Emit, build_hourglass54, build_hourglass104_reference,
                             build_squeeze_hourglass)
 from fovea.decode import (Detection, focal_loss, group_corners, heatmap_peaks,
                           pull_push_offset_losses)
+from fovea.graph import ArchGraph, forward, init_weights
 from fovea.kernels import (ConvSpec, conv2d, depthwise_conv2d, max_pool2d,
                            transpose_conv2d)
 from fovea.pipeline import SaccadeConfig, iou, run_saccade, soft_nms
@@ -94,25 +94,28 @@ def test_criterion_1_kernel_oracle_equivalence():
 def test_criterion_2_fire_module_table():
     with criterion(2, "fire squeeze width k'/2 and output k' over {64,128,256}^2; "
                       "fire/residual weights 50304/1179648 exact at 256"):
-        rng = np.random.default_rng(2)
         for k in (64, 128, 256):
             for kp in (64, 128, 256):
-                p = FireParams.create(k, kp, rng=rng)
-                x = rng.normal(size=(1, k, 6, 6)).astype(np.float32)
-                squeezed = conv2d(x, p.squeeze_w, p.squeeze_b, ConvSpec(k, kp // 2, (1, 1)))
-                assert squeezed.shape == (1, kp // 2, 6, 6)
-                assert fire_module(x, p).shape == (1, kp, 6, 6)
+                g = ArchGraph((1, k, 6, 6))
+                g.tap("out", Emit(g).fire("fire", "input", k, kp))
+                shapes = g.shapes()
+                assert shapes["fire.squeeze"] == (1, kp // 2, 6, 6)
+                init_weights(g, seed=2)
+                x = np.random.default_rng(k + kp).normal(size=(1, k, 6, 6)).astype(np.float32)
+                assert shapes["fire.out"] == forward(g, x)["out"].shape == (1, kp, 6, 6)
 
-        fire = FireParams.create(256, 256)
-        res = ResidualParams.create(256, 256)
-        # closed-form layer sums, independent of the arrays
+        counts = {}
+        for kind in ("fire", "residual"):
+            g = ArchGraph((1, 256, 6, 6))
+            g.tap("out", getattr(Emit(g), kind)(kind, "input", 256, 256))
+            init_weights(g)
+            counts[kind] = (cost_report(g).weights, param_enumeration(g)[0])
+        # closed-form layer sums, independent of the graphs
         fire_closed = 256 * 128 + 128 * 128 + 9 * 128
         res_closed = 2 * 9 * 256 * 256
         assert fire_closed == 50304 and res_closed == 1179648
-        # enumeration over allocated tensors must agree exactly
-        assert sum(a.size for a in (fire.squeeze_w, fire.expand1_w, fire.dw_w)) == 50304
-        assert sum(a.size for a in (res.conv1_w, res.conv2_w)) == 1179648
-        assert fire.weight_count() == 50304 and res.weight_count() == 1179648
+        # the graph's count rule and the allocated tensors must agree exactly
+        assert counts == {"fire": (50304, 50304), "residual": (1179648, 1179648)}
 
 
 # ---- 3: saccade backbone structure audit ----------------------------------------

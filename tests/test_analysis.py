@@ -2,14 +2,14 @@ import numpy as np
 
 from fovea.analysis import (compare_archs, compare_to_csv, cost_report, depth_report,
                             param_enumeration, structure_census)
-from fovea.builders import (_Emit, build_hourglass54, build_hourglass104_reference,
+from fovea.builders import (Emit, build_hourglass54, build_hourglass104_reference,
                             build_single_module, build_squeeze_hourglass)
 from fovea.graph import ArchGraph, init_weights
 
 
 def _single_conv_graph(in_c=4, out_c=8, k=1, hw=(6, 6), bias=True):
     g = ArchGraph((1, in_c) + hw)
-    e = _Emit(g)
+    e = Emit(g)
     out = e.conv("c1", "input", in_c, out_c, k, stage="body", bias=bias)
     g.tap("out", out)
     return g
@@ -60,13 +60,13 @@ def test_cost_report_with_input_override():
 
 def test_depth_single_residual_block():
     g = ArchGraph((1, 4, 6, 6))
-    e = _Emit(g)
+    e = Emit(g)
     g.tap("out", e.residual("res", "input", 4, 4))
     report = depth_report(g)
     assert report.longest_path_convs == 2
     assert report.total_convs == 2
     g2 = ArchGraph((1, 4, 6, 6))
-    g2.tap("out", _Emit(g2).residual("res", "input", 4, 8))
+    g2.tap("out", Emit(g2).residual("res", "input", 4, 8))
     # projection adds a parallel conv; the longest path is still the main one
     assert depth_report(g2).longest_path_convs == 2
     assert depth_report(g2).total_convs == 3

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -147,16 +148,20 @@ def test_compare_graphs(tmp_path):
 
 
 
-@pytest.mark.parametrize("make_path", [
-    lambda tmp: "/nonexistent/graph.json",
-    lambda tmp: tmp / "graph.json",
-], ids=["missing-file", "graph-without-input-dims"])
-def test_cli_errors_are_one_line(tmp_path, make_path):
+@pytest.mark.parametrize("make_argv, match", [
+    (lambda tmp: ["arch", "stats", "/nonexistent/graph.json"], "No such file"),
+    (lambda tmp: ["arch", "stats", str(tmp / "graph.json")], "input_dims"),
+    (lambda tmp: ["arch", "build", "--variant", "squeeze", "--classes", "0",
+                  "--out", str(tmp / "zero.json")],
+     "'heads.tl.heat'.*channels must be >= 1, got 256 and 0"),
+], ids=["missing-file", "graph-without-input-dims", "build-zero-classes"])
+def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "fovea.cli", "arch", "stats",
-                           str(make_path(tmp_path))], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "fovea.cli", *make_argv(tmp_path)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode != 0
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("fovea: error:"), proc.stderr
+    assert re.search(match, lines[0]), lines[0]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fovea import graph as graph_module, skt
-from fovea.blocks import FireParams, ResidualParams, fire_module, residual_block
-from fovea.builders import _Emit, build_squeeze_hourglass
+from fovea.builders import build_squeeze_hourglass
 from fovea.graph import ArchGraph, Node, forward, init_weights
 
 
@@ -51,34 +50,6 @@ def test_forward_shape_error_names_the_node():
     g.params["c1"]["w"] = rand((2, 4, 3, 3))  # wrong in-channel count
     with pytest.raises(ValueError, match="'c1'"):
         forward(g, rand((1, 3, 8, 8)))
-
-
-@pytest.mark.parametrize("block", ["residual", "fire"])
-def test_emitted_residual_matches_block_function(block):
-    # the builder's node expansion and the array-level block must agree exactly
-    g = ArchGraph((1, 4, 6, 6))
-    e = _Emit(g)
-    out = getattr(e, block)("blk", "input", 4, 6, stride=2)
-    g.tap("out", out)
-    rng = np.random.default_rng(3)
-    if block == "residual":
-        p = ResidualParams.create(4, 6, stride=2, rng=rng)
-        g.params = {
-            "blk.conv1": {"w": p.conv1_w, "b": p.conv1_b},
-            "blk.conv2": {"w": p.conv2_w, "b": p.conv2_b},
-            "blk.proj": {"w": p.proj_w, "b": p.proj_b},
-        }
-        want = residual_block
-    else:
-        p = FireParams.create(4, 6, stride=2, rng=rng)
-        g.params = {
-            "blk.squeeze": {"w": p.squeeze_w, "b": p.squeeze_b},
-            "blk.expand1x1": {"w": p.expand1_w, "b": p.expand1_b},
-            "blk.expand3x3": {"w": p.dw_w},
-        }
-        want = fire_module
-    x = rand((1, 4, 6, 6), seed=4)
-    assert np.array_equal(forward(g, x)["out"], want(x, p))
 
 
 def test_forward_is_deterministic():
@@ -185,7 +156,14 @@ def test_add_rejects_bad_node(node, match):
     (_conv("d", kind="dwconv", in_channels=3, out_channels=6, bias=False), "'d'.*out_channels 6"),
     (_conv("d", kind="dwconv", in_channels=3, out_channels=3, bias=True), "'d'.*bias"),
     (_conv("t", kind="tconv", kernel=(1, 1), stride=1, padding=5), "'t'.*smaller than 1x1"),
-], ids=["dwconv-channels", "dwconv-bias", "tconv-too-small"])
+    (_conv("c", out_channels=0), "'c'.*channels must be >= 1, got 3 and 0"),
+    (_conv("c", in_channels=0), "'c'.*channels must be >= 1, got 0 and 2"),
+    (_conv("d", kind="dwconv", in_channels=0, out_channels=0, bias=False),
+     "'d'.*channels must be >= 1, got 0 and 0"),
+    (_conv("t", kind="tconv", out_channels=0, kernel=(4, 4), stride=2),
+     "'t'.*channels must be >= 1, got 3 and 0"),
+], ids=["dwconv-channels", "dwconv-bias", "tconv-too-small", "conv-zero-out", "conv-zero-in",
+        "dwconv-zero", "tconv-zero-out"])
 def test_shapes_rejects_bad_node(node, match):
     g = ArchGraph((1, 3, 8, 8))
     g.add(node)

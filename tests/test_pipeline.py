@@ -13,8 +13,8 @@ from fovea.kernels import resize_longer_side
 from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
                             SaccadeConfig, _clamp_boxes, crop_pixels, downsize_pair,
                             extract_locations, iou, location_from_detection,
-                            make_crop, run_saccade, soft_nms, strip_boundary_boxes,
-                            suppress_locations)
+                            make_crop, resize_affine, run_saccade, soft_nms,
+                            strip_boundary_boxes, suppress_locations)
 from fovea.scene import (OracleModel, SceneObject, SceneSpec, blank_model, gen_scene,
                          random_scene)
 
@@ -66,6 +66,42 @@ def test_affine_compose_and_invert():
     assert a.compose(b).apply(x, y) == via
     ax, ay = a.apply(x, y)
     assert a.invert().apply(ax, ay) == pytest.approx((x, y))
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(np.asarray(got, np.float64), np.asarray(want, np.float64),
+                               rtol=0, atol=1e-9)
+
+
+def test_affine_round_trips_points_and_boxes_seeded_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a, b = (Affine(*rng.uniform(0.05, 20.0, 2), *rng.uniform(-1000.0, 1000.0, 2))
+                for _ in range(2))
+        x, y = rng.uniform(-2000.0, 2000.0, 2)
+        boxes = np.sort(rng.uniform(-2000.0, 2000.0, (5, 2, 2)), axis=1).reshape(5, 4)
+        _assert_close(a.invert().apply(*a.apply(x, y)), (x, y))
+        _assert_close(a.compose(a.invert()).apply(x, y), (x, y))
+        _assert_close(a.compose(b).apply(x, y), a.apply(*b.apply(x, y)))
+        _assert_close(a.invert().apply_box(a.apply_box(boxes)), boxes)
+        _assert_close(a.compose(b).apply_box(boxes), a.apply_box(b.apply_box(boxes)))
+        _assert_close(a.compose(b).invert().apply_box(boxes),
+                      b.invert().apply_box(a.invert().apply_box(boxes)))
+        _assert_close(a.apply_box(boxes), [a.apply_box(tuple(row)) for row in boxes])
+
+
+def test_resize_affine_inverts_to_the_reverse_resize_at_odd_aspects():
+    rng = np.random.default_rng(1)
+    pairs = [((97, 641), (39, 255)), ((97, 641), (29, 192)), ((641, 97), (255, 39)),
+             ((1, 7), (1, 255))]
+    pairs += [(tuple(rng.integers(1, 2000, 2)), tuple(rng.integers(1, 300, 2))) for _ in range(50)]
+    for src, dst in pairs:
+        fwd = resize_affine(src, dst)
+        for x, y in rng.uniform(-10.0, 2000.0, (5, 2)):
+            _assert_close(fwd.compose(fwd.invert()).apply(x, y), (x, y))
+            _assert_close(fwd.invert().compose(fwd).apply(x, y), (x, y))
+        back, rev = fwd.invert(), resize_affine(dst, src)
+        _assert_close((back.sx, back.sy, back.ox, back.oy), (rev.sx, rev.sy, rev.ox, rev.oy))
 
 
 # ---- locations -----------------------------------------------------------------
@@ -708,16 +744,17 @@ def test_saccade_config_validation():
 
 
 class _Tampered:
-    """An oracle whose corner maps for the ``call``-th frame pass through
-    ``tamper`` (calls go 255, 192, then crop 0, 1, ...)."""
+    """An oracle whose ``part`` maps (``corners`` or ``attention``) for the
+    ``call``-th frame pass through ``tamper`` (calls go 255, 192, then crop
+    0, 1, ...)."""
 
-    def __init__(self, model, tamper, call=0):
-        self.model, self.tamper, self.call, self.calls = model, tamper, call, 0
+    def __init__(self, model, tamper, call=0, part="corners"):
+        self.model, self.tamper, self.call, self.part, self.calls = model, tamper, call, part, 0
 
     def infer(self, image, to_original):
         out = self.model.infer(image, to_original)
         if self.calls == self.call:
-            self.tamper(out["corners"])
+            self.tamper(out[self.part])
         self.calls += 1
         return out
 
@@ -780,6 +817,60 @@ def test_tampered_oracle_reaches_every_frame_untouched():
     trace = {}
     assert run_saccade(img, model, trace=trace) == run_saccade(img, OracleModel(gt, 3))
     assert trace["n_crops"] == 3 and model.calls == 5
+
+
+def _set_attention(size, fn):
+    def tamper(attention):
+        attention[size] = fn(attention[size])
+    return tamper
+
+
+def _nan_attention(attention):
+    # every map NaN used to pass silently and still yield detections
+    attention.update({size: np.full_like(arr, np.nan) for size, arr in attention.items()})
+
+
+@pytest.mark.parametrize("tamper, call, match", [
+    (_set_attention("small", _poke(np.nan)), 0, "frame 255: attn small holds non-finite"),
+    (_set_attention("large", lambda a: np.full_like(a, np.inf)), 1,
+     "frame 192: attn large holds non-finite"),
+    (_set_attention("medium", _poke(1.5)), 1, r"frame 192: attn medium lies outside \[0, 1\]"),
+    (_set_attention("small", _poke(-0.25)), 0, r"frame 255: attn small lies outside \[0, 1\]"),
+    (_set_attention("medium", lambda a: a[0]), 0,
+     r"frame 255: attn medium must be shaped \(1, C, H, W\), got \(1, 32, 32\)"),
+    (_set_attention("large", lambda a: np.concatenate([a, a])), 1,
+     r"frame 192: attn large must be shaped \(1, C, H, W\), got \(2, 1, 16, 16\)"),
+    (_set_attention("small", lambda a: np.concatenate([a, a], axis=1)), 0,
+     "frame 255: attn small must have 1 channel"),
+    (_nan_attention, 0, "frame 255: attn small holds non-finite values"),
+])
+def test_run_saccade_rejects_bad_attention_maps(tamper, call, match):
+    img, gt = gen_scene(random_scene(0, 3))
+    model = _Tampered(OracleModel(gt, num_classes=3), tamper, call, part="attention")
+    with pytest.raises(ValueError, match=match):
+        run_saccade(img, model)
+    assert model.calls == call + 1  # raised at the tampered frame, before any crop
+
+
+def _box_scales(model, img):
+    trace = {}
+    run_saccade(img, model, trace=trace)
+    return [loc["scale"] for loc in trace["locations"] if loc["source"] == "box"]
+
+
+def test_trace_labels_box_locations_with_their_frame():
+    img, gt = gen_scene(random_scene(5, 4, hw=(720, 960)))
+    oracle = OracleModel(gt, num_classes=3)
+    trace = {}
+    got = run_saccade(img, oracle, trace=trace)
+    assert _packed(got) == _packed(_run_saccade_reference(img, oracle, SaccadeConfig())[0])
+    assert trace["n_kept_locations"] == 4 and trace["n_locations"] == 16
+    assert sorted(_box_scales(oracle, img)) == [192] * 4 + [255] * 4
+    # with one frame's heatmaps blanked, only the other frame yields boxes
+    blank = _set("tl", "heat", np.zeros_like)
+    for call, frame in [(0, 192), (1, 255)]:
+        scales = _box_scales(_Tampered(oracle, blank, call), img)
+        assert scales and set(scales) == {frame}
 
 
 # ---- the object path the column path replaced ----------------------------------

@@ -114,3 +114,30 @@ def test_scene_spec_serialization_round_trip():
     spec = random_scene(seed=9, n_objects=3)
     back = SceneSpec.from_dict(spec.to_dict())
     assert back.to_dict() == spec.to_dict()
+
+
+def test_random_scene_redraws_boxes_that_cannot_fit_the_margin():
+    # this seed once drew a box too tall for the 24 px margin and raised numpy's
+    # bare "high - low < 0"; such candidates are now redrawn
+    spec = random_scene(1, 4, hw=(97, 641))
+    assert len(spec.objects) == 4
+    for obj in spec.objects:
+        x1, y1, x2, y2 = obj.box
+        assert 24 <= x1 < x2 <= 641 - 24 and 24 <= y1 < y2 <= 97 - 24
+
+
+def test_random_scene_keeps_the_boxes_it_built_before():
+    # redrawing consumes no random draw, so scenes that built keep their boxes
+    spec = random_scene(3, 3, hw=(97, 641))
+    assert [(o.cls, o.box) for o in spec.objects] == [
+        (0, (354.06116718534355, 25.083795958382645, 380.1036077115586, 62.569809008324526)),
+        (1, (88.06347762554712, 25.834257713113406, 117.48171256284542, 70.14579773585687)),
+        (2, (435.916673262659, 27.85811554202448, 470.6412903029718, 72.82355771050514)),
+    ]
+
+
+@pytest.mark.parametrize("hw", [(60, 200), (200, 60), (68, 68)])
+def test_random_scene_rejects_frames_too_small_for_any_box(hw):
+    with pytest.raises(ValueError, match=rf"hw=\({hw[0]}, {hw[1]}\)"):
+        random_scene(0, 1, hw=hw)
+    assert random_scene(0, 0, hw=hw).objects == []
