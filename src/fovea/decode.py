@@ -130,6 +130,13 @@ def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor
     above-and-left of the bottom-right.  Detection score is the mean of the
     two corner scores.  Output sorts by (-score, class, box).  Wraps the
     array core ``_group_columns``.
+
+    ``downsample_factor`` is one frame-pixels-per-heatmap-cell scale for both
+    axes, so the heatmaps must cover their frame at the same scale in x and
+    y, as they do for the square 255x255 frames ``run_saccade`` decodes.
+    Maps rendered for a non-square frame, such as
+    ``oracle_outputs(gt, 3, frame_hw=(97, 641))``, are out of contract: their
+    boxes decode at the wrong scale on at least one axis.
     """
     if embed_threshold < 0:
         raise ValueError(f"embed_threshold must be >= 0, got {embed_threshold}")

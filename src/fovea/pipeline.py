@@ -193,7 +193,7 @@ def location_from_detection(det, scale=255):
                           score=det.score, source="box", scale=scale)
 
 
-def suppress_locations(locations, boxes_from_downsized=(), radius=16.0):
+def suppress_locations(locations, radius=16.0):
     """Greedy duplicate-location removal.
 
     Box-sourced candidates outrank every attention-sourced one; within a
@@ -202,9 +202,7 @@ def suppress_locations(locations, boxes_from_downsized=(), radius=16.0):
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    pool = [location_from_detection(d) for d in boxes_from_downsized]
-    pool += list(locations)
-    pool.sort(key=lambda l: (0 if l.source == "box" else 1, -l.score, l.y, l.x))
+    pool = sorted(locations, key=lambda l: (0 if l.source == "box" else 1, -l.score, l.y, l.x))
     xs = np.array([l.x for l in pool], dtype=np.float64)
     ys = np.array([l.y for l in pool], dtype=np.float64)
     live = np.ones(len(pool), dtype=bool)
@@ -301,6 +299,14 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     ``score_floor`` are dropped.  Output sorts by final score, then class,
     then box.  Raises ``ValueError`` for an unknown ``method`` and for a
     detection with a non-finite score or box coordinate.
+
+    Each class's pool is held once as contiguous ``x1, y1, x2, y2`` and
+    ``area`` columns in box order, with scratch buffers filled in place.  A
+    kept or dropped box stays in the columns, dead, with score ``-inf``; a
+    pick computes IoU and decay only for live boxes that overlap it, so a
+    dead one is never multiplied again.  The columns are compacted once more
+    than half of them are dead.  The arithmetic per pair is that of
+    ``iou()``, so every score is bit-equal to the plain greedy loop.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -319,23 +325,49 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
         # box order once: argmax then returns the smallest box among equal
         # top scores, the same pick as sorting by (-score, box) every round
         idx = idx[np.lexsort(boxes[idx].T[::-1])]
-        s, b = scores[idx], boxes[idx]
-        while idx.size:
-            best = int(np.argmax(s))
+        s = scores[idx]
+        x1, y1, x2, y2 = (np.ascontiguousarray(c) for c in boxes[idx].T)
+        area = (x2 - x1) * (y2 - y1)
+        n, dead = idx.size, 0
+        iw, ih, tmp = np.empty(n), np.empty(n), np.empty(n)
+        hit_mask, alive = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        while dead < n:
+            best = int(s.argmax())
             out.append(Detection(cls, float(s[best]), dets[idx[best]].box))
-            ov = _iou_against(b[best], b)
+            s[best] = -np.inf
+            dead += 1
+            np.minimum(x2[best], x2, out=iw)
+            np.subtract(iw, np.maximum(x1[best], x1, out=tmp), out=iw)
+            np.minimum(y2[best], y2, out=ih)
+            np.subtract(ih, np.maximum(y1[best], y1, out=tmp), out=ih)
+            np.greater(np.minimum(iw, ih, out=tmp), 0.0, out=hit_mask)
+            np.logical_and(hit_mask, np.greater(s, -np.inf, out=alive), out=hit_mask)
+            hit = hit_mask.nonzero()[0]
+            inter = iw[hit] * ih[hit]
+            union = area[best] + area[hit] - inter
+            if not union.min(initial=np.inf) > 0:  # rare: degenerate or NaN unions
+                pos = union > 0
+                hit, inter, union = hit[pos], inter[pos], union[pos]
+            ov = np.divide(inter, union, out=inter)
             if method == "gaussian":
-                # zero overlap decays by exactly exp(-0.0) == 1.0; math.exp, not
-                # np.exp, on the rest keeps every score bit-equal to the loop
-                hit = np.flatnonzero(ov > 0)
-                power = -(ov[hit] * ov[hit]) / sigma
-                s[hit] = s[hit] * np.fromiter(map(math.exp, power.tolist()), float, hit.size)
+                # math.exp, not np.exp, keeps every score bit-equal to the loop
+                power = -(ov * ov) / sigma
+                decay = np.fromiter(map(math.exp, power.tolist()), float, hit.size)
             else:
-                hit = ov > linear_threshold
-                s[hit] = s[hit] * (1.0 - ov[hit])
-            alive = s >= score_floor
-            alive[best] = False
-            idx, s, b = idx[alive], s[alive], b[alive]
+                over = ov > linear_threshold
+                hit, decay = hit[over], 1.0 - ov[over]
+            decayed = s[hit] * decay
+            dropped = ~(decayed >= score_floor)  # not <, so a NaN score is dropped as well
+            n_dropped = int(np.count_nonzero(dropped))
+            if n_dropped:
+                decayed[dropped] = -np.inf
+                dead += n_dropped
+            s[hit] = decayed
+            if 2 * dead > n:
+                live = s > -np.inf
+                idx, s, x1, y1, x2, y2, area = (c[live] for c in (idx, s, x1, y1, x2, y2, area))
+                n, dead = idx.size, 0
+                iw, ih, tmp, hit_mask, alive = (c[:n] for c in (iw, ih, tmp, hit_mask, alive))
     out.sort(key=lambda d: (-d.score, d.cls, d.box))
     return out
 
@@ -476,8 +508,12 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
         out, cls, score, boxes = _detect_frame(model, frame, aff, tag, config)
         # map this frame's coordinates into the canonical 255 frame
         remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
+        attention = out.get("attention") or {}  # missing or empty: no attention taps
+        if not isinstance(attention, dict):
+            raise ValueError(f"model output for frame {tag}: attention must be a dict of maps "
+                             f"keyed by size class, got {type(attention).__name__}")
         attention = {size: _checked_map(tag, f"attn {size}", arr, 1, unit=True)
-                     for size, arr in (out.get("attention") or {}).items()}
+                     for size, arr in attention.items()}
         if attention:
             strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
             locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)

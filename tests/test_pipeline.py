@@ -166,8 +166,8 @@ def test_suppress_nearby_keeps_higher_score():
 
 
 def test_suppress_prioritizes_box_sources():
-    box = Detection(0, 0.4, (8.0, 8.0, 12.0, 12.0))  # center (10, 10)
-    kept = suppress_locations([_loc(10, 10, 0.9)], [box], radius=2)
+    box = location_from_detection(Detection(0, 0.4, (8.0, 8.0, 12.0, 12.0)))  # center (10, 10)
+    kept = suppress_locations([_loc(10, 10, 0.9), box], radius=2)
     assert len(kept) == 1
     assert kept[0].source == "box" and kept[0].score == 0.4
 
@@ -194,12 +194,10 @@ def test_suppress_matches_brute_force_greedy():
                  float(rng.uniform(0, 1)),
                  source="box" if rng.random() < 0.3 else "attention")
             for _ in range(50)]
-    got = suppress_locations([l for l in locs if l.source == "attention"],
-                             [Detection(0, l.score, (l.x - 2, l.y - 2, l.x + 2, l.y + 2))
-                              for l in locs if l.source == "box"], radius=16)
-    want = _suppress_oracle([location_from_detection(Detection(0, l.score,
-                                                               (l.x - 2, l.y - 2, l.x + 2, l.y + 2)))
-                             if l.source == "box" else l for l in locs], 16)
+    locs = [location_from_detection(Detection(0, l.score, (l.x - 2, l.y - 2, l.x + 2, l.y + 2)))
+            if l.source == "box" else l for l in locs]
+    got = suppress_locations(locs, radius=16)
+    want = _suppress_oracle(locs, 16)
     assert [(l.x, l.y, l.score, l.source) for l in got] == \
            [(l.x, l.y, l.score, l.source) for l in want]
 
@@ -236,8 +234,9 @@ def test_suppress_with_boxes_matches_loop_reference():
     boxes = [Detection(0, float(rng.integers(1, 41)) / 40, (x - 3.0, y - 3.0, x + 3.0, y + 3.0))
              for x, y in rng.integers(0, 256, (60, 2)).astype(float)]
     boxes.append(Detection(0, 0.5, (math.nan, 10.0, 20.0, 20.0)))
-    got = suppress_locations(locs, boxes, radius=16.0)
-    want = _suppress_oracle([location_from_detection(b) for b in boxes] + locs, 16.0)
+    locs = [location_from_detection(b) for b in boxes] + locs
+    got = suppress_locations(locs, radius=16.0)
+    want = _suppress_oracle(locs, 16.0)
     assert [(repr(l.x), repr(l.y), l.score, l.source, l.size) for l in got] == \
            [(repr(l.x), repr(l.y), l.score, l.source, l.size) for l in want]
 
@@ -585,6 +584,50 @@ def test_soft_nms_linear_mode():
     assert out[1].score == pytest.approx(0.8 * (1 - ov))
 
 
+def _as_rows(dets):
+    return [(d.cls, d.score, d.box) for d in dets]
+
+
+def test_soft_nms_linear_never_decays_dead_duplicates():
+    # 200 exact duplicates die together at IoU 1 (factor 1 - 1.0 = 0), which
+    # leaves fewer than half the pool dead, so they stay in the columns, at
+    # -inf, while the overlapping boxes are picked.  A dead entry decayed
+    # again in linear mode reads -inf * (1 - iou), NaN at IoU 1
+    rng = np.random.default_rng(70)
+    box = (40.0, 40.0, 120.0, 110.0)
+    dets = [Detection(0, float(rng.uniform(0.05, 1.0)), box) for _ in range(200)]
+    dets += _random_dets(rng, 300, classes=1)
+    got = soft_nms(dets, method="linear")
+    assert _as_rows(got) == _as_rows(_soft_nms_oracle(dets, 0.5, 0.001, method="linear"))
+    assert sum(d.box == box for d in got) == 1
+
+
+def _noisy_dets(rng, n, classes=2, frame=255.0):
+    """Boxes shaped like an untrained network's: sides 20-200 px, corners
+    inside one frame, so many same-class pairs overlap."""
+    dets = []
+    for _ in range(n):
+        w, h = rng.uniform(20, 200, 2)
+        x1, y1 = rng.uniform(0, frame - w), rng.uniform(0, frame - h)
+        dets.append(Detection(int(rng.integers(0, classes)), float(rng.uniform(0.0005, 0.6)),
+                              (float(x1), float(y1), float(x1 + w), float(y1 + h))))
+    return dets
+
+
+@pytest.mark.parametrize("method", ["gaussian", "linear"])
+def test_soft_nms_matches_reference_on_a_noisy_pool(method):
+    dets = _noisy_dets(np.random.default_rng(71), 3000)
+    got = soft_nms(dets, sigma=0.5, score_floor=0.001, method=method)
+    assert _as_rows(got) == _as_rows(_soft_nms_oracle(dets, 0.5, 0.001, method=method))
+
+
+@pytest.mark.parametrize("method", ["gaussian", "linear"])
+def test_soft_nms_empty_and_all_below_floor_give_nothing(method):
+    assert soft_nms([], method=method) == []
+    below = [Detection(c, 0.0009, (10.0 * c, 0.0, 10.0 * c + 30.0, 40.0)) for c in range(3)]
+    assert soft_nms(below, score_floor=0.001, method=method) == []
+
+
 def test_iou_basics():
     assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
     assert iou((0, 0, 10, 10), (20, 20, 30, 30)) == 0.0
@@ -745,8 +788,8 @@ def test_saccade_config_validation():
 
 class _Tampered:
     """An oracle whose ``part`` maps (``corners`` or ``attention``) for the
-    ``call``-th frame pass through ``tamper`` (calls go 255, 192, then crop
-    0, 1, ...)."""
+    ``call``-th frame pass through ``tamper``, which edits them in place or
+    returns their replacement (calls go 255, 192, then crop 0, 1, ...)."""
 
     def __init__(self, model, tamper, call=0, part="corners"):
         self.model, self.tamper, self.call, self.part, self.calls = model, tamper, call, part, 0
@@ -754,7 +797,9 @@ class _Tampered:
     def infer(self, image, to_original):
         out = self.model.infer(image, to_original)
         if self.calls == self.call:
-            self.tamper(out[self.part])
+            replaced = self.tamper(out[self.part])
+            if replaced is not None:
+                out[self.part] = replaced
         self.calls += 1
         return out
 
@@ -843,6 +888,10 @@ def _nan_attention(attention):
     (_set_attention("small", lambda a: np.concatenate([a, a], axis=1)), 0,
      "frame 255: attn small must have 1 channel"),
     (_nan_attention, 0, "frame 255: attn small holds non-finite values"),
+    (lambda attention: list(attention.values()), 0,
+     "frame 255: attention must be a dict of maps keyed by size class, got list"),
+    (lambda attention: tuple(attention.values()), 1,
+     "frame 192: attention must be a dict of maps keyed by size class, got tuple"),
 ])
 def test_run_saccade_rejects_bad_attention_maps(tamper, call, match):
     img, gt = gen_scene(random_scene(0, 3))
@@ -923,7 +972,8 @@ def _run_saccade_reference(image, model, config):
                 box_dets_canonical.append(Detection(det.cls, det.score, (x1, y1, x2, y2)))
             merged.append(Detection(det.cls, det.score,
                                     _reference_box(aff, det.box, img_w, img_h)))
-    kept = suppress_locations(attention_locations, box_dets_canonical, config.suppress_radius)
+    kept = suppress_locations([location_from_detection(d) for d in box_dets_canonical]
+                              + attention_locations, config.suppress_radius)
     windows = [make_crop(loc, config, content255, aff255) for loc in kept[:config.max_regions]]
     lo, hi = config.boundary_margin, CROP_SIZE - 1 - config.boundary_margin
     crop_counts = []
@@ -1060,6 +1110,18 @@ def test_run_saccade_ignores_seeded_crop_order():
         shuffled = run_saccade(img, model, trace=shuffled_trace, crop_order=perm)
         assert _packed(shuffled) == _packed(base)
         assert shuffled_trace == trace
+
+
+@pytest.mark.parametrize("hw", [(97, 641), (641, 97), (300, 1000)])
+def test_run_saccade_recovers_every_box_at_odd_aspects(hw):
+    for seed in range(4):
+        img, gt = gen_scene(random_scene(seed, 4, hw=hw))
+        assert len(gt) == 4
+        dets = run_saccade(img, OracleModel(gt, num_classes=3))
+        for want in gt:
+            best = max((iou(want.box, d.box) for d in dets
+                        if d.cls == want.cls and d.score > 0.5), default=0.0)
+            assert best >= 0.9, (seed, want)
 
 
 def test_soft_nms_never_raises_a_score():
