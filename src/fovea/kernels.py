@@ -9,7 +9,7 @@ counterpart in ``fovea.naive`` used as an independent test oracle.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 # Upper bound on one band of im2col columns in ``conv2d`` and of the GEMM
 # product in ``transpose_conv2d``; their docstrings say why.
@@ -76,12 +76,13 @@ def conv2d(x, weights, bias, spec):
     The input is lowered to im2col columns laid out (n, groups, icg*kh*kw,
     rows*ow), with the reduction axis in (channel, kh, kw) order: the order of
     the weight layout, so ``weights.reshape(groups, ocg, icg*kh*kw)`` is the
-    left GEMM operand with no copy.  Every ``groups`` value, depthwise
-    included, takes this one path.  The columns are built one band of output
-    rows at a time, at most ``_COLS_BYTES`` each: a whole-image buffer is
-    kh*kw times the input (57 MB for a 384-channel 64x64 3x3 conv), which
-    would set the peak resident memory of a forward pass.  A 1x1, stride-1,
-    unpadded conv multiplies ``x`` itself.
+    left GEMM operand with no copy.  Every ``groups`` value takes this one
+    path; ``depthwise_conv2d`` builds the same columns its own way at stride
+    1.  The columns are built one band of output rows at a time, at most
+    ``_COLS_BYTES`` each: a whole-image buffer is kh*kw times the input (57
+    MB for a 384-channel 64x64 3x3 conv), which would set the peak resident
+    memory of a forward pass.  A 1x1, stride-1, unpadded conv multiplies
+    ``x`` itself.
     """
     x = as_tensor(x)
     w = np.asarray(weights, dtype=np.float32)
@@ -125,13 +126,55 @@ def conv2d(x, weights, bias, spec):
 
 
 def depthwise_conv2d(x, weights, spec):
-    """Per-channel convolution: groups == in_channels == out_channels, no bias."""
+    """Per-channel convolution: groups == in_channels == out_channels, no bias.
+
+    A strided one is ``conv2d``.  At stride 1 the input is zero-padded once
+    into rows of width wp = w + 2*pad, plus one spare row, and flattened.
+    Tap (i, j) of a band of output rows from r0 is then one contiguous run
+    of that buffer, at offset (r0 + i)*wp + j, and all kh*kw runs are
+    gathered in one copy instead of one short row at a time.  The same
+    per-channel ``matmul`` as ``conv2d``'s runs over them, so every output
+    is bit-equal to it; each output row computes wp - ow extra columns,
+    which are dropped.  Bands hold at most ``_COLS_BYTES`` of columns.
+    """
     if not (spec.groups == spec.in_channels == spec.out_channels):
         raise ValueError(
             f"depthwise requires groups == in == out channels, got spec "
             f"groups={spec.groups} in={spec.in_channels} out={spec.out_channels}"
         )
-    return conv2d(x, weights, None, spec)
+    if spec.stride != 1:
+        return conv2d(x, weights, None, spec)
+    x = as_tensor(x)
+    w = np.asarray(weights, dtype=np.float32)
+    n, c, h, wd = x.shape
+    kh, kw = spec.kernel
+    if c != spec.in_channels:
+        raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
+    if w.shape != (c, 1, kh, kw):
+        raise ValueError(f"weights shaped {w.shape}, spec expects {(c, 1, kh, kw)}")
+    p = spec.padding
+    oh, ow = conv_output_hw(h, wd, spec.kernel, 1, p)
+    if oh < 1 or ow < 1:
+        raise ValueError(f"kernel {spec.kernel} does not fit input {h}x{wd} with pad {p}")
+
+    wp = wd + 2 * p
+    # the spare row keeps the last band's runs at taps j > 0 inside the buffer
+    flat = np.zeros((n, c, h + 2 * p + 1, wp), dtype=np.float32)
+    flat[:, :, p : p + h, p : p + wd] = x
+    flat = flat.reshape(n, c, -1)
+    sn, sc, se = flat.strides
+    wm = w.reshape(c, 1, kh * kw)
+    out = np.empty((n, c, oh, ow), dtype=np.float32)
+    band = max(1, _COLS_BYTES // (4 * n * c * kh * kw * wp))
+    for r0 in range(0, oh, band):
+        r1 = min(oh, r0 + band)
+        size = (r1 - r0) * wp
+        # (n, c, kh, kw, size) view: tap (i, j) is the run at (r0 + i)*wp + j
+        taps = as_strided(flat[:, :, r0 * wp :], (n, c, kh, kw, size),
+                          (sn, sc, wp * se, se, se), writeable=False)
+        cols = np.ascontiguousarray(taps).reshape(n, c, kh * kw, size)
+        out[:, :, r0:r1] = np.matmul(wm, cols).reshape(n, c, r1 - r0, wp)[..., :ow]
+    return out
 
 
 def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
@@ -141,15 +184,22 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     default 4x4 kernel / stride 2 / pad 1 the output spatial dims are exactly
     double the input's.
 
-    Each band is one GEMM over every tap, (oc_band*kh*kw, c) @ (c, h*w), whose
-    left operand is a transposed view of ``weights``: no weight copy, which
-    a GEMM per kernel row would need on every call.  Tap (i, j) of the
-    product is an (oc_band, h, w) block, scatter-added into the stride-spaced
-    pixels it stamps of an NCHW output.  The product holds kh*kw values per
-    input pixel and output channel, so a band holds at most ``_COLS_BYTES``
-    of it, as in ``conv2d``.  Splitting the taps into stride-phase
-    sub-kernels (sub-pixel convolution) makes GEMMs too small to pay off on
-    the 2-16 pixel maps the hourglass decoders run at.
+    Each band is one GEMM over every tap, (oc_band*kh*kw, c) @ (c, h*wp),
+    whose left operand is a transposed view of ``weights``: no weight copy,
+    which a GEMM per kernel row would need on every call.  The input is
+    zero-padded on the right to width wp = w - 1 + ceil(kw / s), for stride
+    s, the width of one stride-phase grid: output pixel (i + s*y, j + s*x) before
+    cropping is pixel (y + i//s, x + j//s) of phase (i % s, j % s).  Tap
+    (i, j) of the product is then one flat run of h*wp values, added at
+    offset (i//s)*wp + j//s of its phase, which holds one spare row.  The
+    padded columns add zeros, so with finite weights every pixel sums the
+    same values in the same (i, j) order as a scatter into the strided
+    output, bit for bit.  Each phase is written once into the strided,
+    cropped output.  The product holds kh*kw values per padded input pixel
+    and output channel, so a band holds at most ``_COLS_BYTES`` of it, as in
+    ``conv2d``.  Splitting the taps into per-phase sub-kernels (sub-pixel
+    convolution) makes GEMMs too small to pay off on the 2-16 pixel maps the
+    hourglass decoders run at.
     """
     x = as_tensor(x)
     w = np.asarray(weights, dtype=np.float32)
@@ -166,17 +216,29 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     if oh < 1 or ow < 1:
         raise ValueError(f"degenerate transpose-conv output {oh}x{ow}")
 
-    xm = x.reshape(n, c, h * wd)
-    buf = np.zeros((n, oc, (h - 1) * stride + kh, (wd - 1) * stride + kw), dtype=np.float32)
-    band = max(1, _COLS_BYTES // (4 * n * kh * kw * h * wd))
+    s = stride
+    hp, wp = h - 1 + -(-kh // s), wd - 1 + -(-kw // s)
+    xm = np.zeros((n, c, h, wp), dtype=np.float32)
+    xm[..., :wd] = x
+    xm = xm.reshape(n, c, h * wp)
+    phase = np.zeros((s, s, n, oc, (hp + 1) * wp), dtype=np.float32)
+    band = max(1, _COLS_BYTES // (4 * n * kh * kw * h * wp))
     for o0 in range(0, oc, band):
         o1 = min(oc, o0 + band)
-        prod = np.matmul(w[:, o0:o1].reshape(c, -1).T, xm).reshape(n, o1 - o0, kh, kw, h, wd)
+        prod = np.matmul(w[:, o0:o1].reshape(c, -1).T, xm).reshape(n, o1 - o0, kh, kw, h * wp)
         for i in range(kh):
             for j in range(kw):
-                buf[:, o0:o1, i : i + (h - 1) * stride + 1 : stride,
-                    j : j + (wd - 1) * stride + 1 : stride] += prod[:, :, i, j]
-    out = np.ascontiguousarray(buf[:, :, padding : padding + oh, padding : padding + ow])
+                at = (i // s) * wp + j // s
+                phase[i % s, j % s, :, o0:o1, at : at + h * wp] += prod[:, :, i, j]
+    out = np.empty((n, oc, oh, ow), dtype=np.float32)
+    for a in range(s):
+        for b in range(s):
+            # output rows y0, y0 + s, ... are rows ty, ty + 1, ... of phase (a, b); columns alike
+            y0, x0 = (a - padding) % s, (b - padding) % s
+            grid = phase[a, b, :, :, : hp * wp].reshape(n, oc, hp, wp)
+            ty, tx = (y0 + padding) // s, (x0 + padding) // s
+            out[:, :, y0::s, x0::s] = grid[:, :, ty : ty + len(range(y0, oh, s)),
+                                            tx : tx + len(range(x0, ow, s))]
 
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32)

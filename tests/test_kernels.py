@@ -136,6 +136,58 @@ def test_depthwise_rejects_group_mismatch():
                          ConvSpec(4, 4, (3, 3), padding=1, groups=2))
 
 
+# every depthwise call of a squeeze forward at 255x255, as (c, hw, stride)
+SQUEEZE_DW = [(128, 128, 2), (128, 64, 2), (128, 32, 1), (128, 32, 2), (128, 16, 1),
+              (192, 16, 1), (192, 16, 2), (192, 8, 1), (192, 8, 2), (192, 4, 1),
+              (256, 4, 1), (256, 4, 2), (256, 2, 1)]
+
+
+def _assert_dw_bytes_match_conv2d(x, w, spec):
+    got = depthwise_conv2d(x, w, spec)
+    want = conv2d(x, w, None, spec)  # the window-view im2col path
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c, hw, stride", SQUEEZE_DW)
+def test_depthwise_bytes_match_conv2d_on_squeeze_shapes(c, hw, stride):
+    x = rand((1, c, hw, hw), seed=c + hw)
+    w = rand((c, 1, 3, 3), seed=c + hw + 1)
+    _assert_dw_bytes_match_conv2d(x, w, _dw_spec(c, stride))
+
+
+@pytest.mark.parametrize("n, c, h, w, k, pad", [
+    (2, 5, 9, 9, 3, 1),     # batch of 2
+    (1, 3, 7, 13, 3, 1),    # non-square maps
+    (2, 4, 11, 6, 3, 1),
+    (1, 4, 9, 8, 5, 2),     # kernel 5
+    (1, 4, 9, 8, 5, 0),
+    (1, 3, 6, 7, 3, 0),     # padding 0 and 2
+    (2, 3, 6, 7, 3, 2),
+    (1, 6, 1, 1, 3, 1),     # 1x1 maps
+    (2, 6, 1, 1, 1, 0),
+    (1, 2, 1, 5, 3, 1),
+])
+def test_depthwise_bytes_match_conv2d_on_odd_shapes(n, c, h, w, k, pad):
+    x = rand((n, c, h, w), seed=h * w + k)
+    wt = rand((c, 1, k, k), seed=pad + 7)
+    _assert_dw_bytes_match_conv2d(x, wt, ConvSpec(c, c, (k, k), padding=pad, groups=c))
+
+
+def test_depthwise_band_seams_match_conv2d_and_naive(monkeypatch):
+    # a budget of 3 output rows of the padded width: 9 rows run as 3+3+3,
+    # 7 (pad 0) as 3+3+1; a 1-byte budget runs one row per band
+    x = rand((2, 4, 9, 10), seed=60)
+    w = rand((4, 1, 3, 3), seed=61)
+    for pad in (0, 1, 2):
+        for budget in (4 * 2 * 4 * 9 * (10 + 2 * pad) * 3, 1):
+            monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
+            spec = ConvSpec(4, 4, (3, 3), padding=pad, groups=4)
+            _assert_dw_bytes_match_conv2d(x, w, spec)
+            np.testing.assert_allclose(depthwise_conv2d(x, w, spec),
+                                       naive.depthwise_conv2d_naive(x, w, 1, pad),
+                                       rtol=RTOL, atol=1e-6)
+
+
 # ---- transpose conv ------------------------------------------------------------
 
 
@@ -174,18 +226,74 @@ def test_transpose_conv_general_shapes_match_naive():
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
 
 
+def _transpose_conv2d_scatter(x, w, bias, stride, padding):
+    """The all-taps GEMM with a strided scatter-add per tap, frozen as the
+    byte reference for the stride-phase layout.  It skips the channel
+    bands, which change no value."""
+    n, c, h, wd = x.shape
+    _, oc, kh, kw = w.shape
+    oh = (h - 1) * stride - 2 * padding + kh
+    ow = (wd - 1) * stride - 2 * padding + kw
+    buf = np.zeros((n, oc, (h - 1) * stride + kh, (wd - 1) * stride + kw), dtype=np.float32)
+    prod = np.matmul(w.reshape(c, -1).T, x.reshape(n, c, h * wd)).reshape(n, oc, kh, kw, h, wd)
+    for i in range(kh):
+        for j in range(kw):
+            buf[:, :, i : i + (h - 1) * stride + 1 : stride,
+                j : j + (wd - 1) * stride + 1 : stride] += prod[:, :, i, j]
+    out = np.ascontiguousarray(buf[:, :, padding : padding + oh, padding : padding + ow])
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
+
+
+def _assert_tconv_bytes_match_scatter(x, wt, b, stride, pad):
+    got = transpose_conv2d(x, wt, b, stride=stride, padding=pad)
+    want = _transpose_conv2d_scatter(x, wt, b, stride, pad)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_transpose_conv_band_seams_match_naive(monkeypatch):
     # 5 output channels under a 2-channel product budget run as bands
-    # 2+2+1; a budget of 1 byte runs one channel per band
+    # 2+2+1; a budget of 1 byte runs one channel per band.  The product
+    # is kh*kw values per channel and input pixel of the phase-grid width.
     x = rand((2, 3, 5, 4), seed=50)
     wt = rand((3, 5, 4, 4), seed=51)
     b = rand((5,), seed=52)
-    for budget in (4 * 2 * 16 * 5 * 4 * 2, 1):
-        monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
-        for stride, pad in [(2, 1), (3, 2), (1, 0)]:
+    for stride, pad in [(2, 1), (3, 2), (1, 0)]:
+        wp = 4 - 1 + -(-4 // stride)
+        for budget in (4 * 2 * 16 * 5 * wp * 2, 1):
+            monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
             got = transpose_conv2d(x, wt, b, stride=stride, padding=pad)
             want = naive.transpose_conv2d_naive(x, wt, b, stride, pad)
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
+            _assert_tconv_bytes_match_scatter(x, wt, b, stride, pad)
+
+
+@pytest.mark.parametrize("c, hw", [(256, 16), (384, 8), (384, 4), (512, 2)])
+def test_transpose_conv_bytes_match_scatter_on_squeeze_shapes(c, hw):
+    x = rand((1, c, hw, hw), seed=c + hw)
+    wt = rand((c, c, 4, 4), seed=c, scale=0.05)
+    _assert_tconv_bytes_match_scatter(x, wt, rand((c,), seed=hw), 2, 1)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_transpose_conv_bytes_match_scatter_on_general_shapes(stride, pad, k):
+    x = rand((2, 3, 4, 5), seed=70 + k)
+    wt = rand((3, 4, k, k), seed=71 + stride)
+    _assert_tconv_bytes_match_scatter(x, wt, rand((4,), seed=72 + pad), stride, pad)
+
+
+@pytest.mark.parametrize("h, w", [(3, 4), (1, 1), (5, 2)])
+def test_transpose_conv_kernel_below_stride_leaves_tapless_phases_zero(h, w):
+    # k=1, s=2: only phase (0, 0) gets a tap, so the output is a strided
+    # copy of the product with zeros between
+    x = rand((2, 3, h, w), seed=80 + h)
+    wt = rand((3, 2, 1, 1), seed=81)
+    _assert_tconv_bytes_match_scatter(x, wt, None, 2, 0)
+    y = transpose_conv2d(x, wt, None, stride=2, padding=0)
+    assert not y[:, :, 1::2].any() and not y[:, :, :, 1::2].any()
 
 
 def test_transpose_conv_channel_mismatch():

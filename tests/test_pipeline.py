@@ -177,6 +177,12 @@ def test_suppress_keeps_distant_locations():
     assert len(kept) == 2
 
 
+@pytest.mark.parametrize("radius", [math.nan, -1.0])
+def test_suppress_rejects_nan_and_negative_radius(radius):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        suppress_locations([_loc(10, 10, 0.9), _loc(60, 60, 0.2)], radius=radius)
+
+
 def _suppress_oracle(locs, radius):
     pool = sorted(locs, key=lambda l: (0 if l.source == "box" else 1, -l.score, l.y, l.x))
     kept = []
@@ -559,6 +565,24 @@ def test_soft_nms_ignores_input_order():
     assert soft_nms(shuffled) == base
 
 
+@pytest.mark.parametrize("sigma", [math.nan, 0.0, -0.5])
+def test_soft_nms_rejects_nan_and_non_positive_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        soft_nms([Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0))], sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.1, 2.0, 1e-3])
+def test_complex_exp_decay_pins_libm_exp(sigma):
+    # soft_nms's gaussian decay takes libm's exp through numpy's complex
+    # exp (glibc cexp); this pins that it equals math.exp bit for bit, so a
+    # platform where it does not fails here and not only as drifted scores
+    ov = np.random.default_rng(int(1 / sigma)).random(100_000)
+    power = np.concatenate([-(ov * ov) / sigma, [0.0, -5e-324, -1e-300]])
+    got = np.exp(power.astype(np.complex128)).real
+    want = np.array([math.exp(p) for p in power.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_soft_nms_rejects_unknown_method():
     with pytest.raises(ValueError, match="method 'hard'"):
         soft_nms([Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0))], method="hard")
@@ -752,6 +776,15 @@ def test_run_saccade_accepts_weighted_graph_directly():
     ({"boundary_margin": -1.0}, "boundary_margin"),
     ({"boundary_margin": 200.0}, "boundary_margin"),
     ({"embed_threshold": -0.5}, "embed_threshold"),
+    ({"nms_sigma": math.nan}, "nms_sigma"),
+    ({"nms_sigma": 0.0}, "nms_sigma"),
+    ({"suppress_radius": math.nan}, "suppress_radius"),
+    ({"suppress_radius": -1.0}, "suppress_radius"),
+    ({"max_regions": math.nan}, "max_regions"),
+    ({"max_regions": 2.5}, "max_regions"),
+    ({"max_regions": 0}, "max_regions"),
+    ({"corners_per_kind": math.nan}, "corners_per_kind"),
+    ({"corners_per_kind": 2.5}, "corners_per_kind"),
 ])
 def test_saccade_config_rejects_out_of_range_field(fields, match):
     with pytest.raises(ValueError, match=match):
