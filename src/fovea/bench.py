@@ -3,8 +3,9 @@
 Timing is hardware-bound, so the report pairs each entry's median/p10/p90
 wall times with its multiply-accumulate count where one is defined; cost
 per MAC is then derivable on any machine.  The post-network ops
-(``soft_nms``, ``group_corners``) count no MACs; their ``size`` is the
-input pool size, or the number of corners per kind.  The sampling ops
+(``soft_nms``, ``group_corners``, ``peaks``) count no MACs; their ``size``
+is the input pool size, the number of corners per kind, or the side of a
+(1, 3, size, size) heatmap.  The sampling ops
 (``crop_pixels``, ``resize255``) count no MACs either; their ``size`` is the
 side of a square source image.
 """
@@ -16,7 +17,7 @@ import numpy as np
 from . import kernels
 from .analysis import cost_report
 from .builders import build_hourglass54, build_squeeze_hourglass
-from .decode import Corner, Detection, group_corners
+from .decode import Corner, Detection, group_corners, heatmap_peaks
 from .graph import forward, init_weights
 from .pipeline import (CROP_SIZE, ObjectLocation, SaccadeConfig, crop_pixels, make_crop,
                        resize_affine, soft_nms)
@@ -88,6 +89,16 @@ def _bench_group_corners(size):
     return (lambda: group_corners(tl, br)), 0
 
 
+def _bench_peaks(size):
+    # an oracle corner map: zero but for a few peaks, so the zero plateau
+    # survives the window test and the top 100 are mostly ties at 0
+    heat = np.zeros((1, 3, size, size), np.float32)
+    rng = _rng()
+    cells = rng.integers(0, size, (8, 2))
+    heat[0, rng.integers(0, 3, 8), cells[:, 0], cells[:, 1]] = rng.uniform(0.5, 1.0, 8)
+    return (lambda: heatmap_peaks(heat, 100)), 0
+
+
 def _square_image(size):
     return _rng().normal(size=(1, 3, size, size)).astype(np.float32)
 
@@ -125,6 +136,7 @@ BENCH_OPS = {
     "maxpool3x3": _bench_maxpool3x3,
     "soft_nms": _bench_soft_nms,
     "group_corners": _bench_group_corners,
+    "peaks": _bench_peaks,
     "crop_pixels": _bench_crop_pixels,
     "resize255": _bench_resize255,
     "forward_hourglass54": _bench_forward(build_hourglass54),

@@ -7,6 +7,7 @@ geometry.  Corner coordinates live on the heatmap grid; ``(coord +
 offset) * downsample_factor`` maps them back to input pixels.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,19 +62,26 @@ class Detection:
 
 
 def _peak_columns(heatmaps, k, offsets=None, embeddings=None):
-    """Array core of ``heatmap_peaks``: class, score, x, y, dx, dy, embed columns."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """Array core of ``heatmap_peaks``: class, score, x, y, dx, dy, embed columns.
+
+    Survivors are found as flat indices into the (C, H, W) heatmap, which
+    ascend in (class, y, x) order.  Only the k picked indices are turned
+    back into class, y and x: a flat map, where most cells tie with their
+    window (an oracle map's zero plateau), survives in the thousands.
+    """
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     heat = np.asarray(heatmaps, dtype=np.float32)
     if heat.ndim != 4 or heat.shape[0] != 1:
         raise ValueError(f"expected (1, C, H, W) heatmaps, got {heat.shape}")
     pooled = max_pool2d(heat, 3, 1, 1)
-    keep = heat >= pooled  # equality: pooled >= heat everywhere by construction
-    cs, ys, xs = np.nonzero(keep[0])  # (class, y, x) order
-    scores = heat[0, cs, ys, xs]
-    # stable, so equal scores keep np.nonzero's (class, y, x) order
+    flat = heat[0].ravel()
+    # equality: pooled >= heat everywhere by construction
+    at = np.flatnonzero(flat >= pooled[0].ravel())
+    scores = flat[at]
+    # stable, so equal scores keep the (class, y, x) order of the flat index
     order = np.argsort(-scores, kind="stable")[:k]
-    cs, ys, xs = cs[order], ys[order], xs[order]
+    cs, ys, xs = np.unravel_index(at[order], heat.shape[1:])
 
     def read(maps, channel):
         if maps is None:
@@ -90,7 +98,12 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
     sort by score descending with ties broken by (class, y, x) ascending.
     Offsets (1, 2, H, W; channel 0 = x) and embeddings (1, 1, H, W) are read
     out at each kept location when provided.  Wraps ``_peak_columns``.
+    Raises ``ValueError`` for a heatmap with a NaN or infinite value, which
+    would otherwise drop out of the window test without an error.
     """
+    heatmaps = np.asarray(heatmaps, dtype=np.float32)
+    if not np.isfinite(heatmaps).all():
+        raise ValueError("heatmaps hold non-finite (NaN or inf) values")
     columns = _peak_columns(heatmaps, k, offsets, embeddings)
     return [Corner(*row, kind) for row in zip(*(c.tolist() for c in columns))]
 

@@ -6,6 +6,7 @@ kernel flip).  All kernels are pure functions; each has a slow loop-level
 counterpart in ``fovea.naive`` used as an independent test oracle.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,9 +258,15 @@ def nearest_upsample2x(x):
 def max_pool2d(x, kernel, stride, padding=0):
     """Sliding-window maximum; padded border cells count as -inf."""
     x = as_tensor(x)
-    if isinstance(kernel, int):
+    if isinstance(kernel, numbers.Integral):
         kernel = (kernel, kernel)
     kh, kw = kernel
+    if not (kh >= 1 and kw >= 1):
+        raise ValueError(f"kernel must be >= 1, got {kernel}")
+    if not (stride >= 1):
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if not (padding >= 0):
+        raise ValueError(f"padding must be >= 0, got {padding}")
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
     if oh < 1 or ow < 1:
@@ -308,48 +315,60 @@ def _bilinear_sample(x, ys, xs, zero_outside=False):
 
     ``ys`` and ``xs`` are float64 source coordinates with pixel centres at
     integers.  A tap beyond the image reads its clamped edge pixel, or zero
-    (signed like that pixel) with ``zero_outside``.  Separable: each sampled
-    row is gathered once, only over the column span the samples read, then
-    columns are gathered from those rows; at most two such row slabs live
-    at once.  A 2-D broadcast gather per tap is several times slower.
+    (signed like that pixel) with ``zero_outside``.
+
+    Separable, over the distinct source rows: the rows ``y0`` and ``y0 + 1``
+    read are merged into one sorted set, so a row that several samples read
+    (every upsampling step reads most rows twice) is fetched and
+    column-blended once.  Each column tap is one flat gather from the
+    (n, c, h*w) image at ``row * w + column``, with no copy of a row span
+    first.  With ``zero_outside``, only the gathered rows and columns that lie
+    outside the image are multiplied by zero: the same bits as a full 0/1
+    mask, since ``v * 1`` is ``v``, ``v * 0`` keeps the sign of ``v`` and
+    ``inf * 0`` is NaN.  Each output row then takes its two blended rows by
+    index.  The float32 operations, and their order, per sample are those of
+    a 2-D gather per tap followed by ``a*(1-f) + b*f`` on columns, then rows.
     """
-    h, w = x.shape[2:]
+    n, c, h, w = x.shape
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     fy = (ys - y0).astype(np.float32)[:, None]
     fx = (xs - x0).astype(np.float32)
-    lo = min(max(int(x0.min()), 0), w - 1)
-    hi = min(max(int(x0.max()) + 1, 0), w - 1) + 1
-    blended = []
-    for yi in (y0, y0 + 1):
-        # a slice plus one index array: np.take on a sliced view would first
-        # copy the whole column span of the image
-        rows = x[:, :, np.clip(yi, 0, h - 1), lo:hi]
-        taps = []
-        for xi in (x0, x0 + 1):
-            tap = np.take(rows, np.clip(xi, 0, w - 1) - lo, axis=3)
-            if zero_outside:
-                tap *= ((yi >= 0) & (yi < h))[:, None] & ((xi >= 0) & (xi < w))
-            taps.append(tap)
-        # in place, but the same float32 operations as a*(1-f) + b*f
-        left, right = taps
-        left *= 1 - fx
-        right *= fx
-        left += right
-        blended.append(left)
-    top, bot = blended
+    m = y0.size
+    rows, at = np.unique(np.concatenate([y0, y0 + 1]), return_inverse=True)
+    flat = x.reshape(n, c, h * w)
+    starts = (np.clip(rows, 0, h - 1) * w)[:, None]
+    taps = []
+    for xi in (x0, x0 + 1):
+        tap = np.take(flat, starts + np.clip(xi, 0, w - 1), axis=2)
+        if zero_outside:
+            tap[:, :, (rows < 0) | (rows >= h)] *= 0
+            tap[..., (xi < 0) | (xi >= w)] *= 0
+        taps.append(tap)
+    # in place, but the same float32 operations as a*(1-f) + b*f
+    left, right = taps
+    left *= 1 - fx
+    right *= fx
+    left += right
+    top = np.take(left, at[:m], axis=2)
+    bot = np.take(left, at[m:], axis=2)
     top *= 1 - fy
     bot *= fy
     top += bot
     return top
 
 
+def _check_size(name, value):
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def bilinear_resize(x, out_h, out_w):
     """Bilinear resample with half-pixel-center alignment and edge clamping."""
     x = as_tensor(x)
     n, c, h, w = x.shape
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"target dims must be >= 1, got {out_h}x{out_w}")
+    _check_size("out_h", out_h)
+    _check_size("out_w", out_w)
     # sample coordinates in float64: float32 coordinate rounding would shift
     # samples by ~1e-5 px, visibly perturbing values at these image sizes
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
@@ -363,8 +382,7 @@ def resize_longer_side(image, target):
     The shorter side is rounded half-up and floored at 1 pixel.
     """
     image = as_tensor(image)
-    if target < 1:
-        raise ValueError(f"target must be >= 1, got {target}")
+    _check_size("target", target)
     n, c, h, w = image.shape
     if h >= w:
         oh = target

@@ -16,7 +16,7 @@ import numpy as np
 from .decode import Detection, _detections, _group_columns, _peak_columns, size_class_of
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
-from .kernels import _bilinear_sample, as_tensor, resize_longer_side, zero_pad_to
+from .kernels import _bilinear_sample, _check_size, as_tensor, resize_longer_side, zero_pad_to
 
 CROP_SIZE = 255
 DOWNSIZE_SCALES = (255, 192)
@@ -249,9 +249,14 @@ def crop_pixels(image, window):
     """Bilinearly sample the source image under the window's affine map.
 
     Sample points whose bilinear support falls outside the canvas read zero.
+    Raises ``ValueError`` for a window size that is not an integer >= 1 and
+    for a non-finite ``to_original`` field.
     """
     image = as_tensor(image)
     aff = window.to_original
+    _check_size("window size", window.size)
+    if not np.isfinite([aff.sx, aff.sy, aff.ox, aff.oy]).all():
+        raise ValueError(f"window to_original must be finite, got {aff}")
     px = np.arange(window.size, dtype=np.float64)
     return _bilinear_sample(image, aff.sy * px + aff.oy, aff.sx * px + aff.ox,
                             zero_outside=True)
@@ -297,8 +302,9 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     exp(-iou^2 / sigma), linear mode scales by (1 - iou) when iou exceeds
     ``linear_threshold``.  Boxes whose score ends up (or starts) below
     ``score_floor`` are dropped.  Output sorts by final score, then class,
-    then box.  Raises ``ValueError`` for an unknown ``method`` and for a
-    detection with a non-finite score or box coordinate.
+    then box.  Raises ``ValueError`` for an unknown ``method``, a NaN
+    ``sigma``, ``score_floor`` or ``linear_threshold``, and a detection with
+    a non-finite score or box coordinate.
 
     Each class's pool is held once as contiguous ``x1, y1, x2, y2`` and
     ``area`` columns in box order, with scratch buffers filled in place.  A
@@ -317,6 +323,9 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     """
     if not (sigma > 0):
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    for name, value in (("score_floor", score_floor), ("linear_threshold", linear_threshold)):
+        if value != value:
+            raise ValueError(f"{name} must not be NaN")
     if method not in ("gaussian", "linear"):
         raise ValueError(f"unknown soft-NMS method {method!r}; expected 'gaussian' or 'linear'")
     scores = np.array([d.score for d in dets], dtype=np.float64)

@@ -22,9 +22,9 @@ def test_bench_stem_conv_schema():
 
 
 def test_bench_post_network_ops_schema():
-    report = bench(["soft_nms", "group_corners"], [16], repetitions=2)
+    report = bench(["soft_nms", "group_corners", "peaks"], [16], repetitions=2)
     assert [(e["op"], e["size"], e["macs"], e["samples"]) for e in report["entries"]] == \
-           [("soft_nms", 16, 0, 2), ("group_corners", 16, 0, 2)]
+           [("soft_nms", 16, 0, 2), ("group_corners", 16, 0, 2), ("peaks", 16, 0, 2)]
     for e in report["entries"]:
         assert 0 < e["p10_s"] <= e["median_s"] <= e["p90_s"]
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fovea import naive
-from fovea.decode import (Corner, Detection, attention_targets, focal_loss,
+from fovea.decode import (Corner, Detection, _peak_columns, attention_targets, focal_loss,
                           group_corners, heatmap_peaks, pull_push_offset_losses,
                           size_class_of)
+from fovea.kernels import max_pool2d
 
 
 # ---- heatmap peaks -------------------------------------------------------------
@@ -110,6 +111,49 @@ def test_peaks_match_lexsort_reference_exactly(case):
         want = _peaks_lexsort(heat, k, **kw)
         assert got == want
         assert all(type(c.score) is float and type(c.dx) is float for c in got)
+
+
+def _peak_columns_nonzero(heatmaps, k, offsets=None, embeddings=None):
+    """The former _peak_columns: (class, y, x) index arrays from np.nonzero
+    and a 3-index gather over every survivor, then the same stable argsort."""
+    heat = np.asarray(heatmaps, dtype=np.float32)
+    pooled = max_pool2d(heat, 3, 1, 1)
+    cs, ys, xs = np.nonzero((heat >= pooled)[0])
+    scores = heat[0, cs, ys, xs]
+    order = np.argsort(-scores, kind="stable")[:k]
+    cs, ys, xs = cs[order], ys[order], xs[order]
+
+    def read(maps, channel):
+        if maps is None:
+            return np.zeros(len(order))
+        return np.asarray(maps[0, channel, ys, xs], dtype=np.float64)
+
+    return cs, scores[order], xs, ys, read(offsets, 0), read(offsets, 1), read(embeddings, 0)
+
+
+def _peak_column_fixtures():
+    # the lexsort fixtures hold the zero plateaus, tied scores and k above
+    # the survivor count; add k = 1 and non-contiguous heatmaps
+    fixtures = _peak_fixtures()
+    (plateau, _), (cross, _) = fixtures[0], fixtures[2]
+    wide = np.random.default_rng(31).uniform(0, 1, (1, 3, 50, 70)).astype(np.float32)
+    return fixtures + [(plateau, 1), (cross, 1), (wide[:, :, ::2, 1::3], 30),
+                       (np.swapaxes(wide, 2, 3), 100)]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_peak_columns_bytes_match_nonzero_reference(case):
+    heat, k = _peak_column_fixtures()[case]
+    rng = np.random.default_rng(case)
+    h, w = heat.shape[2:]
+    off = rng.uniform(-1, 1, (1, 2, h, w)).astype(np.float32)
+    emb = rng.normal(size=(1, 1, h, w)).astype(np.float32)
+    for maps in ((None, None), (off, emb)):
+        got = _peak_columns(heat, k, *maps)
+        want = _peak_columns_nonzero(heat, k, *maps)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
 
 
 def test_peaks_rejects_bad_k():

@@ -456,11 +456,35 @@ def _bilinear_resize_2d_gather(x, out_h, out_w):
     ((1, 3, 1020, 1020), (255, 255)), ((1, 3, 480, 640), (144, 192)),
     ((1, 3, 720, 960), (191, 255)), ((2, 3, 50, 70), (255, 127)),
     ((1, 1, 9, 300), (1, 17)), ((2, 1, 1, 1), (3, 5)), ((1, 2, 64, 33), (64, 33)),
+    ((1, 3, 510, 510), (1020, 1020)),  # step 0.5: every source row read twice
+    ((2, 1, 64, 48), (64, 48)),  # step exactly 1.0
+    ((1, 3, 300, 340), (200, 255)), ((2, 1, 97, 41), (60, 30)),  # steps in (1, 2)
 ])
 def test_bilinear_resize_bit_equal_to_2d_gather(shape, out_hw):
     x = rand(shape, seed=sum(shape) + sum(out_hw))  # signed values
     x[..., :3, :3] = -0.0
     got, want = bilinear_resize(x, *out_hw), _bilinear_resize_2d_gather(x, *out_hw)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape,out_hw", [
+    ((1, 3, 510, 510), (1020, 1020)), ((2, 1, 64, 48), (64, 48)),
+    ((1, 3, 300, 340), (200, 255)), ((2, 1, 1020, 1020), (255, 255)),
+])
+def test_bilinear_resize_bit_equal_to_2d_gather_with_infinities(shape, out_hw):
+    # inf * 0 and inf - inf make NaNs, so bytes compare NaN signs as well
+    rng = np.random.default_rng(sum(shape) + sum(out_hw))
+    x = rand(shape, seed=sum(shape))
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, flat.size // 200, replace=False)
+    flat[at] = rng.choice([np.inf, -np.inf], at.size)
+    x[..., 0, ::7] = np.inf
+    x[..., ::5, -1] = -np.inf
+    x[..., :3, :3] = -0.0
+    with np.errstate(invalid="ignore"):
+        got, want = bilinear_resize(x, *out_hw), _bilinear_resize_2d_gather(x, *out_hw)
+    assert np.isnan(want).any() and np.isinf(want).any()
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

@@ -393,6 +393,39 @@ def test_crop_pixels_bit_equal_to_2d_gather(hw):
         assert got.tobytes() == want.tobytes(), w
 
 
+@pytest.mark.parametrize("shape,infinities", [
+    ((1, 3, 510, 510), False), ((2, 1, 510, 510), False), ((2, 1, 97, 41), False),
+    ((1, 3, 510, 510), True), ((2, 1, 300, 340), True),
+])
+def test_crop_pixels_bit_equal_to_2d_gather_steps_and_infinities(shape, infinities):
+    rng = np.random.default_rng(sum(shape))
+    img = rng.normal(size=shape).astype(np.float32)  # signed pixels
+    if infinities:  # inf * 0 and inf - inf make NaNs, so bytes compare NaN signs too
+        flat = img.reshape(-1)
+        at = rng.choice(flat.size, flat.size // 200, replace=False)
+        flat[at] = rng.choice([np.inf, -np.inf], at.size)
+        img[:, :, 0, ::7] = np.inf
+        img[:, :, ::5, -1] = -np.inf
+    img[:, :, :9, :9] = -0.0
+    h, w = shape[2:]
+    # zoom 4 and zoom 2 on a 510-px image sample at steps 0.5 and exactly 1.0
+    aff = resize_affine((h, w), (255, 255))
+    windows = [make_crop(_loc(x, y, 0.9, size=size), SaccadeConfig(), (255, 255), aff)
+               for size in ("small", "medium") for x, y in ((0.0, 0.0), (127.0, 90.0))]
+    for step in (0.5, 1.0, 1.25, 1.5, 1.9):
+        for ox, oy in ((0.25, 0.75), (-40.0, 3.3), (w - 30.5, -25.0), (2.0, h + 7.0)):
+            windows.append(CropWindow(zoom=1.0, x0=0, y0=0,
+                                      to_original=Affine(step, step, ox, oy)))
+    nans = 0
+    for window in windows:
+        with np.errstate(invalid="ignore"):
+            got, want = crop_pixels(img, window), _crop_pixels_2d_gather(img, window)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), window
+        nans += int(np.isnan(want).sum())
+    assert (nans > 0) == infinities
+
+
 # ---- boundary stripping --------------------------------------------------------
 
 
