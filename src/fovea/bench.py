@@ -7,7 +7,8 @@ per MAC is then derivable on any machine.  The post-network ops
 is the input pool size, the number of corners per kind, or the side of a
 (1, 3, size, size) heatmap.  The sampling ops
 (``crop_pixels``, ``resize255``) count no MACs either; their ``size`` is the
-side of a square source image.
+side of a square source image.  The ``init_*`` ops time ``init_weights``
+at seed 0 on the graph built at ``size`` and count no MACs.
 """
 
 import time
@@ -128,6 +129,13 @@ def _bench_forward(builder, num_classes=3):
     return make
 
 
+def _bench_init(builder, num_classes=3):
+    def make(size):
+        graph = builder(num_classes, input_hw=(size, size))
+        return (lambda: init_weights(graph, seed=0)), 0
+    return make
+
+
 BENCH_OPS = {
     "conv3x3": _bench_conv3x3,
     "conv7x7s2": _bench_conv7x7s2,
@@ -141,6 +149,8 @@ BENCH_OPS = {
     "resize255": _bench_resize255,
     "forward_hourglass54": _bench_forward(build_hourglass54),
     "forward_squeeze": _bench_forward(build_squeeze_hourglass),
+    "init_hourglass54": _bench_init(build_hourglass54),
+    "init_squeeze": _bench_init(build_squeeze_hourglass),
 }
 
 

@@ -7,6 +7,7 @@ geometry.  Corner coordinates live on the heatmap grid; ``(coord +
 offset) * downsample_factor`` maps them back to input pixels.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -19,14 +20,22 @@ CLAMP_EPS = 1e-7  # keeps log() finite in the losses
 # object size routing by the longer box side, in input pixels
 SMALL_MAX = 32.0   # strictly below -> small
 MEDIUM_MAX = 96.0  # up to and including -> medium; beyond -> large
+SIZE_CLASSES = ("small", "medium", "large")
 
 
-def size_class_of(longer_side):
+def _size_class(longer_side):
+    """``size_class_of`` without its check: a NaN side routes to large."""
     if longer_side < SMALL_MAX:
         return "small"
     if longer_side <= MEDIUM_MAX:
         return "medium"
     return "large"
+
+
+def size_class_of(longer_side):
+    if not (longer_side >= 0):
+        raise ValueError(f"longer_side must be >= 0, got {longer_side!r}")
+    return _size_class(longer_side)
 
 
 @dataclass
@@ -99,11 +108,17 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
     Offsets (1, 2, H, W; channel 0 = x) and embeddings (1, 1, H, W) are read
     out at each kept location when provided.  Wraps ``_peak_columns``.
     Raises ``ValueError`` for a heatmap with a NaN or infinite value, which
-    would otherwise drop out of the window test without an error.
+    would otherwise drop out of the window test without an error, and for
+    offsets or embeddings not shaped as above at the heatmap's (H, W).
     """
     heatmaps = np.asarray(heatmaps, dtype=np.float32)
     if not np.isfinite(heatmaps).all():
         raise ValueError("heatmaps hold non-finite (NaN or inf) values")
+    for name, maps, channels in (("offsets", offsets, 2), ("embeddings", embeddings, 1)):
+        want = (1, channels, *heatmaps.shape[2:])
+        if maps is not None and np.shape(maps) != want:
+            raise ValueError(f"{name} must be shaped {want} to match the heatmaps, "
+                             f"got {np.shape(maps)}")
     columns = _peak_columns(heatmaps, k, offsets, embeddings)
     return [Corner(*row, kind) for row in zip(*(c.tolist() for c in columns))]
 
@@ -151,8 +166,10 @@ def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor
     ``oracle_outputs(gt, 3, frame_hw=(97, 641))``, are out of contract: their
     boxes decode at the wrong scale on at least one axis.
     """
-    if embed_threshold < 0:
+    if not (embed_threshold >= 0):
         raise ValueError(f"embed_threshold must be >= 0, got {embed_threshold}")
+    if not (0 < downsample_factor < math.inf):
+        raise ValueError(f"downsample_factor must be finite and > 0, got {downsample_factor}")
     if not tl_corners or not br_corners:
         return []
     tl, br = ((np.array([c.cls for c in corners], dtype=np.int64),
@@ -166,12 +183,15 @@ def focal_loss(pred, gt, alpha=2.0):
     """Binary-target focal loss, averaged over the positive count.
 
     loss = -(1/max(1, N_pos)) * sum[ gt*(1-p)^a*log(p) + (1-gt)*p^a*log(1-p) ]
-    Predictions are clamped into (eps, 1-eps) before the logs.
+    Predictions must lie in [0, 1]; they are clamped into (eps, 1-eps)
+    before the logs.
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError(f"pred {p.shape} and gt {g.shape} differ in shape")
+    if not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("pred must lie in [0, 1]")
     if not np.all((g == 0) | (g == 1)):
         raise ValueError("gt must be binary (0 or 1)")
     p = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -188,6 +208,8 @@ def attention_targets(boxes, map_hw, size_class, stride):
     pixel at their center, mapped to map coordinates at the given stride and
     rounded half-up.
     """
+    if not (0 < stride < math.inf):
+        raise ValueError(f"stride must be finite and > 0, got {stride}")
     h, w = map_hw
     target = np.zeros((1, 1, h, w), dtype=np.float32)
     for box in boxes:

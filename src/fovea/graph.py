@@ -24,6 +24,7 @@ many threads.
 import functools
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -313,14 +314,29 @@ class ArchGraph:
 # ---- weights ----------------------------------------------------------------
 
 
+_DRAW_CHUNK = 1 << 16  # float64 values drawn per in-place fill
+
+
 def init_weights(graph, seed=0, zeros=False):
     """Materialize weight arrays for every weighted node (attached to the graph).
 
     Random weights are fan-in scaled normals from a seeded generator; biases
     start at zero.  These exist for shape-true execution and testing, not for
-    detection quality.
+    detection quality.  ``seed`` must be an integer >= 0.
+
+    Each tensor is allocated once as float32 and filled ``_DRAW_CHUNK``
+    values at a time through one float64 scratch buffer:
+    ``standard_normal(out=)``, then ``* scale`` and ``+ 0.0``, then a cast
+    into the tensor.  That is the arithmetic ``Generator.normal(0.0, scale)``
+    does per value (``loc + scale * z``; adding +0.0 turns a -0.0 product
+    into +0.0), on the same stream in the same node order, so every weight
+    is bit-identical to ``normal(0.0, scale, shape).astype(np.float32)``
+    without that call's float64 copy of the whole tensor.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
+    scratch = np.empty(_DRAW_CHUNK)
     params = {}
     for node in graph.nodes:
         if not node.is_weighted():
@@ -329,7 +345,15 @@ def init_weights(graph, seed=0, zeros=False):
         if zeros:
             w = np.zeros(shape, np.float32)
         else:
-            w = rng.normal(0.0, 1.0 / np.sqrt(max(1, fan_in)), size=shape).astype(np.float32)
+            w = np.empty(shape, np.float32)
+            scale = 1.0 / np.sqrt(max(1, fan_in))
+            flat = w.reshape(-1)
+            for start in range(0, flat.size, _DRAW_CHUNK):
+                chunk = scratch[:flat.size - start]
+                rng.standard_normal(out=chunk)
+                chunk *= scale
+                chunk += 0.0
+                flat[start:start + chunk.size] = chunk
         entry = {"w": w}
         if node.bias:
             entry["b"] = np.zeros(node.out_channels, np.float32)

@@ -260,13 +260,14 @@ def max_pool2d(x, kernel, stride, padding=0):
     x = as_tensor(x)
     if isinstance(kernel, numbers.Integral):
         kernel = (kernel, kernel)
+    if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
+            and all(isinstance(v, numbers.Integral) and v >= 1 for v in kernel)):
+        raise ValueError(f"kernel must be an integer >= 1 or a pair of them, got {kernel!r}")
     kh, kw = kernel
-    if not (kh >= 1 and kw >= 1):
-        raise ValueError(f"kernel must be >= 1, got {kernel}")
-    if not (stride >= 1):
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if not (padding >= 0):
-        raise ValueError(f"padding must be >= 0, got {padding}")
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    if not isinstance(padding, numbers.Integral) or padding < 0:
+        raise ValueError(f"padding must be an integer >= 0, got {padding!r}")
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
     if oh < 1 or ow < 1:

@@ -7,13 +7,15 @@ frame is the 255-longer-side downsized image; locations found on the
 distances and crop construction live in one coordinate system.
 """
 
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .decode import Detection, _detections, _group_columns, _peak_columns, size_class_of
+from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _peak_columns,
+                     _size_class)
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
 from .kernels import _bilinear_sample, _check_size, as_tensor, resize_longer_side, zero_pad_to
@@ -170,11 +172,19 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
 
     ``attention_maps`` maps size class -> (1, 1, h, w) score map;
     ``strides`` maps size class -> frame pixels per map pixel.  Output is
-    sorted by score descending, ties by (y, x, size) ascending.
+    sorted by score descending, ties by (y, x, size) ascending.  Raises
+    ``ValueError`` for a NaN or infinite threshold, a key that is not a size
+    class, and a missing, non-finite or non-positive stride.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     locations = []
     for size, arr in attention_maps.items():
-        stride = strides[size]
+        if size not in SIZE_CLASSES:
+            raise ValueError(f"attention_maps key {size!r} is not a size class {SIZE_CLASSES}")
+        stride = strides.get(size)
+        if stride is None or not (0 < stride < math.inf):
+            raise ValueError(f"strides[{size!r}] must be finite and > 0, got {stride}")
         scores = np.asarray(arr, dtype=np.float32).reshape(arr.shape[-2], arr.shape[-1])
         ys, xs = np.nonzero(scores > threshold)
         for y, x in zip(ys.tolist(), xs.tolist()):
@@ -189,7 +199,7 @@ def location_from_detection(det, scale=255):
     """Coarse candidate from a downsized-image detection (box center)."""
     x1, y1, x2, y2 = det.box
     return ObjectLocation(x=(x1 + x2) / 2.0, y=(y1 + y2) / 2.0,
-                          size=size_class_of(max(x2 - x1, y2 - y1)),
+                          size=_size_class(max(x2 - x1, y2 - y1)),
                           score=det.score, source="box", scale=scale)
 
 
@@ -249,11 +259,13 @@ def crop_pixels(image, window):
     """Bilinearly sample the source image under the window's affine map.
 
     Sample points whose bilinear support falls outside the canvas read zero.
-    Raises ``ValueError`` for a window size that is not an integer >= 1 and
-    for a non-finite ``to_original`` field.
+    Raises ``ValueError`` for a window size that is not an integer >= 1, a
+    ``to_original`` that is not an ``Affine``, and a non-finite field of it.
     """
     image = as_tensor(image)
     aff = window.to_original
+    if not isinstance(aff, Affine):
+        raise ValueError(f"window to_original must be an Affine, got {aff!r}")
     _check_size("window size", window.size)
     if not np.isfinite([aff.sx, aff.sy, aff.ox, aff.oy]).all():
         raise ValueError(f"window to_original must be finite, got {aff}")
@@ -270,6 +282,8 @@ def _inside_margin(x1, y1, x2, y2, margin, crop_size=CROP_SIZE):
 
 def strip_boundary_boxes(dets, margin=0.0, crop_size=CROP_SIZE):
     """Drop detections whose box comes within ``margin`` pixels of a crop edge."""
+    if not (margin >= 0):
+        raise ValueError(f"margin must be >= 0, got {margin}")
     return [d for d in dets if _inside_margin(*d.box, margin, crop_size)]
 
 
@@ -402,7 +416,7 @@ class GraphModel:
     def infer(self, image, to_original=None):
         taps = forward(self.graph, image, self.params)
         attention = {size: taps[f"attn_{size}"]
-                     for size in ("small", "medium", "large") if f"attn_{size}" in taps}
+                     for size in SIZE_CLASSES if f"attn_{size}" in taps}
         corners = {kind: {"heat": taps[f"{kind}_heat"], "embed": taps[f"{kind}_embed"],
                           "off": taps[f"{kind}_off"]}
                    for kind in ("tl", "br")}

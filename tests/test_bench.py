@@ -51,3 +51,10 @@ def test_bench_rejects_unknown_op_and_bad_reps():
         bench(["warp_speed"], [8])
     with pytest.raises(ValueError, match="repetitions"):
         bench(["conv3x3"], [8], repetitions=0)
+
+
+def test_bench_init_ops_schema():
+    report = bench(["init_squeeze"], [127], repetitions=1)
+    assert [(e["op"], e["size"], e["macs"], e["samples"]) for e in report["entries"]] == \
+           [("init_squeeze", 127, 0, 1)]
+    assert report["entries"][0]["median_s"] > 0

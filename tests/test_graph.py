@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fovea import graph as graph_module, skt
-from fovea.builders import build_squeeze_hourglass
+from fovea.builders import build_single_module, build_squeeze_hourglass
 from fovea.graph import ArchGraph, Node, forward, init_weights
 
 
@@ -219,3 +220,64 @@ def test_forward_calls_kernels_through_module_globals(monkeypatch):
     g.nodes[1].activation = "relu"
     forward(g, rand((1, 3, 8, 8)))
     assert calls == ["conv2d", "relu", "conv2d", "transpose_conv2d"]
+
+
+def _init_weights_normal(graph, seed):
+    """Frozen copy of the one-call draw: ``normal`` per tensor, then a float32 cast."""
+    rng = np.random.default_rng(seed)
+    weights = {}
+    for node in graph.nodes:
+        if not node.is_weighted():
+            continue
+        shape, fan_in = graph_module.OPS[node.kind].weight(node)
+        weights[node.id] = rng.normal(0.0, 1.0 / np.sqrt(max(1, fan_in)),
+                                      size=shape).astype(np.float32)
+    return weights
+
+
+def _assert_weights_match_normal(graph, seed):
+    want = _init_weights_normal(graph, seed)
+    got = init_weights(graph, seed=seed)
+    assert list(got) == list(want)
+    for node_id, w in want.items():
+        assert got[node_id]["w"].dtype == np.float32
+        assert got[node_id]["w"].tobytes() == w.tobytes(), node_id
+        if graph.node(node_id).bias:
+            assert got[node_id]["b"].tobytes() == bytes(4 * graph.node(node_id).out_channels)
+
+
+def _chunk_seam_graph():
+    # one 1->1 conv per tensor size; kernel (1, n) holds n values
+    chunk = graph_module._DRAW_CHUNK
+    g = ArchGraph((1, 1, 1, chunk + 1))
+    for i, n in enumerate((chunk - 1, chunk, chunk + 1, 1)):
+        g.add(Node(id=f"c{i}", kind="conv", inputs=["input"], in_channels=1, out_channels=1,
+                   kernel=(1, n), bias=i % 2 == 0))
+        g.tap(f"c{i}", f"c{i}")
+    g.shapes()
+    return g
+
+
+def test_init_weights_bytes_match_normal_on_squeeze():
+    _assert_weights_match_normal(build_squeeze_hourglass(num_classes=3), seed=0)
+
+
+def test_init_weights_bytes_match_normal_on_single_module():
+    _assert_weights_match_normal(build_single_module(), seed=1)
+
+
+def test_init_weights_bytes_match_normal_across_chunk_seams():
+    g = _chunk_seam_graph()
+    chunk = graph_module._DRAW_CHUNK
+    sizes = [math.prod(graph_module.param_shapes(node)["w"]) for node in g.nodes[1:]]
+    assert sizes == [chunk - 1, chunk, chunk + 1, 1]
+    _assert_weights_match_normal(g, seed=3)
+
+
+def test_init_weights_zeros_on_chunk_seam_graph():
+    g = _chunk_seam_graph()
+    params = init_weights(g, seed=3, zeros=True)
+    assert list(params) == ["c0", "c1", "c2", "c3"]
+    for node_id, tensors in params.items():
+        assert sorted(tensors) == (["b", "w"] if g.node(node_id).bias else ["w"])
+        assert all(t.dtype == np.float32 and not t.any() for t in tensors.values())

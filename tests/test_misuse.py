@@ -8,17 +8,29 @@ raises a message that does not name the argument.
 import numpy as np
 import pytest
 
-from fovea import (Affine, CropWindow, Detection, bilinear_resize, crop_pixels,
-                   heatmap_peaks, max_pool2d, resize_longer_side, soft_nms)
+from fovea import (Affine, ArchGraph, Corner, CropWindow, Detection, Node, attention_targets,
+                   bilinear_resize, crop_pixels, extract_locations, focal_loss, group_corners,
+                   heatmap_peaks, init_weights, max_pool2d, resize_longer_side, size_class_of,
+                   soft_nms, strip_boundary_boxes)
 
 NAN = float("nan")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
 HEAT = np.zeros((1, 3, 8, 8), np.float32)
 DETS = [Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0)), Detection(0, 0.8, (5.0, 0.0, 15.0, 10.0))]
+TL = [Corner(0, 0.9, 2, 2, embed=0.1)]
+BR = [Corner(0, 0.8, 6, 6, embed=0.2, kind="br")]
+ATTENTION = {"small": np.full((1, 1, 4, 4), 0.5, np.float32)}
+STRIDES = {"small": 4.0}
 
 
 def _window(size=4, scale=1.0):
     return CropWindow(zoom=1.0, x0=0, y0=0, size=size, to_original=Affine(scale, 1.0, 0.0, 0.0))
+
+
+def _conv_graph():
+    g = ArchGraph((1, 1, 4, 4))
+    g.add(Node(id="c", kind="conv", inputs=["input"], in_channels=1, out_channels=1))
+    return g
 
 
 MISUSE = [
@@ -41,6 +53,46 @@ MISUSE = [
     ("soft_nms", "score_floor", NAN, lambda v: soft_nms(DETS, score_floor=v), "score_floor"),
     ("soft_nms", "linear_threshold", NAN,
      lambda v: soft_nms(DETS, method="linear", linear_threshold=v), "linear_threshold"),
+    ("init_weights", "seed", 1.5, lambda v: init_weights(_conv_graph(), seed=v), "seed must be"),
+    ("init_weights", "seed", -1, lambda v: init_weights(_conv_graph(), seed=v), "seed must be"),
+    ("heatmap_peaks", "offsets", (1, 2, 4, 4),
+     lambda v: heatmap_peaks(HEAT, 5, offsets=np.zeros(v)), "offsets must be shaped"),
+    ("heatmap_peaks", "offsets", (1, 2, 16, 16),
+     lambda v: heatmap_peaks(HEAT, 5, offsets=np.zeros(v)), "offsets must be shaped"),
+    ("heatmap_peaks", "embeddings", (1, 3, 8, 8),
+     lambda v: heatmap_peaks(HEAT, 5, embeddings=np.zeros(v)), "embeddings must be shaped"),
+    ("max_pool2d", "kernel", 2.5, lambda v: max_pool2d(IMAGE, v, 1), "kernel must be"),
+    ("max_pool2d", "kernel", (3,), lambda v: max_pool2d(IMAGE, v, 1), "kernel must be"),
+    ("max_pool2d", "stride", 1.5, lambda v: max_pool2d(IMAGE, 3, v), "stride must be"),
+    ("max_pool2d", "padding", 0.5, lambda v: max_pool2d(IMAGE, 3, 1, v), "padding must be"),
+    ("crop_pixels", "window.to_original", None,
+     lambda v: crop_pixels(IMAGE, CropWindow(zoom=1.0, x0=0, y0=0, size=4, to_original=v)),
+     "window to_original must be an Affine"),
+    ("group_corners", "downsample_factor", NAN,
+     lambda v: group_corners(TL, BR, downsample_factor=v), "downsample_factor must be"),
+    ("group_corners", "downsample_factor", 0,
+     lambda v: group_corners(TL, BR, downsample_factor=v), "downsample_factor must be"),
+    ("group_corners", "downsample_factor", -4,
+     lambda v: group_corners(TL, BR, downsample_factor=v), "downsample_factor must be"),
+    ("group_corners", "embed_threshold", NAN,
+     lambda v: group_corners(TL, BR, embed_threshold=v), "embed_threshold must be"),
+    ("extract_locations", "threshold", NAN,
+     lambda v: extract_locations(ATTENTION, v, STRIDES), "threshold must be"),
+    ("extract_locations", "strides", 0,
+     lambda v: extract_locations(ATTENTION, 0.3, {"small": v}), r"strides\['small'\] must be"),
+    ("extract_locations", "strides", -4,
+     lambda v: extract_locations(ATTENTION, 0.3, {"small": v}), r"strides\['small'\] must be"),
+    ("extract_locations", "attention_maps", "tiny",
+     lambda v: extract_locations({v: ATTENTION["small"]}, 0.3, {v: 4.0}),
+     "attention_maps key 'tiny'"),
+    ("strip_boundary_boxes", "margin", NAN,
+     lambda v: strip_boundary_boxes(DETS, margin=v), "margin must be"),
+    ("attention_targets", "stride", 0,
+     lambda v: attention_targets([(0, 0, 8, 8)], (4, 4), "small", v), "stride must be"),
+    ("size_class_of", "longer_side", NAN, size_class_of, "longer_side must be"),
+    ("size_class_of", "longer_side", -1, size_class_of, "longer_side must be"),
+    ("focal_loss", "pred", 2.0,
+     lambda v: focal_loss(np.array([[v]]), np.array([[1.0]])), "pred must lie in"),
 ]
 
 
