@@ -23,19 +23,15 @@ MEDIUM_MAX = 96.0  # up to and including -> medium; beyond -> large
 SIZE_CLASSES = ("small", "medium", "large")
 
 
-def _size_class(longer_side):
-    """``size_class_of`` without its check: a NaN side routes to large."""
-    if longer_side < SMALL_MAX:
-        return "small"
-    if longer_side <= MEDIUM_MAX:
-        return "medium"
-    return "large"
+def _size_index(longer_side):
+    """``SIZE_CLASSES`` index of a side or each of an array, unchecked: NaN is large."""
+    return 2 - (longer_side <= MEDIUM_MAX) - (longer_side < SMALL_MAX)
 
 
 def size_class_of(longer_side):
     if not (longer_side >= 0):
         raise ValueError(f"longer_side must be >= 0, got {longer_side!r}")
-    return _size_class(longer_side)
+    return SIZE_CLASSES[_size_index(longer_side)]
 
 
 @dataclass
@@ -206,8 +202,11 @@ def attention_targets(boxes, map_hw, size_class, stride):
 
     Boxes whose longer side routes to ``size_class`` contribute one positive
     pixel at their center, mapped to map coordinates at the given stride and
-    rounded half-up.
+    rounded half-up.  Raises ``ValueError`` for a ``size_class`` that is not
+    one of ``SIZE_CLASSES`` and a stride that is not finite and > 0.
     """
+    if size_class not in SIZE_CLASSES:
+        raise ValueError(f"size_class must be one of {SIZE_CLASSES}, got {size_class!r}")
     if not (0 < stride < math.inf):
         raise ValueError(f"stride must be finite and > 0, got {stride}")
     h, w = map_hw

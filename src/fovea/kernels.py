@@ -6,7 +6,6 @@ kernel flip).  All kernels are pure functions; each has a slow loop-level
 counterpart in ``fovea.naive`` used as an independent test oracle.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,11 @@ _COLS_BYTES = 4 << 20
 # in float32, where the true value would otherwise round to 0.0 or 1.0.
 _SIG_LO = np.float32(np.finfo(np.float32).tiny)
 _SIG_HI = np.float32(1.0) - np.float32(2.0 ** -24)
+
+# Integer types accepted for sizes, kernels and strides: the common members
+# of numbers.Integral, whose abstract isinstance check costs ~1 us a call
+# and ConvSpec runs once per conv node on every forward.
+_INTEGERS = (int, np.integer)
 
 
 def as_tensor(x):
@@ -44,15 +48,12 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
-        kh, kw = self.kernel
-        if kh < 1 or kw < 1:
-            raise ValueError(f"kernel must be >= 1, got {self.kernel}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
+        kernel = self.kernel
+        if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
+                and all(isinstance(v, _INTEGERS) and v >= 1 for v in kernel)):
+            raise ValueError(f"kernel must be a pair of integers >= 1, got {kernel!r}")
+        for name, least in (("stride", 1), ("padding", 0), ("groups", 1)):
+            _check_size(name, getattr(self, name), least)
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError(
                 f"channels ({self.in_channels} -> {self.out_channels}) must be "
@@ -258,16 +259,14 @@ def nearest_upsample2x(x):
 def max_pool2d(x, kernel, stride, padding=0):
     """Sliding-window maximum; padded border cells count as -inf."""
     x = as_tensor(x)
-    if isinstance(kernel, numbers.Integral):
+    if isinstance(kernel, _INTEGERS):
         kernel = (kernel, kernel)
     if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
-            and all(isinstance(v, numbers.Integral) and v >= 1 for v in kernel)):
+            and all(isinstance(v, _INTEGERS) and v >= 1 for v in kernel)):
         raise ValueError(f"kernel must be an integer >= 1 or a pair of them, got {kernel!r}")
     kh, kw = kernel
-    if not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    if not isinstance(padding, numbers.Integral) or padding < 0:
-        raise ValueError(f"padding must be an integer >= 0, got {padding!r}")
+    _check_size("stride", stride)
+    _check_size("padding", padding, 0)
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
     if oh < 1 or ow < 1:
@@ -359,9 +358,9 @@ def _bilinear_sample(x, ys, xs, zero_outside=False):
     return top
 
 
-def _check_size(name, value):
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_size(name, value, least=1):
+    if not isinstance(value, _INTEGERS) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def bilinear_resize(x, out_h, out_w):

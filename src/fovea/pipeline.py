@@ -9,19 +9,19 @@ distances and crop construction live in one coordinate system.
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
 from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _peak_columns,
-                     _size_class)
+                     _size_index)
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
 from .kernels import _bilinear_sample, _check_size, as_tensor, resize_longer_side, zero_pad_to
 
 CROP_SIZE = 255
 DOWNSIZE_SCALES = (255, 192)
+SOURCES = ("box", "attention")  # candidate sources, in rank order
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,6 @@ class ObjectLocation:
     score: float
     source: str = "attention"   # "attention" | "box"
     scale: int = 255            # downsized image the candidate came from
-
-    def key(self):
-        return (self.source, self.size, self.scale, round(self.x, 4), round(self.y, 4),
-                round(self.score, 6))
 
 
 @dataclass
@@ -129,8 +125,9 @@ class SaccadeConfig:
             raise ValueError("embed_threshold must be >= 0")
 
     def zoom_for(self, size):
-        return {"small": self.zoom_small, "medium": self.zoom_medium,
-                "large": self.zoom_large}[size]
+        if size not in SIZE_CLASSES:
+            raise ValueError(f"size must be one of {SIZE_CLASSES}, got {size!r}")
+        return getattr(self, f"zoom_{size}")
 
     def to_dict(self):
         return asdict(self)
@@ -174,7 +171,8 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
     ``strides`` maps size class -> frame pixels per map pixel.  Output is
     sorted by score descending, ties by (y, x, size) ascending.  Raises
     ``ValueError`` for a NaN or infinite threshold, a key that is not a size
-    class, and a missing, non-finite or non-positive stride.
+    class, a map not shaped (1, 1, h, w), and a missing, non-finite or
+    non-positive stride.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
@@ -185,12 +183,13 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
         stride = strides.get(size)
         if stride is None or not (0 < stride < math.inf):
             raise ValueError(f"strides[{size!r}] must be finite and > 0, got {stride}")
-        scores = np.asarray(arr, dtype=np.float32).reshape(arr.shape[-2], arr.shape[-1])
+        if np.ndim(arr) != 4 or np.shape(arr)[:2] != (1, 1):
+            raise ValueError(f"attention_maps[{size!r}] must be shaped (1, 1, h, w), "
+                             f"got {np.shape(arr)}")
+        scores = np.asarray(arr, dtype=np.float32)[0, 0]
         ys, xs = np.nonzero(scores > threshold)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            locations.append(ObjectLocation(x=x * stride, y=y * stride, size=size,
-                                            score=float(scores[y, x]), source="attention",
-                                            scale=scale))
+        locations += [ObjectLocation(x * stride, y * stride, size, score, "attention", scale)
+                      for y, x, score in zip(ys.tolist(), xs.tolist(), scores[ys, xs].tolist())]
     locations.sort(key=lambda l: (-l.score, l.y, l.x, l.size))
     return locations
 
@@ -198,9 +197,21 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
 def location_from_detection(det, scale=255):
     """Coarse candidate from a downsized-image detection (box center)."""
     x1, y1, x2, y2 = det.box
-    return ObjectLocation(x=(x1 + x2) / 2.0, y=(y1 + y2) / 2.0,
-                          size=_size_class(max(x2 - x1, y2 - y1)),
-                          score=det.score, source="box", scale=scale)
+    return ObjectLocation((x1 + x2) / 2.0, (y1 + y2) / 2.0,
+                          SIZE_CLASSES[_size_index(max(x2 - x1, y2 - y1))], det.score, "box", scale)
+
+
+def _suppress_columns(xs, ys, radius):
+    """Array core of ``suppress_locations``: the indices kept from x, y columns in rank order."""
+    live = np.ones(len(xs), dtype=bool)
+    for i in range(len(xs)):
+        if live[i]:
+            dx = np.abs(xs[i + 1:] - xs[i])
+            dy = np.abs(ys[i + 1:] - ys[i])
+            # Python's max(dx, dy) keeps dx unless dy > dx, so a NaN in either
+            # distance behaves as in the scalar loop
+            live[i + 1:] &= np.where(dy > dx, dy, dx) > radius
+    return np.flatnonzero(live)
 
 
 def suppress_locations(locations, radius=16.0):
@@ -208,25 +219,18 @@ def suppress_locations(locations, radius=16.0):
 
     Box-sourced candidates outrank every attention-sourced one; within a
     source, higher score wins (ties by y, then x).  Keeping a location
-    removes all remaining ones within Chebyshev distance ``radius``.
+    removes all remaining ones within Chebyshev distance ``radius``.  Wraps
+    ``_suppress_columns``.  Raises ``ValueError`` for a NaN or negative
+    radius and a location whose source is not one of ``SOURCES``.
     """
     if not (radius >= 0):
         raise ValueError(f"radius must be >= 0, got {radius}")
-    pool = sorted(locations, key=lambda l: (0 if l.source == "box" else 1, -l.score, l.y, l.x))
-    xs = np.array([l.x for l in pool], dtype=np.float64)
-    ys = np.array([l.y for l in pool], dtype=np.float64)
-    live = np.ones(len(pool), dtype=bool)
-    kept = []
-    for i in range(len(pool)):
-        if not live[i]:
-            continue
-        kept.append(pool[i])
-        dx = np.abs(xs[i:] - xs[i])
-        dy = np.abs(ys[i:] - ys[i])
-        # Python's max(dx, dy) keeps dx unless dy > dx, so a NaN in either
-        # distance behaves as in the scalar loop
-        live[i:] &= np.where(dy > dx, dy, dx) > radius
-    return kept
+    for loc in locations:
+        if loc.source not in SOURCES:
+            raise ValueError(f"location source must be one of {SOURCES}, got {loc.source!r}")
+    pool = sorted(locations, key=lambda l: (SOURCES.index(l.source), -l.score, l.y, l.x))
+    xs, ys = (np.array([getattr(l, axis) for l in pool], dtype=np.float64) for axis in "xy")
+    return [pool[i] for i in _suppress_columns(xs, ys, radius)]
 
 
 # ---- crops ----------------------------------------------------------------------
@@ -504,6 +508,16 @@ def _clamp_boxes(boxes, width, height):
     return np.where(hi < boxes, hi, boxes)
 
 
+def _candidates(source, score, x, y, size, scale):
+    """(n, 6) float rows of source index, score, x, y, size index and scale."""
+    return np.column_stack(np.broadcast_arrays(SOURCES.index(source), score, x, y, size, scale))
+
+
+def _location(row):
+    source, score, x, y, size, scale = row
+    return ObjectLocation(x, y, SIZE_CLASSES[int(size)], score, SOURCES[int(source)], int(scale))
+
+
 def run_saccade(image, model, config=None, trace=None, crop_order=None):
     """Full inference: downsize, rank candidate locations, zoom, detect, merge.
 
@@ -512,8 +526,9 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     pixel counts.  ``crop_order`` permutes crop processing order (the result
     is invariant to it; exists for order-independence tests).  Each frame's
     checked corner maps become class, score and box columns through the array
-    cores that ``heatmap_peaks`` and ``group_corners`` wrap; ``Detection``s
-    are built only for box-sourced candidates and for ``soft_nms``'s input.
+    cores that ``heatmap_peaks`` and ``group_corners`` wrap, and candidate
+    locations are ranked and suppressed as columns.  ``Detection``s are built
+    only for ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
     Raises ``ValueError`` for an image with a batch other than 1 or a
     non-finite pixel, and for bad corner maps or downsized-frame attention maps.
     """
@@ -530,8 +545,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     f255, aff255, content255, f192, aff192, content192 = downsize_pair(image)
     to_canonical = aff255.invert()
 
-    attention_locations = []
-    box_locations = []
+    box_rows, attention_rows = [], []  # the trace lists all box candidates first
     columns = []  # (class, score, boxes in source pixels) of each frame
     for frame, aff, tag in ((f255, aff255, 255), (f192, aff192, 192)):
         out, cls, score, boxes = _detect_frame(model, frame, aff, tag, config)
@@ -546,17 +560,21 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
         if attention:
             strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
             locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)
-            for loc in locs:
-                loc.x, loc.y = remap.apply(loc.x, loc.y)
-            attention_locations += locs
+            peak, x, y, size = np.array([(l.score, l.x, l.y, SIZE_CLASSES.index(l.size))
+                                         for l in locs]).reshape(-1, 4).T
+            attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
         strong = score > config.attention_threshold
-        box_locations += [location_from_detection(d, scale=tag) for d in
-                          _detections(cls[strong], score[strong], remap.apply_box(boxes[strong]))]
+        x1, y1, x2, y2 = remap.apply_box(boxes[strong]).T
+        dx, dy = x2 - x1, y2 - y1  # the longer side as Python's max(dx, dy) picks it
+        box_rows.append(_candidates("box", score[strong], (x1 + x2) / 2.0, (y1 + y2) / 2.0,
+                                    _size_index(np.where(dy > dx, dy, dx)), tag))
         columns.append((cls, score, aff.apply_box(boxes)))
 
-    candidates = box_locations + attention_locations
-    kept = suppress_locations(candidates, radius=config.suppress_radius)
-    selected = kept[:config.max_regions]
+    candidates = np.concatenate(box_rows + attention_rows)
+    source, priority, x, y = candidates.T[:4]
+    rank = np.lexsort((x, y, -priority, source))  # stable: suppress_locations' sort on finite keys
+    kept = rank[_suppress_columns(x[rank], y[rank], config.suppress_radius)]
+    selected = [_location(row) for row in candidates[kept[:config.max_regions]].tolist()]
     windows = [make_crop(loc, config, content255, aff255) for loc in selected]
 
     order = list(crop_order) if crop_order is not None else list(range(len(windows)))
@@ -577,16 +595,9 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                      method=config.nms_method, linear_threshold=config.nms_linear_threshold)
 
     if trace is not None:
-        # distinct candidates can share a key (same object seen on both
-        # downsized scales); consume kept keys as a multiset so the flagged
-        # count equals the kept count
-        kept_keys = Counter(loc.key() for loc in kept)
-        entries = []
-        for loc in candidates:
-            flag = kept_keys[loc.key()] > 0
-            kept_keys[loc.key()] -= flag
-            entries.append({**asdict(loc), "kept": flag})
-        trace["locations"] = entries
+        flags = np.isin(np.arange(len(candidates)), kept)
+        trace["locations"] = [{**asdict(_location(row)), "kept": flag}
+                              for row, flag in zip(candidates.tolist(), flags.tolist())]
         trace["n_locations"] = len(candidates)
         trace["n_kept_locations"] = len(kept)
         trace["crops"] = [{**w.to_dict(), "n_detections": crop_det_counts[i],

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fovea import naive
-from fovea.decode import (Corner, Detection, _peak_columns, attention_targets, focal_loss,
-                          group_corners, heatmap_peaks, pull_push_offset_losses,
-                          size_class_of)
+from fovea.decode import (SIZE_CLASSES, Corner, Detection, _peak_columns, _size_index,
+                          attention_targets, focal_loss, group_corners, heatmap_peaks,
+                          pull_push_offset_losses, size_class_of)
 from fovea.kernels import max_pool2d
 
 
@@ -345,6 +345,14 @@ def test_size_routing_thresholds():
     assert size_class_of(32) == "medium"
     assert size_class_of(96) == "medium"
     assert size_class_of(97) == "large"
+
+
+def test_size_index_routes_arrays_as_size_class_of():
+    sides = [31.999, 32.0, 96.0, 96.0001, 500.0]
+    want = [SIZE_CLASSES.index(size_class_of(s)) for s in sides]
+    assert want == [0, 1, 1, 2, 2]
+    assert _size_index(np.array(sides)).tolist() == [_size_index(s) for s in sides] == want
+    assert _size_index(math.nan) == 2 and _size_index(np.array([math.nan])).tolist() == [2]
 
 
 def test_attention_targets_route_by_longer_side():

@@ -8,10 +8,11 @@ raises a message that does not name the argument.
 import numpy as np
 import pytest
 
-from fovea import (Affine, ArchGraph, Corner, CropWindow, Detection, Node, attention_targets,
-                   bilinear_resize, crop_pixels, extract_locations, focal_loss, group_corners,
-                   heatmap_peaks, init_weights, max_pool2d, resize_longer_side, size_class_of,
-                   soft_nms, strip_boundary_boxes)
+from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, Node,
+                   ObjectLocation, SaccadeConfig, attention_targets, bilinear_resize,
+                   crop_pixels, extract_locations, focal_loss, group_corners, heatmap_peaks,
+                   init_weights, make_crop, max_pool2d, resize_longer_side, size_class_of,
+                   soft_nms, strip_boundary_boxes, suppress_locations)
 
 NAN = float("nan")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
@@ -27,10 +28,15 @@ def _window(size=4, scale=1.0):
     return CropWindow(zoom=1.0, x0=0, y0=0, size=size, to_original=Affine(scale, 1.0, 0.0, 0.0))
 
 
-def _conv_graph():
+def _conv_graph(**fields):
     g = ArchGraph((1, 1, 4, 4))
-    g.add(Node(id="c", kind="conv", inputs=["input"], in_channels=1, out_channels=1))
+    g.add(Node(id="c", kind="conv", inputs=["input"], in_channels=1, out_channels=1, **fields))
     return g
+
+
+def _crop_at(size):
+    return make_crop(ObjectLocation(x=10.0, y=10.0, size=size, score=0.9), SaccadeConfig(),
+                     (64, 64), Affine(1.0, 1.0))
 
 
 MISUSE = [
@@ -93,6 +99,26 @@ MISUSE = [
     ("size_class_of", "longer_side", -1, size_class_of, "longer_side must be"),
     ("focal_loss", "pred", 2.0,
      lambda v: focal_loss(np.array([[v]]), np.array([[1.0]])), "pred must lie in"),
+    ("suppress_locations", "source", "boxes",
+     lambda v: suppress_locations([ObjectLocation(1.0, 1.0, "small", 0.9, source=v)]),
+     "location source must be one of"),
+    ("attention_targets", "size_class", "tiny",
+     lambda v: attention_targets([(0, 0, 8, 8)], (4, 4), v, 4), "size_class must be one of"),
+    ("make_crop", "location.size", "tiny", _crop_at, "size must be one of"),
+    ("ConvSpec", "kernel", (2.5, 3), lambda v: ConvSpec(1, 1, v), "kernel must be a pair"),
+    ("ConvSpec", "kernel", (3,), lambda v: ConvSpec(1, 1, v), "kernel must be a pair"),
+    ("ConvSpec", "stride", 1.5, lambda v: ConvSpec(1, 1, (3, 3), stride=v), "stride must be"),
+    ("ConvSpec", "padding", 0.5, lambda v: ConvSpec(1, 1, (3, 3), padding=v), "padding must be"),
+    ("ConvSpec", "groups", 1.0, lambda v: ConvSpec(1, 1, (3, 3), groups=v), "groups must be"),
+    ("ArchGraph.shapes", "kernel", (2.5, 3), lambda v: _conv_graph(kernel=v).shapes(),
+     "node 'c': kernel must be a pair"),
+    ("ArchGraph.shapes", "stride", 1.5, lambda v: _conv_graph(stride=v).shapes(),
+     "node 'c': stride must be"),
+    ("ArchGraph.shapes", "padding", 0.5, lambda v: _conv_graph(padding=v).shapes(),
+     "node 'c': padding must be"),
+    ("extract_locations", "attention_maps", (1, 3, 4, 4),
+     lambda v: extract_locations({"small": np.zeros(v)}, 0.3, STRIDES),
+     r"attention_maps\['small'\] must be shaped"),
 ]
 
 

@@ -988,6 +988,81 @@ def test_trace_labels_box_locations_with_their_frame():
         assert scales and set(scales) == {frame}
 
 
+class _FixedModel:
+    """Answers every frame with the same corner maps and attention maps."""
+
+    def __init__(self, corners, attention=None):
+        self.corners, self.attention = corners, attention or {}
+
+    def infer(self, image, to_original):
+        return {"corners": self.corners, "attention": self.attention}
+
+
+def _tie_rich_model(seed):
+    """Corner and attention maps on a coarse ladder with no offsets, so
+    candidates often share a score, a row or a whole position."""
+    rng = np.random.default_rng(seed)
+    ladder = lambda shape: (rng.integers(0, 5, shape) / 4).astype(np.float32)
+    corners = {kind: {"heat": ladder((1, 3, 64, 64)), "off": np.zeros((1, 2, 64, 64)),
+                      "embed": ladder((1, 1, 64, 64))} for kind in ("tl", "br")}
+    return _FixedModel(corners, {size: ladder((1, 1, hw, hw))
+                                 for size, hw in (("small", 64), ("medium", 32), ("large", 16))})
+
+
+def _near_twin_boxes_model():
+    """Class 0 and class 1 boxes of equal score whose centers lie 2e-6 px
+    apart, so their locations round to the same 4 decimals."""
+    heat = {kind: np.zeros((1, 2, 64, 64), np.float32) for kind in ("tl", "br")}
+    off = {kind: np.zeros((1, 2, 64, 64), np.float32) for kind in ("tl", "br")}
+    heat["tl"][0, 0, 10, 10] = heat["tl"][0, 1, 10, 11] = 0.9
+    heat["br"][0, :, 20, 20] = 0.9
+    off["tl"][0, 0, 10, 10], off["tl"][0, 0, 10, 11] = 0.5 + 1e-6, -0.5
+    return _FixedModel({kind: {"heat": heat[kind], "off": off[kind],
+                               "embed": np.zeros((1, 1, 64, 64), np.float32)}
+                        for kind in ("tl", "br")})
+
+
+def _assert_flags_match_suppression(trace, radius):
+    """The trace flags exactly the candidates ``suppress_locations`` keeps,
+    and the crops follow its order."""
+    locs = [ObjectLocation(**{k: v for k, v in entry.items() if k != "kept"})
+            for entry in trace["locations"]]
+    kept = suppress_locations(locs, radius)
+    ids = {id(loc) for loc in kept}
+    assert [l["kept"] for l in trace["locations"]] == [id(loc) in ids for loc in locs]
+    assert [c["size_class"] for c in trace["crops"]] == [l.size for l in kept[:trace["n_crops"]]]
+
+
+def test_trace_flags_the_candidate_suppression_kept():
+    config = SaccadeConfig(nms_floor=0.5)
+    trace = {}
+    run_saccade(rand_image((255, 255), seed=3), _near_twin_boxes_model(), config, trace=trace)
+    first = [l for l in trace["locations"] if l["scale"] == 255]
+    # candidates list class 0 first; the ranking keeps class 1, whose center is 2e-6 px left
+    assert [(l["x"], l["kept"]) for l in first] == [(60.76172076864168, False),
+                                                    (60.76171875, True)]
+    _assert_flags_match_suppression(trace, config.suppress_radius)
+
+
+@pytest.mark.parametrize("hw", [(510, 510), (720, 960), (97, 641), (300, 1000)])
+def test_trace_flags_match_suppression_on_oracle_scenes(hw):
+    img, gt = gen_scene(random_scene(7, 5, hw=hw))
+    trace = {}
+    run_saccade(img, OracleModel(gt, num_classes=3), trace=trace)
+    assert trace["n_locations"] > trace["n_kept_locations"] > 0
+    _assert_flags_match_suppression(trace, SaccadeConfig().suppress_radius)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_trace_flags_match_suppression_on_tie_rich_pools(seed):
+    config = SaccadeConfig(max_regions=2, corners_per_kind=30, suppress_radius=4.0)
+    trace = {}
+    run_saccade(rand_image((300, 500), seed), _tie_rich_model(seed), config, trace=trace)
+    sources = {l["source"] for l in trace["locations"]}
+    assert trace["n_locations"] > 1000 and sources == {"box", "attention"}
+    _assert_flags_match_suppression(trace, config.suppress_radius)
+
+
 # ---- the object path the column path replaced ----------------------------------
 
 
