@@ -34,6 +34,9 @@ for c in trace["crops"]:
 
 print(f"pixels processed / full resolution: {trace['pixels_ratio']:.2f} "
       f"({trace['pixels_processed']:,} / {trace['pixels_full_resolution']:,})")
+# the model runs once per distinct input: a zoom-1 crop is the whole 255
+# frame, so it reuses that frame's output
+print(f"model calls: {trace['n_model_calls']} for 2 frames + {trace['n_crops']} crops")
 
 confident = [d for d in dets if d.score > 0.5]
 print(f"\nfinal detections above 0.5 ({len(confident)}):")

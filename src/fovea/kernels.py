@@ -394,8 +394,13 @@ def resize_longer_side(image, target):
 
 
 def zero_pad_to(image, h, w):
-    """Zero-pad on the bottom/right so the content sits at the top-left."""
+    """Zero-pad on the bottom/right so the content sits at the top-left.
+
+    Raises ``ValueError`` for an ``h`` or ``w`` that is not an integer >= 1
+    or is smaller than the image."""
     image = as_tensor(image)
+    _check_size("h", h)
+    _check_size("w", w)
     _, _, ih, iw = image.shape
     if h < ih or w < iw:
         raise ValueError(f"cannot pad {ih}x{iw} down to {h}x{w}")

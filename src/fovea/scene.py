@@ -11,11 +11,13 @@ ground truth exactly, which makes the whole geometry pipeline testable
 without any trained weights.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decode import Detection, size_class_of
+from .kernels import _check_size
 from .pipeline import Affine, CROP_SIZE
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
@@ -52,11 +54,18 @@ class SceneSpec:
 
 
 def gen_scene(spec):
-    """Render a SceneSpec deterministically; returns (image, ground truth)."""
+    """Render a SceneSpec deterministically; returns (image, ground truth).
+
+    Raises ``ValueError`` for a NaN, infinite or negative ``noise``, an
+    object class that is not an integer >= 0, and a box outside the canvas.
+    """
+    if not (0.0 <= spec.noise < math.inf):
+        raise ValueError(f"noise must be finite and >= 0, got {spec.noise}")
     rng = np.random.default_rng(spec.seed)
     canvas = rng.uniform(0.0, spec.noise, size=(spec.height, spec.width)).astype(np.float32)
     gt = []
     for obj in spec.objects:
+        _check_size("object class", obj.cls, 0)
         x1, y1, x2, y2 = obj.box
         if not (0 <= x1 <= x2 < spec.width and 0 <= y1 <= y2 < spec.height):
             raise ValueError(f"object box {obj.box} exceeds canvas {spec.height}x{spec.width}")
@@ -72,7 +81,12 @@ def random_scene(seed, n_objects, hw=(510, 510), num_classes=3):
 
     Separation keeps corner cells apart on every heatmap the pipeline will
     render (full frames and zoomed crops), so oracle peaks never collide.
+    Boxes are drawn until ``n_objects`` fit or 4,000 draws are spent, so a
+    crowded frame returns fewer objects than asked for: ``random_scene(0,
+    12)`` holds 8.  Raises ``ValueError`` for an ``n_objects`` that is not
+    an integer >= 0, and for a frame where no 36 px box fits the margin.
     """
+    _check_size("n_objects", n_objects, 0)
     h, w = hw
     rng = np.random.default_rng(seed)
     margin = 24
@@ -132,8 +146,9 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE),
                    tags=None):
     """Analytically render the maps a perfect network would output for ``gt``.
 
-    ``gt`` boxes are in frame pixels and must lie inside the frame.  ``tags``
-    optionally fixes each object's embedding value (defaults to 1, 2, ...).
+    ``gt`` boxes are in frame pixels and must lie inside the frame, and their
+    classes in [0, num_classes).  ``tags`` optionally fixes each object's
+    embedding value (defaults to 1, 2, ...).
     """
     fh, fw = frame_hw
     hh, hw_ = heat_hw
@@ -150,8 +165,8 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE),
 
     for i, det in enumerate(gt):
         x1, y1, x2, y2 = det.box
-        if det.cls >= num_classes:
-            raise ValueError(f"class {det.cls} exceeds num_classes {num_classes}")
+        if not 0 <= det.cls < num_classes:
+            raise ValueError(f"gt class {det.cls} lies outside [0, num_classes={num_classes})")
         tag = float(tags[i]) if tags is not None else float(i + 1)
         for (cx, cy), heat, embed, off in (((x1, y1), tl_heat, tl_embed, tl_off),
                                            ((x2, y2), br_heat, br_embed, br_off)):
@@ -185,6 +200,7 @@ class OracleModel:
     """
 
     def __init__(self, gt, num_classes, with_attention=True, peak=0.9):
+        _check_size("num_classes", num_classes)
         self.gt = list(gt)
         self.num_classes = num_classes
         self.with_attention = with_attention

@@ -10,9 +10,10 @@ import pytest
 
 from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, Node,
                    ObjectLocation, SaccadeConfig, attention_targets, bilinear_resize,
-                   crop_pixels, extract_locations, focal_loss, group_corners, heatmap_peaks,
-                   init_weights, make_crop, max_pool2d, resize_longer_side, size_class_of,
-                   soft_nms, strip_boundary_boxes, suppress_locations)
+                   OracleModel, SceneObject, SceneSpec, crop_pixels, extract_locations,
+                   focal_loss, gen_scene, group_corners, heatmap_peaks, init_weights, make_crop,
+                   max_pool2d, oracle_outputs, random_scene, resize_longer_side, size_class_of,
+                   soft_nms, strip_boundary_boxes, suppress_locations, zero_pad_to)
 
 NAN = float("nan")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
@@ -37,6 +38,10 @@ def _conv_graph(**fields):
 def _crop_at(size):
     return make_crop(ObjectLocation(x=10.0, y=10.0, size=size, score=0.9), SaccadeConfig(),
                      (64, 64), Affine(1.0, 1.0))
+
+
+def _scene(noise=0.1, cls=0):
+    return SceneSpec(64, 64, [SceneObject(cls, (8.0, 8.0, 40.0, 40.0))], noise=noise)
 
 
 MISUSE = [
@@ -119,6 +124,18 @@ MISUSE = [
     ("extract_locations", "attention_maps", (1, 3, 4, 4),
      lambda v: extract_locations({"small": np.zeros(v)}, 0.3, STRIDES),
      r"attention_maps\['small'\] must be shaped"),
+    ("zero_pad_to", "h", 12.5, lambda v: zero_pad_to(IMAGE, v, 12), "h must be an integer"),
+    ("zero_pad_to", "w", 12.5, lambda v: zero_pad_to(IMAGE, 12, v), "w must be an integer"),
+    ("random_scene", "n_objects", -1, lambda v: random_scene(0, v), "n_objects must be"),
+    ("random_scene", "n_objects", 1.5, lambda v: random_scene(0, v), "n_objects must be"),
+    ("gen_scene", "noise", NAN, lambda v: gen_scene(_scene(noise=v)), "noise must be"),
+    ("gen_scene", "noise", -1, lambda v: gen_scene(_scene(noise=v)), "noise must be"),
+    ("gen_scene", "objects.cls", -1, lambda v: gen_scene(_scene(cls=v)),
+     "object class must be"),
+    ("oracle_outputs", "gt.cls", -1,
+     lambda v: oracle_outputs([Detection(v, 1.0, (8.0, 8.0, 40.0, 40.0))], 3),
+     r"gt class -1 lies outside \[0, num_classes=3\)"),
+    ("OracleModel", "num_classes", 0, lambda v: OracleModel([], v), "num_classes must be"),
 ]
 
 

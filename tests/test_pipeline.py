@@ -1240,6 +1240,22 @@ def test_run_saccade_output_passes_benchmark_checks(monkeypatch):
             assert dets and check_detections(dets, img, floor) == []
 
 
+@pytest.mark.parametrize("name, seed", [("saccade_oracle", 0), ("saccade_oracle", 1),
+                                        ("saccade_squeeze_noisy", 0)])
+def test_benchmark_workload_pass_reports_no_problems(name, seed, monkeypatch):
+    # perfbench guards each timed call, but an exception in set-up, check,
+    # digest or report ends its run
+    workloads = _perfbench("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name]()
+    workload.setup(seed, workloads.Timings())
+    for i in range(workload.round_calls):
+        inp = workload.input(i)
+        out = workload.call(inp)
+        assert workload.check(inp, out) == [], (name, seed, i)
+        assert isinstance(workload.digest(out), bytes)
+    workload.report([0.1] * workload.round_calls)
+
+
 def test_run_saccade_ignores_seeded_crop_order():
     rng = np.random.default_rng(60)
     for img, gt in _random_scenes(6, seed=61):
@@ -1251,6 +1267,101 @@ def test_run_saccade_ignores_seeded_crop_order():
         shuffled = run_saccade(img, model, trace=shuffled_trace, crop_order=perm)
         assert _packed(shuffled) == _packed(base)
         assert shuffled_trace == trace
+
+
+# ---- one model call per distinct input -------------------------------------------
+
+
+def _counted(model):
+    """``model`` behind a wrapper that counts its ``infer`` calls and changes nothing."""
+    return _Tampered(model, tamper=None, call=-1)
+
+
+def _run_twice(img, model, monkeypatch, config=None):
+    """(packed detections, trace, infer calls) of ``run_saccade`` as it is,
+    then with every frame and crop sent to the model, reusing nothing."""
+    def run():
+        counted, trace = _counted(model), {}
+        dets = run_saccade(img, counted, config, trace=trace)
+        assert trace["n_model_calls"] == counted.calls
+        return _packed(dets), trace, counted.calls
+
+    reused = run()
+    monkeypatch.setattr(pipeline, "_infer_once",
+                        lambda infer, frame, to_original, outputs: infer(frame, to_original))
+    return reused, run()
+
+
+def _without_calls(trace):
+    return {k: v for k, v in trace.items() if k != "n_model_calls"}
+
+
+def test_zoom1_crop_reuses_the_255_frame_output(monkeypatch):
+    img, gt = gen_scene(random_scene(7, 3, hw=(480, 640)))
+    (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
+        img, OracleModel(gt, num_classes=3), monkeypatch)
+    assert [c["zoom"] for c in trace["crops"]] == [2.0, 1.0, 4.0]
+    assert (calls, ref_calls) == (4, 5)
+    assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
+    assert trace["pixels_processed"] == 5 * CROP_SIZE ** 2  # the schedule, not the calls
+
+
+def test_crop_equal_in_value_but_not_in_bytes_runs_the_model(monkeypatch):
+    img, gt = gen_scene(random_scene(7, 3, hw=(480, 640)))
+    img = img - 1.0
+    (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
+        img, OracleModel(gt, num_classes=3), monkeypatch)
+    assert (calls, ref_calls) == (5, 5)
+    assert dets == ref_dets and trace == ref_trace
+    # the zoom-1 crop maps like the 255 frame, but its padding holds -0.0
+    f255, aff255 = downsize_pair(img)[:2]
+    c = next(c for c in trace["crops"] if c["zoom"] == 1.0)
+    window = CropWindow(c["zoom"], c["x0"], c["y0"], c["size"], Affine(**c["to_original"]))
+    crop = crop_pixels(img, window)
+    assert window.to_original == aff255 and np.array_equal(crop, f255)
+    assert crop.tobytes() != f255.tobytes()
+
+
+def test_two_zoom1_crops_of_the_noisy_library_reuse_the_255_frame(monkeypatch):
+    from fovea.builders import build_squeeze_hourglass
+    from fovea.graph import init_weights
+
+    g = build_squeeze_hourglass(3, input_hw=(255, 255))
+    init_weights(g, seed=0)
+    img, _ = gen_scene(random_scene(3, 7, hw=(1020, 1020)))  # perfbench's 1020² library scene
+    (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
+        img, pipeline.GraphModel(g), monkeypatch, SaccadeConfig(max_regions=2))
+    assert [c["zoom"] for c in trace["crops"]] == [1.0, 1.0]
+    assert (calls, ref_calls) == (2, 4)
+    assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
+
+
+FEW_CORNERS = SaccadeConfig(corners_per_kind=5)  # keeps tie-rich maps cheap to decode
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_crops_sharing_a_window_share_one_model_call(seed, monkeypatch):
+    img = rand_image((300, 400), seed)
+    (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
+        img, _tie_rich_model(seed), monkeypatch, FEW_CORNERS)
+    aff255, aff192 = downsize_pair(img)[1::3]
+    distinct = {aff255, aff192} | {Affine(**c["to_original"]) for c in trace["crops"]}
+    assert ref_calls == 2 + trace["n_crops"] == 14 and calls == len(distinct) == 12
+    assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
+
+
+@pytest.mark.parametrize("scene", ["zoom1", "shared windows"])
+def test_reversed_crop_order_with_reused_outputs(scene):
+    if scene == "zoom1":
+        img, gt = gen_scene(random_scene(7, 3, hw=(480, 640)))
+        model, config = OracleModel(gt, num_classes=3), None
+    else:
+        img, model, config = rand_image((300, 400), 0), _tie_rich_model(0), FEW_CORNERS
+    trace, reversed_trace = {}, {}
+    dets = run_saccade(img, model, config, trace=trace)
+    order = list(range(trace["n_crops"]))[::-1]
+    assert _packed(run_saccade(img, model, config, reversed_trace, order)) == _packed(dets)
+    assert reversed_trace == trace and trace["n_model_calls"] < 2 + trace["n_crops"]
 
 
 @pytest.mark.parametrize("hw", [(97, 641), (641, 97), (300, 1000)])
