@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import kernels
+from .kernels import _integer, _one_of
 from .analysis import cost_report
 from .builders import build_hourglass54, build_squeeze_hourglass
 from .decode import Corner, Detection, group_corners, heatmap_peaks
@@ -160,12 +161,10 @@ def bench(ops, sizes, repetitions=3):
     Report schema: {"repetitions": int, "entries": [{"op", "size", "macs",
     "samples", "median_s", "p10_s", "p90_s"}]}.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _integer("repetitions", repetitions)
     entries = []
     for op in ops:
-        if op not in BENCH_OPS:
-            raise ValueError(f"unknown bench op {op!r}; known: {sorted(BENCH_OPS)}")
+        _one_of("bench op", op, BENCH_OPS)
         for size in sizes:
             fn, macs = BENCH_OPS[op](size)
             fn()  # warm-up, excluded from samples

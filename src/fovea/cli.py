@@ -18,6 +18,7 @@ from .bench import BENCH_OPS, bench
 from .builders import BUILDERS
 from .decode import Corner, Detection, group_corners, heatmap_peaks
 from .graph import ArchGraph, forward, init_weights
+from .kernels import _from_fields
 from .pipeline import GraphModel, SaccadeConfig, run_saccade
 from .scene import OracleModel, SceneSpec, gen_scene, oracle_outputs, random_scene
 
@@ -97,9 +98,10 @@ def _corner_to_dict(c):
 
 
 def _corner_from_dict(d):
-    return Corner(cls=int(d["class"]), score=float(d["score"]), x=int(d["x"]), y=int(d["y"]),
-                  dx=float(d.get("dx", 0.0)), dy=float(d.get("dy", 0.0)),
-                  embed=float(d.get("embed", 0.0)), kind=d.get("kind", "tl"))
+    with _from_fields("corner"):
+        return Corner(cls=int(d["class"]), score=float(d["score"]), x=int(d["x"]),
+                      y=int(d["y"]), dx=float(d.get("dx", 0.0)), dy=float(d.get("dy", 0.0)),
+                      embed=float(d.get("embed", 0.0)), kind=d.get("kind", "tl"))
 
 
 def cmd_decode_peaks(args):

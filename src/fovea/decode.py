@@ -8,12 +8,11 @@ offset) * downsample_factor`` maps them back to input pixels.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import max_pool2d
+from .kernels import _from_fields, _integer, _one_of, _require, max_pool2d
 
 CLAMP_EPS = 1e-7  # keeps log() finite in the losses
 
@@ -29,8 +28,7 @@ def _size_index(longer_side):
 
 
 def size_class_of(longer_side):
-    if not (longer_side >= 0):
-        raise ValueError(f"longer_side must be >= 0, got {longer_side!r}")
+    _require(longer_side >= 0, "longer_side", "be >= 0", longer_side)
     return SIZE_CLASSES[_size_index(longer_side)]
 
 
@@ -58,7 +56,8 @@ class Detection:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(int(d["class"]), float(d["score"]), tuple(float(v) for v in d["box"]))
+        with _from_fields("detection"):
+            return cls(int(d["class"]), float(d["score"]), tuple(float(v) for v in d["box"]))
 
     @property
     def longer_side(self):
@@ -74,11 +73,9 @@ def _peak_columns(heatmaps, k, offsets=None, embeddings=None):
     back into class, y and x: a flat map, where most cells tie with their
     window (an oracle map's zero plateau), survives in the thousands.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _integer("k", k)
     heat = np.asarray(heatmaps, dtype=np.float32)
-    if heat.ndim != 4 or heat.shape[0] != 1:
-        raise ValueError(f"expected (1, C, H, W) heatmaps, got {heat.shape}")
+    _require(heat.ndim == 4 and heat.shape[0] == 1, "heatmaps", "be (1, C, H, W)", heat.shape)
     pooled = max_pool2d(heat, 3, 1, 1)
     flat = heat[0].ravel()
     # equality: pooled >= heat everywhere by construction
@@ -112,9 +109,8 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
         raise ValueError("heatmaps hold non-finite (NaN or inf) values")
     for name, maps, channels in (("offsets", offsets, 2), ("embeddings", embeddings, 1)):
         want = (1, channels, *heatmaps.shape[2:])
-        if maps is not None and np.shape(maps) != want:
-            raise ValueError(f"{name} must be shaped {want} to match the heatmaps, "
-                             f"got {np.shape(maps)}")
+        _require(maps is None or np.shape(maps) == want, name,
+                 f"be shaped {want} to match the heatmaps", np.shape(maps))
     columns = _peak_columns(heatmaps, k, offsets, embeddings)
     return [Corner(*row, kind) for row in zip(*(c.tolist() for c in columns))]
 
@@ -162,10 +158,9 @@ def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor
     ``oracle_outputs(gt, 3, frame_hw=(97, 641))``, are out of contract: their
     boxes decode at the wrong scale on at least one axis.
     """
-    if not (embed_threshold >= 0):
-        raise ValueError(f"embed_threshold must be >= 0, got {embed_threshold}")
-    if not (0 < downsample_factor < math.inf):
-        raise ValueError(f"downsample_factor must be finite and > 0, got {downsample_factor}")
+    _require(embed_threshold >= 0, "embed_threshold", "be >= 0", embed_threshold)
+    _require(0 < downsample_factor < math.inf, "downsample_factor", "be finite and > 0",
+             downsample_factor)
     if not tl_corners or not br_corners:
         return []
     tl, br = ((np.array([c.cls for c in corners], dtype=np.int64),
@@ -184,8 +179,7 @@ def focal_loss(pred, gt, alpha=2.0):
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ValueError(f"pred {p.shape} and gt {g.shape} differ in shape")
+    _require(p.shape == g.shape, "pred and gt", "share one shape", (p.shape, g.shape))
     if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("pred must lie in [0, 1]")
     if not np.all((g == 0) | (g == 1)):
@@ -205,10 +199,8 @@ def attention_targets(boxes, map_hw, size_class, stride):
     rounded half-up.  Raises ``ValueError`` for a ``size_class`` that is not
     one of ``SIZE_CLASSES`` and a stride that is not finite and > 0.
     """
-    if size_class not in SIZE_CLASSES:
-        raise ValueError(f"size_class must be one of {SIZE_CLASSES}, got {size_class!r}")
-    if not (0 < stride < math.inf):
-        raise ValueError(f"stride must be finite and > 0, got {stride}")
+    _one_of("size_class", size_class, SIZE_CLASSES)
+    _require(0 < stride < math.inf, "stride", "be finite and > 0", stride)
     h, w = map_hw
     target = np.zeros((1, 1, h, w), dtype=np.float32)
     for box in boxes:

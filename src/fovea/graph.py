@@ -24,7 +24,6 @@ many threads.
 import functools
 import json
 import math
-import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -33,8 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import skt
-from .kernels import (ConvSpec, conv2d, conv_output_hw, depthwise_conv2d,
-                      relu, sigmoid, nearest_upsample2x, transpose_conv2d)
+from .kernels import (ConvSpec, _fit, _from_fields, _integer, _one_of, _require, conv2d,
+                      depthwise_conv2d, relu, sigmoid, nearest_upsample2x, transpose_conv2d)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _LABELS = ("stage", "role", "block", "block_kind", "activation")
@@ -75,7 +74,7 @@ class Node:
 
     @classmethod
     def from_dict(cls, d):
-        try:
+        with _from_fields(f"node {d.get('id')!r}"):
             node = cls(id=d["id"], kind=d["kind"], inputs=list(d.get("inputs", [])))
             for key in _LABELS:
                 setattr(node, key, d.get(key, ""))
@@ -86,8 +85,6 @@ class Node:
                 node.stride = int(d["stride"])
                 node.padding = int(d["padding"])
                 node.bias = bool(d.get("bias", False))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"node {d.get('id')!r}: missing or bad field {exc}") from None
         return node
 
 
@@ -109,29 +106,20 @@ def _spec(node, groups=1):
                     stride=node.stride, padding=node.padding, groups=groups)
 
 
-def _tconv_output_hw(h, w, kernel, stride, padding):
-    return (h - 1) * stride - 2 * padding + kernel[0], (w - 1) * stride - 2 * padding + kernel[1]
-
-
-def _conv_shape(node, ins, groups=1, output_hw=conv_output_hw):
+def _conv_shape(node, ins, groups=1, transpose=False):
     if node.in_channels < 1 or node.out_channels < 1:
         raise ValueError(f"in_channels and out_channels must be >= 1, "
                          f"got {node.in_channels} and {node.out_channels}")
     _spec(node, groups)  # checks kernel, stride, padding and groups
     n, c, h, w = ins[0]
-    if c != node.in_channels:
-        raise ValueError(f"input has {c} channels, in_channels is {node.in_channels}")
-    oh, ow = output_hw(h, w, node.kernel, node.stride, node.padding)
-    if oh < 1 or ow < 1:
-        raise ValueError(f"output {oh}x{ow} from a {h}x{w} input is smaller than 1x1")
-    return (n, node.out_channels, oh, ow)
+    _require(c == node.in_channels, "input channels", f"equal in_channels {node.in_channels}", c)
+    return (n, node.out_channels, *_fit(h, w, node.kernel, node.stride, node.padding, transpose))
 
 
 def _dwconv_shape(node, ins):
     if node.out_channels != node.in_channels:
         raise ValueError(f"dwconv out_channels {node.out_channels} != in_channels {node.in_channels}")
-    if node.bias:
-        raise ValueError("dwconv takes no bias")
+    _require(not node.bias, "dwconv", "take no bias", node.bias)
     return _conv_shape(node, ins, groups=node.in_channels)
 
 
@@ -158,7 +146,7 @@ OPS = {
                  lambda node, ins, p: depthwise_conv2d(ins[0], p["w"], _spec(node, node.in_channels)),
                  weight=lambda node: ((node.in_channels, 1, *node.kernel), math.prod(node.kernel)),
                  macs=lambda node, ins, out: math.prod(out) * math.prod(node.kernel)),
-    "tconv": Op(lambda node, ins: _conv_shape(node, ins, output_hw=_tconv_output_hw),
+    "tconv": Op(lambda node, ins: _conv_shape(node, ins, transpose=True),
                 lambda node, ins, p: transpose_conv2d(ins[0], p["w"], p.get("b"),
                                                       stride=node.stride, padding=node.padding),
                 weight=lambda node: ((node.in_channels, node.out_channels, *node.kernel),
@@ -200,19 +188,18 @@ class ArchGraph:
             raise ValueError(f"bad node id {node.id!r}")
         if node.id in self._index:
             raise ValueError(f"duplicate node id {node.id!r}")
-        op = OPS.get(node.kind)
-        if op is None:
-            raise ValueError(f"node {node.id!r}: unknown kind {node.kind!r}, expected one of {sorted(OPS)}")
-        fewest, most = op.arity
-        if len(node.inputs) < fewest or (most is not None and len(node.inputs) > most):
-            raise ValueError(f"node {node.id!r}: {node.kind} takes {fewest}"
-                             f"{'' if most else ' or more'} inputs, got {len(node.inputs)}")
-        for inp in node.inputs:
-            if inp not in self._index:
-                raise ValueError(f"node {node.id!r} consumes unknown input {inp!r}")
-        if node.activation not in _ACTIVATIONS:
-            raise ValueError(f"node {node.id!r}: unknown activation {node.activation!r}, "
-                             f"expected one of {_ACTIVATIONS}")
+        try:
+            _one_of("kind", node.kind, OPS)
+            fewest, most = OPS[node.kind].arity
+            if len(node.inputs) < fewest or (most is not None and len(node.inputs) > most):
+                raise ValueError(f"{node.kind} takes {fewest}{'' if most else ' or more'} "
+                                 f"inputs, got {len(node.inputs)}")
+            for inp in node.inputs:
+                if inp not in self._index:
+                    raise ValueError(f"consumes unknown input {inp!r}")
+            _one_of("activation", node.activation, _ACTIVATIONS)
+        except ValueError as exc:
+            raise ValueError(f"node {node.id!r}: {exc}") from None
         self._index[node.id] = node
         self.nodes.append(node)
         return node.id
@@ -221,8 +208,7 @@ class ArchGraph:
         return self._index[node_id]
 
     def tap(self, name, node_id):
-        if node_id not in self._index:
-            raise ValueError(f"tap {name!r} points at unknown node {node_id!r}")
+        _require(node_id in self._index, f"tap {name!r}", "point at a known node", node_id)
         self.taps[name] = node_id
 
     # ---- shape propagation -------------------------------------------------
@@ -333,8 +319,7 @@ def init_weights(graph, seed=0, zeros=False):
     is bit-identical to ``normal(0.0, scale, shape).astype(np.float32)``
     without that call's float64 copy of the whole tensor.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     scratch = np.empty(_DRAW_CHUNK)
     params = {}
@@ -373,8 +358,8 @@ def forward(graph, x, params=None):
     """
     params = params if params is not None else graph.params
     x = np.asarray(x, dtype=np.float32)
-    if tuple(x.shape) != graph.input_dims:
-        raise ValueError(f"input shaped {x.shape}, graph declares {graph.input_dims}")
+    _require(tuple(x.shape) == graph.input_dims, "input",
+             f"be shaped {graph.input_dims} as the graph declares", x.shape)
     graph.check_weights(params)
 
     refcount = {}

@@ -6,6 +6,7 @@ kernel flip).  All kernels are pure functions; each has a slow loop-level
 counterpart in ``fovea.naive`` used as an independent test oracle.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,19 +21,74 @@ _COLS_BYTES = 4 << 20
 _SIG_LO = np.float32(np.finfo(np.float32).tiny)
 _SIG_HI = np.float32(1.0) - np.float32(2.0 ** -24)
 
-# Integer types accepted for sizes, kernels and strides: the common members
-# of numbers.Integral, whose abstract isinstance check costs ~1 us a call
-# and ConvSpec runs once per conv node on every forward.
+# Integer types accepted for sizes, counts and seeds: the common members of
+# numbers.Integral, whose abstract isinstance check costs ~1 us a call, and
+# ConvSpec runs once per conv node on every forward.  A bool is never one.
 _INTEGERS = (int, np.integer)
+
+
+# ---- argument checks: the one spelling of each rule in the package ---------
+
+
+def _require(ok, name, want, value):
+    """Raise ``ValueError("<name> must <want>, got <value!r>")`` unless ``ok``:
+    the accepted condition, written so that a NaN fails it (``x >= 0``)."""
+    if not ok:
+        raise ValueError(f"{name} must {want}, got {value!r}")
+
+
+def _is_integer(value, least):
+    return value.__class__ is not bool and isinstance(value, _INTEGERS) and value >= least
+
+
+def _integer(name, value, least=1):
+    """Check that ``value`` is an int or numpy integer >= ``least``, not a bool."""
+    if not _is_integer(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _one_of(name, value, choices):
+    """Check that ``value`` is one of ``choices`` (of a dict: one of its keys)."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}: {name} must be one of {list(choices)}")
+
+
+@contextmanager
+def _from_fields(what):
+    """Report a KeyError, TypeError or ValueError raised inside as one
+    ``ValueError`` naming ``what``: a JSON record with a missing or bad field."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: missing or bad field {exc}") from None
+
+
+def _kernel_pair(kernel):
+    """Check that ``kernel`` is a tuple or list of two integers >= 1."""
+    if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
+            and _is_integer(kernel[0], 1) and _is_integer(kernel[1], 1)):
+        raise ValueError(f"kernel must be a pair of integers >= 1, got {kernel!r}")
+
+
+def _fit(h, w, kernel, stride, padding, transpose=False):
+    """Output (h, w) of a conv, or with ``transpose`` a transpose conv, over an
+    h x w input; raises ``ValueError`` when it is smaller than 1x1."""
+    if transpose:
+        oh = (h - 1) * stride - 2 * padding + kernel[0]
+        ow = (w - 1) * stride - 2 * padding + kernel[1]
+    else:
+        oh, ow = conv_output_hw(h, w, kernel, stride, padding)
+    if oh < 1 or ow < 1:
+        raise ValueError(f"kernel {tuple(kernel)} at stride {stride} and pad {padding} does not "
+                         f"fit input {h}x{w}: output {oh}x{ow} is smaller than 1x1")
+    return oh, ow
 
 
 def as_tensor(x):
     """Coerce to a 4-D float32 array, validating the NCHW layout."""
     arr = np.asarray(x, dtype=np.float32)
-    if arr.ndim != 4:
-        raise ValueError(f"expected 4-D (n, c, h, w) tensor, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"all dims must be >= 1, got shape {arr.shape}")
+    _require(arr.ndim == 4, "a tensor", "be 4-D (n, c, h, w)", arr.shape)
+    _require(min(arr.shape) >= 1, "all dims", "be >= 1", arr.shape)
     return arr
 
 
@@ -48,12 +104,10 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
-        kernel = self.kernel
-        if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
-                and all(isinstance(v, _INTEGERS) and v >= 1 for v in kernel)):
-            raise ValueError(f"kernel must be a pair of integers >= 1, got {kernel!r}")
-        for name, least in (("stride", 1), ("padding", 0), ("groups", 1)):
-            _check_size(name, getattr(self, name), least)
+        _kernel_pair(self.kernel)
+        _integer("stride", self.stride)
+        _integer("padding", self.padding, 0)
+        _integer("groups", self.groups)
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError(
                 f"channels ({self.in_channels} -> {self.out_channels}) must be "
@@ -86,24 +140,12 @@ def conv2d(x, weights, bias, spec):
     memory of a forward pass.  A 1x1, stride-1, unpadded conv multiplies
     ``x`` itself.
     """
-    x = as_tensor(x)
-    w = np.asarray(weights, dtype=np.float32)
+    x, w = _conv_operands(x, weights, spec)
+    bias = _bias(bias, spec.out_channels)
     n, c, h, wd = x.shape
     kh, kw = spec.kernel
-    if c != spec.in_channels:
-        raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
-    want = (spec.out_channels, spec.in_channels // spec.groups, kh, kw)
-    if w.shape != want:
-        raise ValueError(f"weights shaped {w.shape}, spec expects {want}")
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float32)
-        if bias.shape != (spec.out_channels,):
-            raise ValueError(f"bias shaped {bias.shape}, expected ({spec.out_channels},)")
-
     s, p, g = spec.stride, spec.padding, spec.groups
-    oh, ow = conv_output_hw(h, wd, spec.kernel, s, p)
-    if oh < 1 or ow < 1:
-        raise ValueError(f"kernel {spec.kernel} does not fit input {h}x{wd} with pad {p}")
+    oh, ow = _fit(h, wd, spec.kernel, s, p)
     ocg, k = spec.out_channels // g, c // g * kh * kw
     wm = w.reshape(g, ocg, k)
 
@@ -121,10 +163,29 @@ def conv2d(x, weights, bias, spec):
             cols = np.ascontiguousarray(win[..., r0:r1, :]).reshape(n, g, k, (r1 - r0) * ow)
             out[..., r0 * ow : r1 * ow] = np.matmul(wm, cols)
     out = out.reshape(n, spec.out_channels, oh, ow)
-
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
+
+
+def _conv_operands(x, weights, spec):
+    """``x`` and ``weights`` as float32, checked against ``spec``."""
+    x = as_tensor(x)
+    w = np.asarray(weights, dtype=np.float32)
+    if x.shape[1] != spec.in_channels:
+        raise ValueError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
+    want = (spec.out_channels, spec.in_channels // spec.groups, *spec.kernel)
+    if w.shape != want:  # formatted only on failure: this runs once per conv call
+        raise ValueError(f"weights shaped {w.shape}, spec expects {want}")
+    return x, w
+
+
+def _bias(bias, channels):
+    """``bias`` as a float32 (channels,) vector, or None."""
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float32)
+        _require(bias.shape == (channels,), "bias", f"be shaped ({channels},)", bias.shape)
+    return bias
 
 
 def depthwise_conv2d(x, weights, spec):
@@ -139,25 +200,15 @@ def depthwise_conv2d(x, weights, spec):
     is bit-equal to it; each output row computes wp - ow extra columns,
     which are dropped.  Bands hold at most ``_COLS_BYTES`` of columns.
     """
-    if not (spec.groups == spec.in_channels == spec.out_channels):
-        raise ValueError(
-            f"depthwise requires groups == in == out channels, got spec "
-            f"groups={spec.groups} in={spec.in_channels} out={spec.out_channels}"
-        )
+    _require(spec.groups == spec.in_channels == spec.out_channels, "a depthwise spec",
+             "have groups == in == out channels", spec)
     if spec.stride != 1:
         return conv2d(x, weights, None, spec)
-    x = as_tensor(x)
-    w = np.asarray(weights, dtype=np.float32)
+    x, w = _conv_operands(x, weights, spec)
     n, c, h, wd = x.shape
     kh, kw = spec.kernel
-    if c != spec.in_channels:
-        raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
-    if w.shape != (c, 1, kh, kw):
-        raise ValueError(f"weights shaped {w.shape}, spec expects {(c, 1, kh, kw)}")
     p = spec.padding
-    oh, ow = conv_output_hw(h, wd, spec.kernel, 1, p)
-    if oh < 1 or ow < 1:
-        raise ValueError(f"kernel {spec.kernel} does not fit input {h}x{wd} with pad {p}")
+    oh, ow = _fit(h, wd, spec.kernel, 1, p)
 
     wp = wd + 2 * p
     # the spare row keeps the last band's runs at taps j > 0 inside the buffer
@@ -205,18 +256,14 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     """
     x = as_tensor(x)
     w = np.asarray(weights, dtype=np.float32)
-    if w.ndim != 4:
-        raise ValueError(f"weights must be 4-D (in, out, kh, kw), got {w.shape}")
+    _require(w.ndim == 4, "weights", "be 4-D (in, out, kh, kw)", w.shape)
     n, c, h, wd = x.shape
     ic, oc, kh, kw = w.shape
-    if ic != c:
-        raise ValueError(f"input has {c} channels, weights expect {ic}")
-    if stride < 1 or padding < 0:
-        raise ValueError(f"stride must be >= 1 and padding >= 0, got stride={stride} padding={padding}")
-    oh = (h - 1) * stride - 2 * padding + kh
-    ow = (wd - 1) * stride - 2 * padding + kw
-    if oh < 1 or ow < 1:
-        raise ValueError(f"degenerate transpose-conv output {oh}x{ow}")
+    _require(ic == c, "weights", f"expect the input's {c} channels", w.shape)
+    bias = _bias(bias, oc)
+    _require(_is_integer(stride, 1) and _is_integer(padding, 0), "stride",
+             "be >= 1 and padding >= 0, both integers", {"stride": stride, "padding": padding})
+    oh, ow = _fit(h, wd, (kh, kw), stride, padding, transpose=True)
 
     s = stride
     hp, wp = h - 1 + -(-kh // s), wd - 1 + -(-kw // s)
@@ -243,9 +290,6 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
                                             tx : tx + len(range(x0, ow, s))]
 
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float32)
-        if bias.shape != (oc,):
-            raise ValueError(f"bias shaped {bias.shape}, expected ({oc},)")
         out += bias.reshape(1, -1, 1, 1)
     return out
 
@@ -261,16 +305,12 @@ def max_pool2d(x, kernel, stride, padding=0):
     x = as_tensor(x)
     if isinstance(kernel, _INTEGERS):
         kernel = (kernel, kernel)
-    if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
-            and all(isinstance(v, _INTEGERS) and v >= 1 for v in kernel)):
-        raise ValueError(f"kernel must be an integer >= 1 or a pair of them, got {kernel!r}")
+    _kernel_pair(kernel)
+    _integer("stride", stride)
+    _integer("padding", padding, 0)
     kh, kw = kernel
-    _check_size("stride", stride)
-    _check_size("padding", padding, 0)
     n, c, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kernel, stride, padding)
-    if oh < 1 or ow < 1:
-        raise ValueError(f"kernel {kernel} does not fit input {h}x{w} with pad {padding}")
+    oh, ow = _fit(h, w, kernel, stride, padding)
     if padding:
         xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=np.float32)
         xp[:, :, padding : padding + h, padding : padding + w] = x
@@ -304,10 +344,8 @@ _ELEMENTWISE = {"relu": relu, "sigmoid": sigmoid}
 
 def elementwise(x, fn):
     """Apply a named pointwise nonlinearity ('relu' or 'sigmoid')."""
-    try:
-        return _ELEMENTWISE[fn](x)
-    except KeyError:
-        raise ValueError(f"unknown elementwise fn {fn!r}, expected one of {sorted(_ELEMENTWISE)}")
+    _one_of("elementwise fn", fn, _ELEMENTWISE)
+    return _ELEMENTWISE[fn](x)
 
 
 def _bilinear_sample(x, ys, xs, zero_outside=False):
@@ -358,17 +396,12 @@ def _bilinear_sample(x, ys, xs, zero_outside=False):
     return top
 
 
-def _check_size(name, value, least=1):
-    if not isinstance(value, _INTEGERS) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def bilinear_resize(x, out_h, out_w):
     """Bilinear resample with half-pixel-center alignment and edge clamping."""
     x = as_tensor(x)
     n, c, h, w = x.shape
-    _check_size("out_h", out_h)
-    _check_size("out_w", out_w)
+    _integer("out_h", out_h)
+    _integer("out_w", out_w)
     # sample coordinates in float64: float32 coordinate rounding would shift
     # samples by ~1e-5 px, visibly perturbing values at these image sizes
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
@@ -382,7 +415,7 @@ def resize_longer_side(image, target):
     The shorter side is rounded half-up and floored at 1 pixel.
     """
     image = as_tensor(image)
-    _check_size("target", target)
+    _integer("target", target)
     n, c, h, w = image.shape
     if h >= w:
         oh = target
@@ -399,11 +432,10 @@ def zero_pad_to(image, h, w):
     Raises ``ValueError`` for an ``h`` or ``w`` that is not an integer >= 1
     or is smaller than the image."""
     image = as_tensor(image)
-    _check_size("h", h)
-    _check_size("w", w)
+    _integer("h", h)
+    _integer("w", w)
     _, _, ih, iw = image.shape
-    if h < ih or w < iw:
-        raise ValueError(f"cannot pad {ih}x{iw} down to {h}x{w}")
+    _require(h >= ih and w >= iw, "h and w", f"be >= the {ih}x{iw} image to pad it", (h, w))
     if h == ih and w == iw:
         return image
     return np.pad(image, ((0, 0), (0, 0), (0, h - ih), (0, w - iw)))

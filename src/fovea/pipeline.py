@@ -8,7 +8,6 @@ distances and crop construction live in one coordinate system.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -17,11 +16,13 @@ from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _peak
                      _size_index)
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
-from .kernels import _bilinear_sample, _check_size, as_tensor, resize_longer_side, zero_pad_to
+from .kernels import (_bilinear_sample, _integer, _one_of, _require, as_tensor,
+                      resize_longer_side, zero_pad_to)
 
 CROP_SIZE = 255
 DOWNSIZE_SCALES = (255, 192)
 SOURCES = ("box", "attention")  # candidate sources, in rank order
+_NMS_METHODS = ("gaussian", "linear")
 
 
 @dataclass(frozen=True)
@@ -101,32 +102,25 @@ class SaccadeConfig:
     corners_per_kind: int = 100
 
     def __post_init__(self):
-        if not (self.zoom_small > self.zoom_medium > self.zoom_large >= 1.0):
-            raise ValueError("zoom scales must satisfy small > medium > large >= 1")
-        if not (0.0 < self.attention_threshold < 1.0):
-            raise ValueError("attention_threshold must lie in (0, 1)")
-        for name in ("max_regions", "corners_per_kind"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (self.suppress_radius >= 0):
-            raise ValueError("suppress_radius must be >= 0")
-        if not (self.nms_sigma > 0):
-            raise ValueError("nms_sigma must be > 0")
-        if self.nms_method not in ("gaussian", "linear"):
-            raise ValueError(f"unknown nms_method {self.nms_method!r}")
-        if not (0.0 <= self.nms_floor < 1.0):
-            raise ValueError("nms_floor must lie in [0, 1)")
-        if not (0.0 <= self.nms_linear_threshold <= 1.0):
-            raise ValueError("nms_linear_threshold must lie in [0, 1]")
-        if not (0.0 <= self.boundary_margin < CROP_SIZE / 2):
-            raise ValueError(f"boundary_margin must lie in [0, {CROP_SIZE / 2})")
-        if not (self.embed_threshold >= 0.0):
-            raise ValueError("embed_threshold must be >= 0")
+        zooms = (self.zoom_small, self.zoom_medium, self.zoom_large)
+        _require(zooms[0] > zooms[1] > zooms[2] >= 1.0, "zoom scales",
+                 "satisfy small > medium > large >= 1", zooms)
+        _integer("max_regions", self.max_regions)
+        _integer("corners_per_kind", self.corners_per_kind)
+        _one_of("nms_method", self.nms_method, _NMS_METHODS)
+        for name, ok, want in (
+                ("attention_threshold", 0.0 < self.attention_threshold < 1.0, "lie in (0, 1)"),
+                ("suppress_radius", self.suppress_radius >= 0, "be >= 0"),
+                ("nms_sigma", self.nms_sigma > 0, "be > 0"),
+                ("nms_floor", 0.0 <= self.nms_floor < 1.0, "lie in [0, 1)"),
+                ("nms_linear_threshold", 0.0 <= self.nms_linear_threshold <= 1.0, "lie in [0, 1]"),
+                ("boundary_margin", 0.0 <= self.boundary_margin < CROP_SIZE / 2,
+                 f"lie in [0, {CROP_SIZE / 2})"),
+                ("embed_threshold", self.embed_threshold >= 0.0, "be >= 0")):
+            _require(ok, name, want, getattr(self, name))
 
     def zoom_for(self, size):
-        if size not in SIZE_CLASSES:
-            raise ValueError(f"size must be one of {SIZE_CLASSES}, got {size!r}")
+        _one_of("size", size, SIZE_CLASSES)
         return getattr(self, f"zoom_{size}")
 
     def to_dict(self):
@@ -174,18 +168,15 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
     class, a map not shaped (1, 1, h, w), and a missing, non-finite or
     non-positive stride.
     """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    _require(math.isfinite(threshold), "threshold", "be finite", threshold)
     locations = []
     for size, arr in attention_maps.items():
-        if size not in SIZE_CLASSES:
-            raise ValueError(f"attention_maps key {size!r} is not a size class {SIZE_CLASSES}")
+        _one_of("attention_maps key", size, SIZE_CLASSES)
         stride = strides.get(size)
-        if stride is None or not (0 < stride < math.inf):
-            raise ValueError(f"strides[{size!r}] must be finite and > 0, got {stride}")
-        if np.ndim(arr) != 4 or np.shape(arr)[:2] != (1, 1):
-            raise ValueError(f"attention_maps[{size!r}] must be shaped (1, 1, h, w), "
-                             f"got {np.shape(arr)}")
+        _require(stride is not None and 0 < stride < math.inf, f"strides[{size!r}]",
+                 "be finite and > 0", stride)
+        _require(np.ndim(arr) == 4 and np.shape(arr)[:2] == (1, 1), f"attention_maps[{size!r}]",
+                 "be shaped (1, 1, h, w)", np.shape(arr))
         scores = np.asarray(arr, dtype=np.float32)[0, 0]
         ys, xs = np.nonzero(scores > threshold)
         locations += [ObjectLocation(x * stride, y * stride, size, score, "attention", scale)
@@ -223,11 +214,9 @@ def suppress_locations(locations, radius=16.0):
     ``_suppress_columns``.  Raises ``ValueError`` for a NaN or negative
     radius and a location whose source is not one of ``SOURCES``.
     """
-    if not (radius >= 0):
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    _require(radius >= 0, "radius", "be >= 0", radius)
     for loc in locations:
-        if loc.source not in SOURCES:
-            raise ValueError(f"location source must be one of {SOURCES}, got {loc.source!r}")
+        _one_of("location source", loc.source, SOURCES)
     pool = sorted(locations, key=lambda l: (SOURCES.index(l.source), -l.score, l.y, l.x))
     xs, ys = (np.array([getattr(l, axis) for l in pool], dtype=np.float64) for axis in "xy")
     return [pool[i] for i in _suppress_columns(xs, ys, radius)]
@@ -268,11 +257,10 @@ def crop_pixels(image, window):
     """
     image = as_tensor(image)
     aff = window.to_original
-    if not isinstance(aff, Affine):
-        raise ValueError(f"window to_original must be an Affine, got {aff!r}")
-    _check_size("window size", window.size)
-    if not np.isfinite([aff.sx, aff.sy, aff.ox, aff.oy]).all():
-        raise ValueError(f"window to_original must be finite, got {aff}")
+    _require(isinstance(aff, Affine), "window to_original", "be an Affine", aff)
+    _integer("window size", window.size)
+    _require(np.isfinite([aff.sx, aff.sy, aff.ox, aff.oy]).all(), "window to_original",
+             "be finite", aff)
     px = np.arange(window.size, dtype=np.float64)
     return _bilinear_sample(image, aff.sy * px + aff.oy, aff.sx * px + aff.ox,
                             zero_outside=True)
@@ -286,8 +274,7 @@ def _inside_margin(x1, y1, x2, y2, margin, crop_size=CROP_SIZE):
 
 def strip_boundary_boxes(dets, margin=0.0, crop_size=CROP_SIZE):
     """Drop detections whose box comes within ``margin`` pixels of a crop edge."""
-    if not (margin >= 0):
-        raise ValueError(f"margin must be >= 0, got {margin}")
+    _require(margin >= 0, "margin", "be >= 0", margin)
     return [d for d in dets if _inside_margin(*d.box, margin, crop_size)]
 
 
@@ -295,6 +282,9 @@ def strip_boundary_boxes(dets, margin=0.0, crop_size=CROP_SIZE):
 
 
 def iou(box_a, box_b):
+    """IoU of two (x1, y1, x2, y2) boxes: 0.0 if they do not overlap, or on a NaN."""
+    for name, box in (("box_a", box_a), ("box_b", box_b)):
+        _require(len(box) == 4, name, "hold 4 coordinates (x1, y1, x2, y2)", box)
     return float(_iou_against(box_a, np.array([box_b], dtype=np.float64))[0])
 
 
@@ -339,13 +329,10 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     a zero imaginary part glibc's ``cexp`` returns ``exp(x) * 1.0``: the same
     value, for a whole array in one call.
     """
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _require(sigma > 0, "sigma", "be > 0", sigma)
     for name, value in (("score_floor", score_floor), ("linear_threshold", linear_threshold)):
-        if value != value:
-            raise ValueError(f"{name} must not be NaN")
-    if method not in ("gaussian", "linear"):
-        raise ValueError(f"unknown soft-NMS method {method!r}; expected 'gaussian' or 'linear'")
+        _require(value == value, name, "not be NaN", value)
+    _one_of("method", method, _NMS_METHODS)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(len(dets), 4)
     bad = np.flatnonzero(~(np.isfinite(scores) & np.isfinite(boxes).all(axis=1)))
@@ -560,8 +547,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     if not hasattr(model, "infer"):  # a weighted ArchGraph works directly
         model = GraphModel(model)
     image = as_tensor(image)
-    if image.shape[0] != 1:
-        raise ValueError(f"image must hold a single picture (batch 1), got shape {image.shape}")
+    _require(image.shape[0] == 1, "image", "hold a single picture (batch 1)", image.shape)
     if not np.isfinite(image).all():
         raise ValueError("image has non-finite (NaN or inf) pixels")
     _, _, img_h, img_w = image.shape

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import Detection, size_class_of
-from .kernels import _check_size
+from .kernels import _from_fields, _integer, _require
 from .pipeline import Affine, CROP_SIZE
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
@@ -47,10 +47,11 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d):
-        objs = [SceneObject(int(o["class"]), tuple(float(v) for v in o["box"]))
-                for o in d.get("objects", [])]
-        return cls(int(d["height"]), int(d["width"]), objs,
-                   int(d.get("seed", 0)), float(d.get("noise", 0.1)))
+        with _from_fields("scene spec"):
+            objs = [SceneObject(int(o["class"]), tuple(float(v) for v in o["box"]))
+                    for o in d.get("objects", [])]
+            return cls(int(d["height"]), int(d["width"]), objs,
+                       int(d.get("seed", 0)), float(d.get("noise", 0.1)))
 
 
 def gen_scene(spec):
@@ -59,13 +60,12 @@ def gen_scene(spec):
     Raises ``ValueError`` for a NaN, infinite or negative ``noise``, an
     object class that is not an integer >= 0, and a box outside the canvas.
     """
-    if not (0.0 <= spec.noise < math.inf):
-        raise ValueError(f"noise must be finite and >= 0, got {spec.noise}")
+    _require(0.0 <= spec.noise < math.inf, "noise", "be finite and >= 0", spec.noise)
     rng = np.random.default_rng(spec.seed)
     canvas = rng.uniform(0.0, spec.noise, size=(spec.height, spec.width)).astype(np.float32)
     gt = []
     for obj in spec.objects:
-        _check_size("object class", obj.cls, 0)
+        _integer("object class", obj.cls, 0)
         x1, y1, x2, y2 = obj.box
         if not (0 <= x1 <= x2 < spec.width and 0 <= y1 <= y2 < spec.height):
             raise ValueError(f"object box {obj.box} exceeds canvas {spec.height}x{spec.width}")
@@ -86,7 +86,7 @@ def random_scene(seed, n_objects, hw=(510, 510), num_classes=3):
     12)`` holds 8.  Raises ``ValueError`` for an ``n_objects`` that is not
     an integer >= 0, and for a frame where no 36 px box fits the margin.
     """
-    _check_size("n_objects", n_objects, 0)
+    _integer("n_objects", n_objects, 0)
     h, w = hw
     rng = np.random.default_rng(seed)
     margin = 24
@@ -200,15 +200,14 @@ class OracleModel:
     """
 
     def __init__(self, gt, num_classes, with_attention=True, peak=0.9):
-        _check_size("num_classes", num_classes)
+        _integer("num_classes", num_classes)
         self.gt = list(gt)
         self.num_classes = num_classes
         self.with_attention = with_attention
         self.peak = peak
 
     def infer(self, image, to_original):
-        if to_original is None:
-            raise ValueError("OracleModel needs the frame's map to source pixels")
+        _require(to_original is not None, "to_original", "map the frame to source pixels", None)
         to_frame = to_original.invert()
         fh, fw = image.shape[2], image.shape[3]
         visible = []

@@ -154,7 +154,10 @@ def test_compare_graphs(tmp_path):
     (lambda tmp: ["arch", "build", "--variant", "squeeze", "--classes", "0",
                   "--out", str(tmp / "zero.json")],
      "'heads.tl.heat'.*channels must be >= 1, got 256 and 0"),
-], ids=["missing-file", "graph-without-input-dims", "build-zero-classes"])
+    (lambda tmp: ["scene", "gen", "--spec", str(tmp / "graph.json"),
+                  "--out-image", str(tmp / "i.skt"), "--out-gt", str(tmp / "gt.json")],
+     "scene spec: missing or bad field 'height'"),
+], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height"])
 def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))
@@ -165,3 +168,15 @@ def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("fovea: error:"), proc.stderr
     assert re.search(match, lines[0]), lines[0]
+
+
+def test_json_records_name_their_missing_field(tmp_path):
+    # a corner or ground-truth record without a field exits with one line naming it
+    corners = tmp_path / "corners.json"
+    corners.write_text(json.dumps([{"class": 0, "score": 0.9, "y": 2}]))
+    with pytest.raises(SystemExit, match="corner: missing or bad field 'x'"):
+        main(["decode", "group", "--tl", str(corners), "--br", str(corners)])
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps([{"score": 1.0, "box": [10, 10, 60, 80]}]))
+    with pytest.raises(SystemExit, match="detection: missing or bad field 'class'"):
+        main(["scene", "oracle", "--gt", str(gt), "--out-dir", str(tmp_path / "maps")])

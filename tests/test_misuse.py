@@ -5,15 +5,20 @@ call below returns a result, fails with a bare numpy or Python error, or
 raises a message that does not name the argument.
 """
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import fovea
 from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, Node,
-                   ObjectLocation, SaccadeConfig, attention_targets, bilinear_resize,
-                   OracleModel, SceneObject, SceneSpec, crop_pixels, extract_locations,
-                   focal_loss, gen_scene, group_corners, heatmap_peaks, init_weights, make_crop,
-                   max_pool2d, oracle_outputs, random_scene, resize_longer_side, size_class_of,
-                   soft_nms, strip_boundary_boxes, suppress_locations, zero_pad_to)
+                   ObjectLocation, SaccadeConfig, attention_targets, bench, bilinear_resize,
+                   OracleModel, SceneObject, SceneSpec, crop_pixels, elementwise,
+                   extract_locations, focal_loss, gen_scene, group_corners, heatmap_peaks,
+                   init_weights, iou, make_crop, max_pool2d, oracle_outputs, random_scene,
+                   resize_longer_side, size_class_of, soft_nms, strip_boundary_boxes,
+                   suppress_locations, transpose_conv2d, zero_pad_to)
 
 NAN = float("nan")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
@@ -136,6 +141,37 @@ MISUSE = [
      lambda v: oracle_outputs([Detection(v, 1.0, (8.0, 8.0, 40.0, 40.0))], 3),
      r"gt class -1 lies outside \[0, num_classes=3\)"),
     ("OracleModel", "num_classes", 0, lambda v: OracleModel([], v), "num_classes must be"),
+    # one row per integer spelling the shared checks replaced; a bool is never an integer
+    ("transpose_conv2d", "stride", 1.5,
+     lambda v: transpose_conv2d(IMAGE, np.ones((3, 3, 4, 4)), stride=v), "stride must be"),
+    ("transpose_conv2d", "padding", 0.5,
+     lambda v: transpose_conv2d(IMAGE, np.ones((3, 3, 4, 4)), padding=v),
+     "padding >= 0, both integers"),
+    ("bench", "repetitions", 2.5, lambda v: bench(["maxpool3x3"], [8], repetitions=v),
+     "repetitions must be an integer"),
+    ("bench", "repetitions", True, lambda v: bench(["maxpool3x3"], [8], repetitions=v),
+     "repetitions must be an integer"),
+    ("heatmap_peaks", "k", True, lambda v: heatmap_peaks(HEAT, v), "k must be an integer"),
+    ("SaccadeConfig", "max_regions", True, lambda v: SaccadeConfig(max_regions=v),
+     "max_regions must be an integer"),
+    ("ConvSpec", "stride", True, lambda v: ConvSpec(1, 1, (3, 3), stride=v), "stride must be"),
+    ("ConvSpec", "kernel", (True, 3), lambda v: ConvSpec(1, 1, v), "kernel must be a pair"),
+    ("max_pool2d", "kernel", True, lambda v: max_pool2d(IMAGE, v, 1), "kernel must be a pair"),
+    ("zero_pad_to", "h", True, lambda v: zero_pad_to(IMAGE, v, 12), "h must be an integer"),
+    ("crop_pixels", "window.size", True, lambda v: crop_pixels(IMAGE, _window(size=v)),
+     "window size must be an integer"),
+    ("random_scene", "n_objects", True, lambda v: random_scene(0, v), "n_objects must be"),
+    ("gen_scene", "objects.cls", True, lambda v: gen_scene(_scene(cls=v)),
+     "object class must be"),
+    ("OracleModel", "num_classes", True, lambda v: OracleModel([], v), "num_classes must be"),
+    ("elementwise", "fn", "tanh", lambda v: elementwise(IMAGE, v),
+     "elementwise fn must be one of"),
+    ("iou", "box_a", (0.0, 0.0, 1.0), lambda v: iou(v, (0.0, 0.0, 1.0, 1.0)), "box_a must hold 4"),
+    ("iou", "box_b", (0.0, 0.0, 1.0), lambda v: iou((0.0, 0.0, 1.0, 1.0), v), "box_b must hold 4"),
+    ("SceneSpec.from_dict", "height", {"width": 3}, SceneSpec.from_dict,
+     "scene spec: missing or bad field 'height'"),
+    ("Detection.from_dict", "class", {"score": 1.0, "box": [0, 0, 1, 1]}, Detection.from_dict,
+     "detection: missing or bad field 'class'"),
 ]
 
 
@@ -144,3 +180,12 @@ MISUSE = [
 def test_misuse_raises_value_error_naming_the_argument(entry, argument, bad, call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call(bad)
+
+
+def test_argument_checks_have_one_spelling():
+    # kernels.py holds the shared checks; no other module spells its own
+    spellings = re.compile(r"numbers\.Integral|\(int, np\.integer\)|def _check_")
+    for path in sorted(pathlib.Path(fovea.__file__).parent.glob("*.py")):
+        if path.name != "kernels.py":
+            found = spellings.findall(path.read_text())
+            assert not found, f"{path.name} spells its own argument check: {found}"
