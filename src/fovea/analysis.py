@@ -128,9 +128,9 @@ def depth_report(graph):
 # ---- structure census ---------------------------------------------------------
 
 
-def blocks_by_stage(graph, shapes=None):
+def blocks_by_stage(graph):
     """Group nodes into labelled blocks: {(stage, block): info dict}."""
-    shapes = shapes or graph.shapes()
+    shapes = graph.shapes()
     blocks = {}
     for node in graph.nodes:
         if node.kind == "input":

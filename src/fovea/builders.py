@@ -12,11 +12,12 @@ Three stacked-hourglass variants share one set of emit helpers:
   (256, 384, 384, 384, 512), two residuals per stage, four in the middle,
   a 3x3 conv after each module and the usual 1x1-remap junction between
   modules.
-* ``build_squeeze_hourglass`` -- mirrors the reference but swaps every
-  residual for a fire module (the stem's leading conv stays standard),
-  adds a third stride-2 stem stage, drops one downsampling per module,
-  upsamples with 4x4 stride-2 transpose convolutions and uses 1x1 filters
-  in the prediction heads.
+* ``build_squeeze_hourglass`` -- the reference with five edits: every
+  residual becomes a fire module (the stem's leading conv stays standard),
+  a third stride-2 stem stage, one downsampling fewer per module, 4x4
+  stride-2 transpose-conv upsampling and 1x1 lead convs in the heads.
+  Both two-module builders are one call to the same template, and every
+  edit is an argument to it.
 
 Structural conventions used everywhere: downsampling is a stride-2 block
 (never pooling); each up stage is upsample -> block(s) mapping the deeper
@@ -43,14 +44,12 @@ class Emit:
     def __init__(self, graph):
         self.g = graph
 
-    def conv(self, node_id, src, in_c, out_c, k, stride=1, pad=None, act="",
+    def conv(self, node_id, src, in_c, out_c, k, stride=1, act="",
              stage="", role="", block="", block_kind="conv", bias=True):
-        if pad is None:
-            pad = (k - 1) // 2
         self.g.add(Node(id=node_id, kind="conv", inputs=[src], stage=stage, role=role,
                         block=block or node_id, block_kind=block_kind,
                         in_channels=in_c, out_channels=out_c, kernel=(k, k),
-                        stride=stride, padding=pad, bias=bias, activation=act))
+                        stride=stride, padding=(k - 1) // 2, bias=bias, activation=act))
         return node_id
 
     def residual(self, name, src, in_c, out_c, stride=1, stage="", role=""):
@@ -97,11 +96,10 @@ class Emit:
                             bias=True, **tags))
         return name
 
-    def add_relu(self, name, srcs, stage="", role="", block_kind="merge"):
-        self.g.add(Node(id=f"{name}.add", kind="add", inputs=list(srcs), stage=stage,
-                        role=role, block=name, block_kind=block_kind))
-        self.g.add(Node(id=f"{name}.out", kind="relu", inputs=[f"{name}.add"], stage=stage,
-                        role=role, block=name, block_kind=block_kind))
+    def add_relu(self, name, srcs, stage="", role=""):
+        tags = dict(stage=stage, role=role, block=name, block_kind="merge")
+        self.g.add(Node(id=f"{name}.add", kind="add", inputs=list(srcs), **tags))
+        self.g.add(Node(id=f"{name}.out", kind="relu", inputs=[f"{name}.add"], **tags))
         return f"{name}.out"
 
     def corner_heads(self, src, in_c, num_classes, lead_kernel, mid=256):
@@ -205,68 +203,50 @@ def build_hourglass54(num_classes, input_hw=(255, 255)):
     return g
 
 
-def build_hourglass104_reference(num_classes=80, input_hw=(255, 255)):
-    """Two-module deep-hourglass baseline used as the comparison reference."""
+def _two_module_hourglass(num_classes, input_hw, block, stem, dims, upsample, lead_kernel):
+    """CornerNet's two-module body: a 7x7/2 conv, one stride-2 ``block`` per
+    out-channel count in ``stem``, two modules over ``dims`` each followed by
+    a 3x3 conv, and a remap-join-carry junction between them."""
     g = ArchGraph((1, 3) + tuple(input_hw))
     e = Emit(g)
+    short = {"residual": "res", "fire": "fire"}[block]
     x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
                stage="stem", role="down1")
-    x = e.residual("stem.res1", x, 128, 256, stride=2, stage="stem", role="down2")
+    for i, (in_c, out_c) in enumerate(zip([128] + stem, stem), 1):
+        x = e.block(block, f"stem.{short}{i}", x, in_c, out_c, 2, stage="stem", role=f"down{i + 1}")
 
-    dims = [256, 256, 384, 384, 384, 512]
-    n_modules = 2
-    feat = None
-    for m in range(1, n_modules + 1):
+    for m in (1, 2):
         y, _ = _emit_module(e, f"module{m}", x, dims, mult=2, middle_mult=4,
-                            block="residual", upsample="nearest")
+                            block=block, upsample=upsample)
         feat = e.conv(f"post{m}.conv", y, 256, 256, 3, act="relu",
                       stage=f"post{m}", role="postconv")
-        if m < n_modules:
-            stage = f"inter{m}"
-            a = e.conv(f"inter{m}.remap_prev", x, 256, 256, 1, stage=stage, role="remap")
-            b = e.conv(f"inter{m}.remap_out", feat, 256, 256, 1, stage=stage, role="remap")
-            j = e.add_relu(f"inter{m}.join", [a, b], stage=stage, role="join")
-            x = e.residual(f"inter{m}.res", j, 256, 256, stage=stage, role="carry")
+        if m == 1:
+            a = e.conv("inter1.remap_prev", x, 256, 256, 1, stage="inter1", role="remap")
+            b = e.conv("inter1.remap_out", feat, 256, 256, 1, stage="inter1", role="remap")
+            j = e.add_relu("inter1.join", [a, b], stage="inter1", role="join")
+            x = e.block(block, f"inter1.{short}", j, 256, 256, stage="inter1", role="carry")
 
     g.tap("feature", feat)
-    e.corner_heads(feat, 256, num_classes, lead_kernel=3)
+    e.corner_heads(feat, 256, num_classes, lead_kernel=lead_kernel)
     g.shapes()
     return g
 
 
+def build_hourglass104_reference(num_classes=80, input_hw=(255, 255)):
+    """Two-module deep-hourglass baseline used as the comparison reference."""
+    return _two_module_hourglass(num_classes, input_hw, "residual", [256],
+                                 [256, 256, 384, 384, 384, 512], "nearest", lead_kernel=3)
+
+
 def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsample=True):
-    """Compact two-module backbone built from fire modules.
+    """Compact two-module backbone: the reference with the five edits above.
 
     ``extra_pre_downsample=False`` drops the third stride-2 stem stage and is
     only meant for activation-memory comparisons against the default build.
     """
-    g = ArchGraph((1, 3) + tuple(input_hw))
-    e = Emit(g)
-    x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
-               stage="stem", role="down1")
-    x = e.fire("stem.fire1", x, 128, 256, stride=2, stage="stem", role="down2")
-    if extra_pre_downsample:
-        x = e.fire("stem.fire2", x, 256, 256, stride=2, stage="stem", role="down3")
-
-    dims = [256, 256, 384, 384, 512]
-    n_modules = 2
-    feat = None
-    for m in range(1, n_modules + 1):
-        y, _ = _emit_module(e, f"module{m}", x, dims, mult=2, middle_mult=4,
-                            block="fire", upsample="tconv")
-        feat = e.conv(f"post{m}.conv", y, 256, 256, 3, act="relu",
-                      stage=f"post{m}", role="postconv")
-        if m < n_modules:
-            stage = f"inter{m}"
-            a = e.conv(f"inter{m}.remap_prev", x, 256, 256, 1, stage=stage, role="remap")
-            b = e.conv(f"inter{m}.remap_out", feat, 256, 256, 1, stage=stage, role="remap")
-            j = e.add_relu(f"inter{m}.join", [a, b], stage=stage, role="join")
-            x = e.fire(f"inter{m}.fire", j, 256, 256, stage=stage, role="carry")
-
-    g.tap("feature", feat)
-    e.corner_heads(feat, 256, num_classes, lead_kernel=1)
-    g.shapes()
-    return g
+    stem = [256, 256] if extra_pre_downsample else [256]
+    return _two_module_hourglass(num_classes, input_hw, "fire", stem,
+                                 [256, 256, 384, 384, 512], "tconv", lead_kernel=1)
 
 
 def build_single_module(block="residual", dims=(256, 384, 384, 512), mult=1,

@@ -241,7 +241,9 @@ def pull_push_offset_losses(embeddings, offsets, gt_offsets):
         hinge = np.maximum(0.0, 1.0 - diff)
         push = float((hinge.sum() - n) / (n * (n - 1)))  # subtract the diagonal's n ones
 
-    off = np.asarray(offsets, dtype=np.float64).reshape(n, 2, 2)
-    gt = np.asarray(gt_offsets, dtype=np.float64).reshape(n, 2, 2)
-    offset = float(_smooth_l1(off - gt).mean())
+    off = np.asarray(offsets, dtype=np.float64)
+    gt = np.asarray(gt_offsets, dtype=np.float64)
+    for name, arr in (("offsets", off), ("gt_offsets", gt)):
+        _require(arr.size == 4 * n, name, f"hold (N, 2, 2) values for N = {n} objects", arr.shape)
+    offset = float(_smooth_l1(off.reshape(n, 2, 2) - gt.reshape(n, 2, 2)).mean())
     return pull, push, offset

@@ -259,6 +259,8 @@ class ArchGraph:
         if missing:
             raise ValueError(f"graph JSON is missing {missing}")
         graph = cls(doc["input_dims"])
+        for i, nd in enumerate(doc["nodes"]):
+            _require(isinstance(nd, dict), f"graph JSON node {i}", "be an object", nd)
         first = Node.from_dict(doc["nodes"][0]) if doc["nodes"] else None
         if first is None or (first.id, first.kind, first.inputs) != ("input", "input", []):
             raise ValueError("graph JSON must start with the node {'id': 'input', 'kind': 'input'}")

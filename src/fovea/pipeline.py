@@ -8,6 +8,7 @@ distances and crop construction live in one coordinate system.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -102,6 +103,10 @@ class SaccadeConfig:
     corners_per_kind: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float:
+                value = getattr(self, f.name)
+                _require(isinstance(value, numbers.Real), f.name, "be a number", value)
         zooms = (self.zoom_small, self.zoom_medium, self.zoom_large)
         _require(zooms[0] > zooms[1] > zooms[2] >= 1.0, "zoom scales",
                  "satisfy small > medium > large >= 1", zooms)
@@ -266,16 +271,16 @@ def crop_pixels(image, window):
                             zero_outside=True)
 
 
-def _inside_margin(x1, y1, x2, y2, margin, crop_size=CROP_SIZE):
+def _inside_margin(x1, y1, x2, y2, margin):
     """Whether a box (or each, given arrays) lies more than ``margin`` px inside the crop."""
-    lo, hi = margin, crop_size - 1 - margin
+    lo, hi = margin, CROP_SIZE - 1 - margin
     return (x1 > lo) & (y1 > lo) & (x2 < hi) & (y2 < hi)
 
 
-def strip_boundary_boxes(dets, margin=0.0, crop_size=CROP_SIZE):
+def strip_boundary_boxes(dets, margin=0.0):
     """Drop detections whose box comes within ``margin`` pixels of a crop edge."""
     _require(margin >= 0, "margin", "be >= 0", margin)
-    return [d for d in dets if _inside_margin(*d.box, margin, crop_size)]
+    return [d for d in dets if _inside_margin(*d.box, margin)]
 
 
 # ---- merging ---------------------------------------------------------------------

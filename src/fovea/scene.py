@@ -22,6 +22,7 @@ from .pipeline import Affine, CROP_SIZE
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
 HEATMAP_HW = (64, 64)
+ORACLE_PEAK = 0.9  # the oracle's heatmap, attention and detection score
 
 
 @dataclass
@@ -141,9 +142,7 @@ class OracleOutputs:
                 "br": {"heat": self.br_heat, "embed": self.br_embed, "off": self.br_off}}
 
 
-def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE),
-                   heat_hw=HEATMAP_HW, attn_hw=ATTENTION_MAP_HW, peak=0.9,
-                   tags=None):
+def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE), tags=None):
     """Analytically render the maps a perfect network would output for ``gt``.
 
     ``gt`` boxes are in frame pixels and must lie inside the frame, and their
@@ -151,7 +150,7 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE),
     embedding value (defaults to 1, 2, ...).
     """
     fh, fw = frame_hw
-    hh, hw_ = heat_hw
+    hh, hw_ = HEATMAP_HW
     fy, fx = fh / hh, fw / hw_
 
     tl_heat = np.zeros((1, num_classes, hh, hw_), np.float32)
@@ -161,7 +160,7 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE),
     tl_off = np.zeros((1, 2, hh, hw_), np.float32)
     br_off = np.zeros_like(tl_off)
     attention = {size: np.zeros((1, 1) + tuple(dims), np.float32)
-                 for size, dims in attn_hw.items()}
+                 for size, dims in ATTENTION_MAP_HW.items()}
 
     for i, det in enumerate(gt):
         x1, y1, x2, y2 = det.box
@@ -174,18 +173,18 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE),
             iy = int(np.floor(cy / fy))
             if not (0 <= ix < hw_ and 0 <= iy < hh):
                 raise ValueError(f"corner ({cx}, {cy}) falls outside the {fh}x{fw} frame")
-            heat[0, det.cls, iy, ix] = peak
+            heat[0, det.cls, iy, ix] = ORACLE_PEAK
             embed[0, 0, iy, ix] = tag
             off[0, 0, iy, ix] = cx / fx - ix
             off[0, 1, iy, ix] = cy / fy - iy
 
         size = size_class_of(max(x2 - x1, y2 - y1))
-        ah, aw = attn_hw[size]
+        ah, aw = ATTENTION_MAP_HW[size]
         sy, sx = fh / ah, fw / aw
         mx = int(np.floor((x1 + x2) / 2.0 / sx + 0.5))
         my = int(np.floor((y1 + y2) / 2.0 / sy + 0.5))
         if 0 <= my < ah and 0 <= mx < aw:
-            attention[size][0, 0, my, mx] = peak
+            attention[size][0, 0, my, mx] = ORACLE_PEAK
 
     return OracleOutputs(attention, tl_heat, tl_embed, tl_off, br_heat, br_embed, br_off)
 
@@ -199,12 +198,10 @@ class OracleModel:
     to scene objects, so the same object carries the same tag in every frame.
     """
 
-    def __init__(self, gt, num_classes, with_attention=True, peak=0.9):
+    def __init__(self, gt, num_classes):
         _integer("num_classes", num_classes)
         self.gt = list(gt)
         self.num_classes = num_classes
-        self.with_attention = with_attention
-        self.peak = peak
 
     def infer(self, image, to_original):
         _require(to_original is not None, "to_original", "map the frame to source pixels", None)
@@ -216,12 +213,10 @@ class OracleModel:
             box = to_frame.apply_box(det.box)
             if (box[0] >= 0 and box[1] >= 0 and
                     box[2] <= fw - 1 and box[3] <= fh - 1):
-                visible.append(Detection(det.cls, self.peak, box))
+                visible.append(Detection(det.cls, ORACLE_PEAK, box))
                 tags.append(i + 1)
-        out = oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw),
-                             peak=self.peak, tags=tags)
-        attention = out.attention if self.with_attention else {}
-        return {"attention": attention, "corners": out.corners()}
+        out = oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags)
+        return {"attention": out.attention, "corners": out.corners()}
 
 
 def blank_model(num_classes=3):

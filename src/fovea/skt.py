@@ -9,12 +9,16 @@ import struct
 
 import numpy as np
 
+from .kernels import _require
+
 MAGIC = b"SKT1"
 DTYPE_F32 = 0
 
 
 def tensor_to_bytes(arr):
-    arr = np.asarray(arr, dtype="<f4")
+    arr = np.asarray(arr)
+    _require(arr.dtype.kind in "biuf", "arr", "hold real numbers", arr.dtype)
+    arr = arr.astype("<f4", copy=False)
     if arr.ndim < 1 or arr.ndim > 255:
         raise ValueError(f"ndim {arr.ndim} out of range for SKT1")
     header = MAGIC + struct.pack("<BB", DTYPE_F32, arr.ndim)
@@ -43,8 +47,9 @@ def tensor_from_bytes(buf):
 
 
 def write_tensor(path, arr):
+    buf = tensor_to_bytes(arr)  # checked first: a bad arr leaves the file as it was
     with open(path, "wb") as f:
-        f.write(tensor_to_bytes(arr))
+        f.write(buf)
 
 
 def read_tensor(path):

@@ -1,6 +1,9 @@
-import numpy as np
+import hashlib
 
-from fovea.builders import (build_hourglass54, build_hourglass104_reference,
+import numpy as np
+import pytest
+
+from fovea.builders import (BUILDERS, build_hourglass54, build_hourglass104_reference,
                             build_single_module, build_squeeze_hourglass)
 from fovea.graph import forward, init_weights
 from fovea.analysis import structure_census
@@ -120,3 +123,26 @@ def test_single_module_builder():
     assert c["modules"]["module1"]["down_channels"] == [48, 64]
     g2 = build_single_module("fire", dims=(32, 48, 64), upsample="tconv", input_hw=(16, 16))
     assert set(structure_census(g2)["modules"]["module1"]["block_kind_counts"]) == {"fire"}
+
+
+# sha256 of each builder's to_json() for 3 classes: node ids, labels, order
+# and taps.  Node order also fixes the init_weights stream, so a change here
+# moves every seeded digest.
+GRAPH_SHA256 = {
+    ("hourglass54", 255): "3c74825c1a0957a693510c16547c6becfcabeefd009341ad88def929a94fce69",
+    ("hourglass54", 127): "1ed691b2f9a7541e34f12f16cc08c1a3fec44486308fadd430143a7dabc1b362",
+    ("squeeze", 255): "7891312623fa6c800d88a979f99c8c3bbba961e8e8178c67c1fea42c9e231352",
+    ("squeeze", 127): "fe4125b202c87cf8322412b5b4b1c87648d2fafab111a4af3c8aa92e251b528b",
+    ("hg104-ref", 255): "d196d5f354e1b61739314eec9947067cb489415e5b3886125627c12fa02b19fd",
+    ("hg104-ref", 127): "f8ad10854bfd6f310595f02a50418bec53b42c7de0608ad773165fdf737ae41a",
+    ("squeeze-no-extra", 255): "5763cdb34c3b22c26a31fc914ba0de44c20bbd431a4cb3c7b43d90d264a0e2a1",
+}
+
+
+@pytest.mark.parametrize("name, hw", GRAPH_SHA256)
+def test_builders_emit_the_pinned_graphs(name, hw):
+    if name == "squeeze-no-extra":
+        g = build_squeeze_hourglass(3, input_hw=(hw, hw), extra_pre_downsample=False)
+    else:
+        g = BUILDERS[name](3, input_hw=(hw, hw))
+    assert hashlib.sha256(g.to_json().encode()).hexdigest() == GRAPH_SHA256[name, hw]

@@ -148,6 +148,11 @@ def test_compare_graphs(tmp_path):
 
 
 
+def _written(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("make_argv, match", [
     (lambda tmp: ["arch", "stats", "/nonexistent/graph.json"], "No such file"),
     (lambda tmp: ["arch", "stats", str(tmp / "graph.json")], "input_dims"),
@@ -157,7 +162,14 @@ def test_compare_graphs(tmp_path):
     (lambda tmp: ["scene", "gen", "--spec", str(tmp / "graph.json"),
                   "--out-image", str(tmp / "i.skt"), "--out-gt", str(tmp / "gt.json")],
      "scene spec: missing or bad field 'height'"),
-], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height"])
+    (lambda tmp: ["saccade", "run", "--image", str(tmp / "i.skt"),
+                  "--config", _written(tmp / "config.json", {"nms_sigma": "x"})],
+     "nms_sigma must be a number, got 'x'"),
+    (lambda tmp: ["arch", "stats", _written(tmp / "list-node.json",
+                                            {"input_dims": [1, 3, 8, 8], "nodes": [["input"]]})],
+     "graph JSON node 0 must be an object"),
+], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height",
+        "saccade-config-non-numeric", "graph-node-not-an-object"])
 def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))

@@ -5,8 +5,11 @@ call below returns a result, fails with a bare numpy or Python error, or
 raises a message that does not name the argument.
 """
 
+import json
+import os
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,11 +17,13 @@ import pytest
 import fovea
 from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, Node,
                    ObjectLocation, SaccadeConfig, attention_targets, bench, bilinear_resize,
-                   OracleModel, SceneObject, SceneSpec, crop_pixels, elementwise,
-                   extract_locations, focal_loss, gen_scene, group_corners, heatmap_peaks,
-                   init_weights, iou, make_crop, max_pool2d, oracle_outputs, random_scene,
-                   resize_longer_side, size_class_of, soft_nms, strip_boundary_boxes,
-                   suppress_locations, transpose_conv2d, zero_pad_to)
+                   OracleModel, SceneObject, SceneSpec, blank_model, conv2d, crop_pixels,
+                   downsize_pair, elementwise, extract_locations, focal_loss, gen_scene,
+                   group_corners, heatmap_peaks, init_weights, iou, make_crop, max_pool2d,
+                   nearest_upsample2x, oracle_outputs, pull_push_offset_losses, random_scene,
+                   read_tensor, resize_longer_side, size_class_of, soft_nms,
+                   strip_boundary_boxes, suppress_locations, transpose_conv2d, write_tensor,
+                   zero_pad_to)
 
 NAN = float("nan")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
@@ -47,6 +52,17 @@ def _crop_at(size):
 
 def _scene(noise=0.1, cls=0):
     return SceneSpec(64, 64, [SceneObject(cls, (8.0, 8.0, 40.0, 40.0))], noise=noise)
+
+
+SKT = fovea.skt.tensor_to_bytes(np.zeros(4, np.float32))  # 10-byte header, 16-byte payload
+SKT_FILES = {"truncated": SKT[:-4], "bad-magic": b"NOPE" + SKT[4:], "trailing-bytes": SKT + b"\0"}
+
+
+def _read_skt(name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / f"{name}.skt"
+        path.write_bytes(SKT_FILES[name])
+        return read_tensor(path)
 
 
 MISUSE = [
@@ -172,6 +188,32 @@ MISUSE = [
      "scene spec: missing or bad field 'height'"),
     ("Detection.from_dict", "class", {"score": 1.0, "box": [0, 0, 1, 1]}, Detection.from_dict,
      "detection: missing or bad field 'class'"),
+    ("SaccadeConfig.from_dict", "nms_sigma", {"nms_sigma": "x"}, SaccadeConfig.from_dict,
+     "nms_sigma must be a number, got 'x'"),
+    ("ArchGraph.from_json", "nodes[0]", ["input"],
+     lambda v: ArchGraph.from_json(json.dumps({"input_dims": [1, 3, 8, 8], "nodes": [v]})),
+     "graph JSON node 0 must be an object"),
+    ("write_tensor", "arr", None, lambda v: write_tensor(os.devnull, np.array([v])),
+     "arr must hold real numbers"),
+    ("pull_push_offset_losses", "offsets", (3, 2, 2),
+     lambda v: pull_push_offset_losses(np.zeros((2, 2)), np.zeros(v), np.zeros((2, 2, 2))),
+     r"^offsets must hold \(N, 2, 2\) values for N = 2 objects"),
+    ("pull_push_offset_losses", "gt_offsets", (1, 2, 2),
+     lambda v: pull_push_offset_losses(np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros(v)),
+     "^gt_offsets must hold"),
+    # existing checks, through entry points no other row calls: OracleModel's num_classes
+    # via blank_model, the SKT1 file checks, and the 4-D rules for tensors and tconv weights
+    ("blank_model", "num_classes", 0, blank_model, "num_classes must be"),
+    ("read_tensor", "file", "truncated", _read_skt, "payload holds 12 bytes"),
+    ("read_tensor", "file", "bad-magic", _read_skt, "bad magic"),
+    ("read_tensor", "file", "trailing-bytes", _read_skt, "payload holds 17 bytes"),
+    ("downsize_pair", "image", (3, 8, 8), lambda v: downsize_pair(np.ones(v)), "must be 4-D"),
+    ("conv2d", "x", (3, 8, 8),
+     lambda v: conv2d(np.ones(v), np.ones((1, 3, 3, 3)), None, ConvSpec(3, 1)), "must be 4-D"),
+    ("nearest_upsample2x", "x", (3, 8, 8), lambda v: nearest_upsample2x(np.ones(v)),
+     "must be 4-D"),
+    ("transpose_conv2d", "weights", (3, 3, 4), lambda v: transpose_conv2d(IMAGE, np.ones(v)),
+     "weights must be 4-D"),
 ]
 
 

@@ -1336,6 +1336,38 @@ def test_two_zoom1_crops_of_the_noisy_library_reuse_the_255_frame(monkeypatch):
     assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
 
 
+def test_hourglass54_attention_taps_drive_the_saccade(monkeypatch):
+    # the paper's CornerNet-Saccade: a seeded hourglass54 with attention heads
+    from fovea.builders import build_hourglass54
+    from fovea.graph import init_weights
+    from fovea.scene import ATTENTION_MAP_HW
+
+    g = build_hourglass54(3)
+    init_weights(g, seed=0)
+    img, _ = gen_scene(random_scene(0, 3))
+    # no box scores above 0.8 (the best is 0.777), so an attention candidate gets the crop
+    trace = {}
+    run_saccade(img, pipeline.GraphModel(g), SaccadeConfig(max_regions=1, attention_threshold=0.8),
+                trace=trace)
+    assert {loc["source"] for loc in trace["locations"]} == {"attention"}
+    assert [(c["zoom"], c["size_class"]) for c in trace["crops"]] == [(4.0, "small")]
+    assert trace["n_model_calls"] == 3
+
+    # at the default threshold attention passes almost everywhere, but the kept
+    # box candidates rank first, so both crops are box-sourced; one is zoom 1
+    shapes = {}
+    model = _Tampered(pipeline.GraphModel(g), part="attention", tamper=lambda maps: shapes.update(
+        {size: arr.shape[2:] for size, arr in maps.items()}))
+    (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
+        img, model, monkeypatch, SaccadeConfig(max_regions=2))
+    assert shapes == ATTENTION_MAP_HW
+    kept = {(loc["source"], loc["scale"]) for loc in trace["locations"] if loc["kept"]}
+    assert {("attention", 255), ("attention", 192), ("box", 255)} <= kept
+    assert [c["zoom"] for c in trace["crops"]] == [1.0, 2.0]
+    assert (calls, ref_calls) == (3, 4)  # two frames and two crops, the zoom-1 crop reused
+    assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
+
+
 FEW_CORNERS = SaccadeConfig(corners_per_kind=5)  # keeps tie-rich maps cheap to decode
 
 
