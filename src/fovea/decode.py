@@ -228,7 +228,9 @@ def pull_push_offset_losses(embeddings, offsets, gt_offsets):
     at-least-unit separation between object means, offset is the smooth-L1
     gap averaged over all offset components.
     """
-    emb = np.asarray(embeddings, dtype=np.float64).reshape(-1, 2)
+    emb = np.asarray(embeddings, dtype=np.float64)
+    _require(emb.size % 2 == 0, "embeddings", "hold (N, 2) values, two per object", emb.shape)
+    emb = emb.reshape(-1, 2)
     n = emb.shape[0]
     if n == 0:
         return 0.0, 0.0, 0.0

@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import skt
-from .kernels import (ConvSpec, _fit, _from_fields, _integer, _one_of, _require, conv2d,
-                      depthwise_conv2d, relu, sigmoid, nearest_upsample2x, transpose_conv2d)
+from .kernels import (ConvSpec, _fit, _from_fields, _integer, _is_integer, _one_of, _require,
+                      conv2d, depthwise_conv2d, relu, sigmoid, nearest_upsample2x, transpose_conv2d)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _LABELS = ("stage", "role", "block", "block_kind", "activation")
@@ -255,10 +255,16 @@ class ArchGraph:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        _require(isinstance(doc, dict), "graph JSON", "be an object", type(doc).__name__)
         missing = [key for key in ("input_dims", "nodes") if key not in doc]
         if missing:
             raise ValueError(f"graph JSON is missing {missing}")
-        graph = cls(doc["input_dims"])
+        dims, taps = doc["input_dims"], doc.get("taps", {})
+        _require(isinstance(dims, list) and len(dims) == 4 and all(_is_integer(d, 1) for d in dims),
+                 "graph JSON input_dims", "be four integers >= 1", dims)
+        _require(isinstance(doc["nodes"], list), "graph JSON nodes", "be a list", doc["nodes"])
+        _require(isinstance(taps, dict), "graph JSON taps", "be an object", taps)
+        graph = cls(dims)
         for i, nd in enumerate(doc["nodes"]):
             _require(isinstance(nd, dict), f"graph JSON node {i}", "be an object", nd)
         first = Node.from_dict(doc["nodes"][0]) if doc["nodes"] else None
@@ -266,7 +272,7 @@ class ArchGraph:
             raise ValueError("graph JSON must start with the node {'id': 'input', 'kind': 'input'}")
         for nd in doc["nodes"][1:]:
             graph.add(Node.from_dict(nd))
-        for name, node_id in doc.get("taps", {}).items():
+        for name, node_id in taps.items():
             graph.tap(name, node_id)
         graph.shapes()
         return graph

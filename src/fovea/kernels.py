@@ -84,11 +84,12 @@ def _fit(h, w, kernel, stride, padding, transpose=False):
     return oh, ow
 
 
-def as_tensor(x):
-    """Coerce to a 4-D float32 array, validating the NCHW layout."""
+def as_tensor(x, name):
+    """Coerce ``x`` to a 4-D float32 array, validating the NCHW layout; a
+    failed check names the argument ``name``."""
     arr = np.asarray(x, dtype=np.float32)
-    _require(arr.ndim == 4, "a tensor", "be 4-D (n, c, h, w)", arr.shape)
-    _require(min(arr.shape) >= 1, "all dims", "be >= 1", arr.shape)
+    _require(arr.ndim == 4, name, "be 4-D (n, c, h, w)", arr.shape)
+    _require(min(arr.shape) >= 1, f"all dims of {name}", "be >= 1", arr.shape)
     return arr
 
 
@@ -170,7 +171,7 @@ def conv2d(x, weights, bias, spec):
 
 def _conv_operands(x, weights, spec):
     """``x`` and ``weights`` as float32, checked against ``spec``."""
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     w = np.asarray(weights, dtype=np.float32)
     if x.shape[1] != spec.in_channels:
         raise ValueError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
@@ -237,24 +238,16 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     default 4x4 kernel / stride 2 / pad 1 the output spatial dims are exactly
     double the input's.
 
-    Each band is one GEMM over every tap, (oc_band*kh*kw, c) @ (c, h*wp),
+    Each band is one GEMM over every tap, (oc_band*kh*kw, c) @ (c, h*w),
     whose left operand is a transposed view of ``weights``: no weight copy,
-    which a GEMM per kernel row would need on every call.  The input is
-    zero-padded on the right to width wp = w - 1 + ceil(kw / s), for stride
-    s, the width of one stride-phase grid: output pixel (i + s*y, j + s*x) before
-    cropping is pixel (y + i//s, x + j//s) of phase (i % s, j % s).  Tap
-    (i, j) of the product is then one flat run of h*wp values, added at
-    offset (i//s)*wp + j//s of its phase, which holds one spare row.  The
-    padded columns add zeros, so with finite weights every pixel sums the
-    same values in the same (i, j) order as a scatter into the strided
-    output, bit for bit.  Each phase is written once into the strided,
-    cropped output.  The product holds kh*kw values per padded input pixel
-    and output channel, so a band holds at most ``_COLS_BYTES`` of it, as in
-    ``conv2d``.  Splitting the taps into per-phase sub-kernels (sub-pixel
-    convolution) makes GEMMs too small to pay off on the 2-16 pixel maps the
-    hourglass decoders run at.
+    which a GEMM per kernel row would need on every call.  Tap (i, j) of the
+    product is then added, in (i, j) order, into rows i, i + s, ... and
+    columns j, j + s, ... of the uncropped output, for stride s, which is
+    cropped by ``padding`` on each side.  The product holds kh*kw values per
+    input pixel and output channel, so a band holds at most ``_COLS_BYTES``
+    of it, as in ``conv2d``.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     w = np.asarray(weights, dtype=np.float32)
     _require(w.ndim == 4, "weights", "be 4-D (in, out, kh, kw)", w.shape)
     n, c, h, wd = x.shape
@@ -266,29 +259,17 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     oh, ow = _fit(h, wd, (kh, kw), stride, padding, transpose=True)
 
     s = stride
-    hp, wp = h - 1 + -(-kh // s), wd - 1 + -(-kw // s)
-    xm = np.zeros((n, c, h, wp), dtype=np.float32)
-    xm[..., :wd] = x
-    xm = xm.reshape(n, c, h * wp)
-    phase = np.zeros((s, s, n, oc, (hp + 1) * wp), dtype=np.float32)
-    band = max(1, _COLS_BYTES // (4 * n * kh * kw * h * wp))
+    hs, ws = (h - 1) * s + 1, (wd - 1) * s + 1  # the rows and columns one tap spans
+    full = np.zeros((n, oc, hs + kh - 1, ws + kw - 1), dtype=np.float32)
+    xm = x.reshape(n, c, h * wd)
+    band = max(1, _COLS_BYTES // (4 * n * kh * kw * h * wd))
     for o0 in range(0, oc, band):
         o1 = min(oc, o0 + band)
-        prod = np.matmul(w[:, o0:o1].reshape(c, -1).T, xm).reshape(n, o1 - o0, kh, kw, h * wp)
+        prod = np.matmul(w[:, o0:o1].reshape(c, -1).T, xm).reshape(n, o1 - o0, kh, kw, h, wd)
         for i in range(kh):
             for j in range(kw):
-                at = (i // s) * wp + j // s
-                phase[i % s, j % s, :, o0:o1, at : at + h * wp] += prod[:, :, i, j]
-    out = np.empty((n, oc, oh, ow), dtype=np.float32)
-    for a in range(s):
-        for b in range(s):
-            # output rows y0, y0 + s, ... are rows ty, ty + 1, ... of phase (a, b); columns alike
-            y0, x0 = (a - padding) % s, (b - padding) % s
-            grid = phase[a, b, :, :, : hp * wp].reshape(n, oc, hp, wp)
-            ty, tx = (y0 + padding) // s, (x0 + padding) // s
-            out[:, :, y0::s, x0::s] = grid[:, :, ty : ty + len(range(y0, oh, s)),
-                                            tx : tx + len(range(x0, ow, s))]
-
+                full[:, o0:o1, i : i + hs : s, j : j + ws : s] += prod[:, :, i, j]
+    out = np.ascontiguousarray(full[:, :, padding : padding + oh, padding : padding + ow])
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
@@ -296,13 +277,13 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
 
 def nearest_upsample2x(x):
     """Replicate every pixel into a 2x2 block."""
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     return x.repeat(2, axis=2).repeat(2, axis=3)
 
 
 def max_pool2d(x, kernel, stride, padding=0):
     """Sliding-window maximum; padded border cells count as -inf."""
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     if isinstance(kernel, _INTEGERS):
         kernel = (kernel, kernel)
     _kernel_pair(kernel)
@@ -398,7 +379,7 @@ def _bilinear_sample(x, ys, xs, zero_outside=False):
 
 def bilinear_resize(x, out_h, out_w):
     """Bilinear resample with half-pixel-center alignment and edge clamping."""
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     n, c, h, w = x.shape
     _integer("out_h", out_h)
     _integer("out_w", out_w)
@@ -414,7 +395,7 @@ def resize_longer_side(image, target):
 
     The shorter side is rounded half-up and floored at 1 pixel.
     """
-    image = as_tensor(image)
+    image = as_tensor(image, "image")
     _integer("target", target)
     n, c, h, w = image.shape
     if h >= w:
@@ -431,7 +412,7 @@ def zero_pad_to(image, h, w):
 
     Raises ``ValueError`` for an ``h`` or ``w`` that is not an integer >= 1
     or is smaller than the image."""
-    image = as_tensor(image)
+    image = as_tensor(image, "image")
     _integer("h", h)
     _integer("w", w)
     _, _, ih, iw = image.shape

@@ -147,9 +147,12 @@ def downsize_pair(image):
 
     Returns (frame255, affine255, content255_hw, frame192, affine192,
     content192_hw); content dims mark where real pixels end and zero padding
-    begins.
+    begins.  Raises ``ValueError`` for an image with a non-finite pixel: this
+    is the one scan of the whole image that ``run_saccade`` makes.
     """
-    image = as_tensor(image)
+    image = as_tensor(image, "image")
+    if not np.isfinite(image).all():
+        raise ValueError("image has non-finite (NaN or inf) pixels")
     frames = []
     for target in DOWNSIZE_SCALES:
         resized = resize_longer_side(image, target)
@@ -259,8 +262,11 @@ def crop_pixels(image, window):
     Sample points whose bilinear support falls outside the canvas read zero.
     Raises ``ValueError`` for a window size that is not an integer >= 1, a
     ``to_original`` that is not an ``Affine``, and a non-finite field of it.
+    The pixels are not scanned for NaN or inf: a scan per crop would re-read
+    the whole source image, which ``run_saccade`` scans once, through
+    ``downsize_pair``.
     """
-    image = as_tensor(image)
+    image = as_tensor(image, "image")
     aff = window.to_original
     _require(isinstance(aff, Affine), "window to_original", "be an Affine", aff)
     _integer("window size", window.size)
@@ -551,10 +557,8 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     config = config or SaccadeConfig()
     if not hasattr(model, "infer"):  # a weighted ArchGraph works directly
         model = GraphModel(model)
-    image = as_tensor(image)
+    image = as_tensor(image, "image")
     _require(image.shape[0] == 1, "image", "hold a single picture (batch 1)", image.shape)
-    if not np.isfinite(image).all():
-        raise ValueError("image has non-finite (NaN or inf) pixels")
     _, _, img_h, img_w = image.shape
 
     f255, aff255, content255, f192, aff192, content192 = downsize_pair(image)

@@ -168,8 +168,11 @@ def _written(path, doc):
     (lambda tmp: ["arch", "stats", _written(tmp / "list-node.json",
                                             {"input_dims": [1, 3, 8, 8], "nodes": [["input"]]})],
      "graph JSON node 0 must be an object"),
+    (lambda tmp: ["arch", "stats", _written(tmp / "int-nodes.json",
+                                            {"input_dims": [1, 3, 8, 8], "nodes": 5})],
+     "graph JSON nodes must be a list, got 5"),
 ], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height",
-        "saccade-config-non-numeric", "graph-node-not-an-object"])
+        "saccade-config-non-numeric", "graph-node-not-an-object", "graph-nodes-not-a-list"])
 def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))

@@ -228,8 +228,8 @@ def test_transpose_conv_general_shapes_match_naive():
 
 def _transpose_conv2d_scatter(x, w, bias, stride, padding):
     """The all-taps GEMM with a strided scatter-add per tap, frozen as the
-    byte reference for the stride-phase layout.  It skips the channel
-    bands, which change no value."""
+    byte reference for ``transpose_conv2d``.  It skips the channel bands,
+    which change no value."""
     n, c, h, wd = x.shape
     _, oc, kh, kw = w.shape
     oh = (h - 1) * stride - 2 * padding + kh
@@ -255,13 +255,12 @@ def _assert_tconv_bytes_match_scatter(x, wt, b, stride, pad):
 def test_transpose_conv_band_seams_match_naive(monkeypatch):
     # 5 output channels under a 2-channel product budget run as bands
     # 2+2+1; a budget of 1 byte runs one channel per band.  The product
-    # is kh*kw values per channel and input pixel of the phase-grid width.
+    # is kh*kw values per channel and input pixel.
     x = rand((2, 3, 5, 4), seed=50)
     wt = rand((3, 5, 4, 4), seed=51)
     b = rand((5,), seed=52)
     for stride, pad in [(2, 1), (3, 2), (1, 0)]:
-        wp = 4 - 1 + -(-4 // stride)
-        for budget in (4 * 2 * 16 * 5 * wp * 2, 1):
+        for budget in (4 * 2 * 16 * 5 * 4 * 2, 1):
             monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
             got = transpose_conv2d(x, wt, b, stride=stride, padding=pad)
             want = naive.transpose_conv2d_naive(x, wt, b, stride, pad)
@@ -294,6 +293,17 @@ def test_transpose_conv_kernel_below_stride_leaves_tapless_phases_zero(h, w):
     _assert_tconv_bytes_match_scatter(x, wt, None, 2, 0)
     y = transpose_conv2d(x, wt, None, stride=2, padding=0)
     assert not y[:, :, 1::2].any() and not y[:, :, :, 1::2].any()
+
+
+def test_transpose_conv_inf_weight_leaves_the_naive_finite_outputs_finite():
+    # each output sums only the taps that reach it, so an inf weight makes
+    # inf (not NaN) exactly where the loop reference does, and nothing else
+    x = rand((1, 3, 5, 5), seed=90)
+    wt = rand((3, 2, 4, 4), seed=91)
+    wt[0, 0, 0, 0] = np.inf
+    got = transpose_conv2d(x, wt, None, stride=2, padding=1)
+    want = naive.transpose_conv2d_naive(x, wt, None, 2, 1)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
 
 
 def test_transpose_conv_channel_mismatch():

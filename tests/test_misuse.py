@@ -18,12 +18,12 @@ import fovea
 from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, Node,
                    ObjectLocation, SaccadeConfig, attention_targets, bench, bilinear_resize,
                    OracleModel, SceneObject, SceneSpec, blank_model, conv2d, crop_pixels,
-                   downsize_pair, elementwise, extract_locations, focal_loss, gen_scene,
-                   group_corners, heatmap_peaks, init_weights, iou, make_crop, max_pool2d,
-                   nearest_upsample2x, oracle_outputs, pull_push_offset_losses, random_scene,
-                   read_tensor, resize_longer_side, size_class_of, soft_nms,
-                   strip_boundary_boxes, suppress_locations, transpose_conv2d, write_tensor,
-                   zero_pad_to)
+                   depthwise_conv2d, downsize_pair, elementwise, extract_locations, focal_loss,
+                   gen_scene, group_corners, heatmap_peaks, init_weights, iou, make_crop,
+                   max_pool2d, nearest_upsample2x, oracle_outputs, pull_push_offset_losses,
+                   random_scene, read_tensor, resize_longer_side, run_saccade, size_class_of,
+                   soft_nms, strip_boundary_boxes, suppress_locations, transpose_conv2d,
+                   write_tensor, zero_pad_to)
 
 NAN = float("nan")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
@@ -52,6 +52,11 @@ def _crop_at(size):
 
 def _scene(noise=0.1, cls=0):
     return SceneSpec(64, 64, [SceneObject(cls, (8.0, 8.0, 40.0, 40.0))], noise=noise)
+
+
+def _graph_json(**doc):
+    base = {"input_dims": [1, 3, 8, 8], "nodes": [{"id": "input", "kind": "input"}]}
+    return ArchGraph.from_json(json.dumps({**base, **doc}))
 
 
 SKT = fovea.skt.tensor_to_bytes(np.zeros(4, np.float32))  # 10-byte header, 16-byte payload
@@ -214,6 +219,45 @@ MISUSE = [
      "must be 4-D"),
     ("transpose_conv2d", "weights", (3, 3, 4), lambda v: transpose_conv2d(IMAGE, np.ones(v)),
      "weights must be 4-D"),
+    # the graph JSON's top-level fields, each checked before it is iterated or unpacked
+    ("ArchGraph.from_json", "nodes", 5, lambda v: _graph_json(nodes=v),
+     "graph JSON nodes must be a list, got 5"),
+    ("ArchGraph.from_json", "input_dims", 5, lambda v: _graph_json(input_dims=v),
+     "graph JSON input_dims must be four integers"),
+    ("ArchGraph.from_json", "input_dims", [1, 3, 8], lambda v: _graph_json(input_dims=v),
+     "graph JSON input_dims must be four integers"),
+    ("ArchGraph.from_json", "taps", [], lambda v: _graph_json(taps=v),
+     "graph JSON taps must be an object"),
+    ("ArchGraph.from_json", "document", 5, lambda v: ArchGraph.from_json(json.dumps(v)),
+     "graph JSON must be an object"),
+    # a tensor argument that is not 4-D, or has an empty dim, is named: x in the kernels,
+    # image in the image entry points
+    ("conv2d", "x", (8, 8),
+     lambda v: conv2d(np.ones(v), np.ones((1, 3, 3, 3)), None, ConvSpec(3, 1)), "^x must be 4-D"),
+    ("depthwise_conv2d", "x", (1, 3, 0, 8),
+     lambda v: depthwise_conv2d(np.ones(v), np.ones((3, 1, 3, 3)), ConvSpec(3, 3, groups=3)),
+     "^all dims of x must be >= 1"),
+    ("transpose_conv2d", "x", (3, 8, 8),
+     lambda v: transpose_conv2d(np.ones(v), np.ones((3, 3, 4, 4))), "^x must be 4-D"),
+    ("nearest_upsample2x", "x", (1, 3, 8, 0), lambda v: nearest_upsample2x(np.ones(v)),
+     "^all dims of x must be >= 1"),
+    ("max_pool2d", "x", (3, 8, 8), lambda v: max_pool2d(np.ones(v), 3, 1), "^x must be 4-D"),
+    ("bilinear_resize", "x", (3, 8, 8), lambda v: bilinear_resize(np.ones(v), 4, 4),
+     "^x must be 4-D"),
+    ("downsize_pair", "image", (8, 8), lambda v: downsize_pair(np.ones(v)), "^image must be 4-D"),
+    ("crop_pixels", "image", (3, 8, 8), lambda v: crop_pixels(np.ones(v), _window()),
+     "^image must be 4-D"),
+    ("resize_longer_side", "image", (3, 8, 8), lambda v: resize_longer_side(np.ones(v), 4),
+     "^image must be 4-D"),
+    ("zero_pad_to", "image", (0, 3, 8, 8), lambda v: zero_pad_to(np.ones(v), 12, 12),
+     "^all dims of image must be >= 1"),
+    ("run_saccade", "image", (3, 8, 8), lambda v: run_saccade(np.ones(v), OracleModel([], 1)),
+     "^image must be 4-D"),
+    ("pull_push_offset_losses", "embeddings", [0.1, 0.2, 0.3],
+     lambda v: pull_push_offset_losses(v, np.zeros((1, 2, 2)), np.zeros((1, 2, 2))),
+     r"^embeddings must hold \(N, 2\) values"),
+    ("downsize_pair", "image", NAN, lambda v: downsize_pair(np.full((1, 3, 8, 8), v)),
+     "image has non-finite"),
 ]
 
 
