@@ -17,13 +17,13 @@ gt = [Detection(0, 1.0, (24.0, 40.5, 120.0, 180.25)),
       Detection(0, 1.0, (140.5, 140.0, 170.0, 166.0))]
 
 maps = oracle_outputs(gt, num_classes=2)
-print("oracle corner maps:", maps.tl_heat.shape, "| peak cells:",
-      int((maps.tl_heat > 0).sum()), "tl,", int((maps.br_heat > 0).sum()), "br")
+print("oracle corner maps:", maps["tl_heat"].shape, "| peak cells:",
+      int((maps["tl_heat"] > 0).sum()), "tl,", int((maps["br_heat"] > 0).sum()), "br")
 
 # 1) peak extraction: 3x3 window-max suppression, then top-k with gathered
 # offsets and embedding tags
-tl = heatmap_peaks(maps.tl_heat, k=10, offsets=maps.tl_off, embeddings=maps.tl_embed)
-br = heatmap_peaks(maps.br_heat, k=10, offsets=maps.br_off, embeddings=maps.br_embed,
+tl = heatmap_peaks(maps["tl_heat"], k=10, offsets=maps["tl_off"], embeddings=maps["tl_embed"])
+br = heatmap_peaks(maps["br_heat"], k=10, offsets=maps["br_off"], embeddings=maps["br_embed"],
                    kind="br")
 for c in [c for c in tl if c.score > 0.5]:
     print(f"  tl corner cls={c.cls} cell=({c.x},{c.y}) off=({c.dx:.3f},{c.dy:.3f}) "
@@ -47,8 +47,8 @@ for size, hw, stride in [("small", (64, 64), 4), ("medium", (32, 32), 8),
     print(f"attention targets [{size}]: {int(t.sum())} positives")
 
 # 4) forward loss values on a perfect prediction are all ~zero
-print("focal(perfect) =", focal_loss((maps.tl_heat > 0).astype(float),
-                                     (maps.tl_heat > 0).astype(float)))
+print("focal(perfect) =", focal_loss((maps["tl_heat"] > 0).astype(float),
+                                     (maps["tl_heat"] > 0).astype(float)))
 print("focal(single positive at p=0.5) =", round(focal_loss([[0.5]], [[1.0]]), 6))
 
 emb = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]  # per-object corner embedding pairs

@@ -19,8 +19,8 @@ from .pipeline import (Affine, ObjectLocation, CropWindow, SaccadeConfig, downsi
                        extract_locations, suppress_locations, make_crop, crop_pixels,
                        strip_boundary_boxes, soft_nms, iou, run_saccade, GraphModel,
                        CROP_SIZE)
-from .scene import (SceneSpec, SceneObject, OracleOutputs, OracleModel, gen_scene,
-                    random_scene, oracle_outputs, blank_model)
+from .scene import (SceneSpec, SceneObject, OracleModel, gen_scene, random_scene,
+                    oracle_outputs, blank_model)
 from .bench import bench
 from .skt import read_tensor, write_tensor
 

@@ -1,11 +1,13 @@
 """Backbone graph builders.
 
-Three stacked-hourglass variants share one set of emit helpers:
+Three stacked-hourglass variants, each one call to the same template,
+which takes every difference below as an argument:
 
 * ``build_hourglass54`` -- 3 modules, 3 downsamplings each with channel
   schedule (384, 384, 512), one residual per skip / down / up stage, a
   single 512-channel middle residual, nearest-neighbor upsampling, a
-  two-stage stem, per-scale attention heads on the last module and 3x3
+  two-stage stem, a bare 1x1-remap join between modules (no post conv or
+  carry block), per-scale attention heads on the last module and 3x3
   corner prediction heads.
 * ``build_hourglass104_reference`` -- the classic two-module baseline
   kept for comparisons: 5 downsamplings per module with schedule
@@ -16,8 +18,6 @@ Three stacked-hourglass variants share one set of emit helpers:
   residual becomes a fire module (the stem's leading conv stays standard),
   a third stride-2 stem stage, one downsampling fewer per module, 4x4
   stride-2 transpose-conv upsampling and 1x1 lead convs in the heads.
-  Both two-module builders are one call to the same template, and every
-  edit is an argument to it.
 
 Structural conventions used everywhere: downsampling is a stride-2 block
 (never pooling); each up stage is upsample -> block(s) mapping the deeper
@@ -29,7 +29,9 @@ upsampled partner (roughly: the post-stem resolution must be divisible by
 127x127; build() validates and raises on a size that breaks the mirror.
 """
 
+from .decode import SIZE_CLASSES
 from .graph import ArchGraph, Node
+from .kernels import _integer, _one_of
 
 
 class Emit:
@@ -83,10 +85,12 @@ class Emit:
         return f"{name}.out"
 
     def block(self, kind, name, src, in_c, out_c, stride=1, stage="", role=""):
-        fn = self.residual if kind == "residual" else self.fire
-        return fn(name, src, in_c, out_c, stride, stage=stage, role=role)
+        blocks = {"residual": self.residual, "fire": self.fire}
+        _one_of("block kind", kind, blocks)
+        return blocks[kind](name, src, in_c, out_c, stride, stage=stage, role=role)
 
     def upsample(self, kind, name, src, channels, stage="", role=""):
+        _one_of("upsample kind", kind, ("nearest", "tconv"))
         tags = dict(stage=stage, role=role, block=name, block_kind="upsample")
         if kind == "nearest":
             self.g.add(Node(id=name, kind="upsample2x", inputs=[src], **tags))
@@ -169,73 +173,60 @@ def _emit_module(e, m, x, dims, mult, middle_mult, block, upsample):
     return cur, up_feats
 
 
-def build_hourglass54(num_classes, input_hw=(255, 255)):
-    """Saccade backbone: 3 shallow hourglass modules plus attention heads."""
+def _hourglass(num_classes, input_hw, block, stem, dims, upsample, lead_kernel,
+               modules=2, mult=2, middle_mult=4, post_carry=True, attention=False):
+    """CornerNet's hourglass, the one body all three backbone builders call: a
+    7x7/2 conv, one stride-2 ``block`` per out-channel count in ``stem``, then
+    ``modules`` hourglass modules over ``dims`` with ``mult`` blocks per stage
+    and ``middle_mult`` in the middle.  Consecutive modules meet at a join of
+    1x1 remaps of the module's input and output.  With ``post_carry`` each
+    module's output first passes a 3x3 conv, and a ``block`` carries the join
+    into the next module.  With ``attention``, attention heads read the last
+    module's three finest up features, finest first."""
+    _integer("num_classes", num_classes)
     g = ArchGraph((1, 3) + tuple(input_hw))
     e = Emit(g)
-    x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
-               stage="stem", role="down1")
-    x = e.residual("stem.res1", x, 128, 256, stride=2, stage="stem", role="down2")
-
-    dims = [256, 384, 384, 512]
-    n_modules = 3
-    up_feats = None
-    for m in range(1, n_modules + 1):
-        y, up_feats = _emit_module(e, f"module{m}", x, dims, mult=1, middle_mult=1,
-                                   block="residual", upsample="nearest")
-        if m < n_modules:
-            stage = f"inter{m}"
-            a = e.conv(f"inter{m}.remap_prev", x, 256, 256, 1, stage=stage, role="remap")
-            b = e.conv(f"inter{m}.remap_out", y, 256, 256, 1, stage=stage, role="remap")
-            x = e.add_relu(f"inter{m}.join", [a, b], stage=stage, role="join")
-        else:
-            x = y
-
-    by_level = dict(up_feats)  # level -> node id; level 0 is the finest scale
-    e.attention_heads({
-        "small": (by_level[0], dims[0]),
-        "medium": (by_level[1], dims[1]),
-        "large": (by_level[2], dims[2]),
-    })
-    g.tap("feature", x)
-    e.corner_heads(x, 256, num_classes, lead_kernel=3)
-    g.shapes()
-    return g
-
-
-def _two_module_hourglass(num_classes, input_hw, block, stem, dims, upsample, lead_kernel):
-    """CornerNet's two-module body: a 7x7/2 conv, one stride-2 ``block`` per
-    out-channel count in ``stem``, two modules over ``dims`` each followed by
-    a 3x3 conv, and a remap-join-carry junction between them."""
-    g = ArchGraph((1, 3) + tuple(input_hw))
-    e = Emit(g)
-    short = {"residual": "res", "fire": "fire"}[block]
+    short = "res" if block == "residual" else block
     x = e.conv("stem.conv1", "input", 3, 128, 7, stride=2, act="relu",
                stage="stem", role="down1")
     for i, (in_c, out_c) in enumerate(zip([128] + stem, stem), 1):
         x = e.block(block, f"stem.{short}{i}", x, in_c, out_c, 2, stage="stem", role=f"down{i + 1}")
 
-    for m in (1, 2):
-        y, _ = _emit_module(e, f"module{m}", x, dims, mult=2, middle_mult=4,
-                            block=block, upsample=upsample)
-        feat = e.conv(f"post{m}.conv", y, 256, 256, 3, act="relu",
-                      stage=f"post{m}", role="postconv")
-        if m == 1:
-            a = e.conv("inter1.remap_prev", x, 256, 256, 1, stage="inter1", role="remap")
-            b = e.conv("inter1.remap_out", feat, 256, 256, 1, stage="inter1", role="remap")
-            j = e.add_relu("inter1.join", [a, b], stage="inter1", role="join")
-            x = e.block(block, f"inter1.{short}", j, 256, 256, stage="inter1", role="carry")
+    for m in range(1, modules + 1):
+        y, up_feats = _emit_module(e, f"module{m}", x, dims, mult=mult, middle_mult=middle_mult,
+                                   block=block, upsample=upsample)
+        if post_carry:
+            y = e.conv(f"post{m}.conv", y, 256, 256, 3, act="relu",
+                       stage=f"post{m}", role="postconv")
+        if m < modules:
+            stage = f"inter{m}"
+            a = e.conv(f"{stage}.remap_prev", x, 256, 256, 1, stage=stage, role="remap")
+            b = e.conv(f"{stage}.remap_out", y, 256, 256, 1, stage=stage, role="remap")
+            y = e.add_relu(f"{stage}.join", [a, b], stage=stage, role="join")
+            if post_carry:
+                y = e.block(block, f"{stage}.{short}", y, 256, 256, stage=stage, role="carry")
+        x = y
 
-    g.tap("feature", feat)
-    e.corner_heads(feat, 256, num_classes, lead_kernel=lead_kernel)
+    if attention:
+        by_level = dict(up_feats)  # level -> node id; level 0 is the finest scale
+        e.attention_heads({size: (by_level[i], dims[i]) for i, size in enumerate(SIZE_CLASSES)})
+    g.tap("feature", x)
+    e.corner_heads(x, 256, num_classes, lead_kernel=lead_kernel)
     g.shapes()
     return g
 
 
+def build_hourglass54(num_classes, input_hw=(255, 255)):
+    """Saccade backbone: 3 shallow hourglass modules plus attention heads."""
+    return _hourglass(num_classes, input_hw, "residual", [256], [256, 384, 384, 512],
+                      "nearest", lead_kernel=3, modules=3, mult=1, middle_mult=1,
+                      post_carry=False, attention=True)
+
+
 def build_hourglass104_reference(num_classes=80, input_hw=(255, 255)):
     """Two-module deep-hourglass baseline used as the comparison reference."""
-    return _two_module_hourglass(num_classes, input_hw, "residual", [256],
-                                 [256, 256, 384, 384, 384, 512], "nearest", lead_kernel=3)
+    return _hourglass(num_classes, input_hw, "residual", [256],
+                      [256, 256, 384, 384, 384, 512], "nearest", lead_kernel=3)
 
 
 def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsample=True):
@@ -245,8 +236,8 @@ def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsamp
     only meant for activation-memory comparisons against the default build.
     """
     stem = [256, 256] if extra_pre_downsample else [256]
-    return _two_module_hourglass(num_classes, input_hw, "fire", stem,
-                                 [256, 256, 384, 384, 512], "tconv", lead_kernel=1)
+    return _hourglass(num_classes, input_hw, "fire", stem,
+                      [256, 256, 384, 384, 512], "tconv", lead_kernel=1)
 
 
 def build_single_module(block="residual", dims=(256, 384, 384, 512), mult=1,

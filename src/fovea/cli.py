@@ -10,8 +10,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import skt
 from .analysis import compare_archs, compare_to_csv, cost_report
 from .bench import BENCH_OPS, bench
@@ -49,6 +47,14 @@ def _write_json(path, payload):
             f.write(text + "\n")
 
 
+def _write_taps(out_dir, taps):
+    """Write each ``{tap name: map}`` entry to ``<out_dir>/<tap name>.skt``."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, arr in taps.items():
+        skt.write_tensor(os.path.join(out_dir, f"{name}.skt"), arr)
+    print(f"wrote {len(taps)} taps to {out_dir}")
+
+
 def _load_graph(args):
     graph = ArchGraph.load(args.graph)
     if getattr(args, "weights", None):
@@ -81,12 +87,7 @@ def cmd_arch_stats(args):
 
 def cmd_arch_forward(args):
     graph = _load_graph(args)
-    x = skt.read_tensor(args.input)
-    taps = forward(graph, x)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, arr in taps.items():
-        skt.write_tensor(os.path.join(args.out_dir, f"{name}.skt"), arr)
-    print(f"wrote {len(taps)} taps to {args.out_dir}")
+    _write_taps(args.out_dir, forward(graph, skt.read_tensor(args.input)))
 
 
 # ---- decode --------------------------------------------------------------------
@@ -163,15 +164,7 @@ def cmd_scene_gen(args):
 def cmd_scene_oracle(args):
     with open(args.gt) as f:
         gt = [Detection.from_dict(d) for d in json.load(f)]
-    out = oracle_outputs(gt, num_classes=args.classes, frame_hw=args.frame)
-    os.makedirs(args.out_dir, exist_ok=True)
-    tensors = {"tl_heat": out.tl_heat, "tl_embed": out.tl_embed, "tl_off": out.tl_off,
-               "br_heat": out.br_heat, "br_embed": out.br_embed, "br_off": out.br_off}
-    for size, arr in out.attention.items():
-        tensors[f"attn_{size}"] = arr
-    for name, arr in tensors.items():
-        skt.write_tensor(os.path.join(args.out_dir, f"{name}.skt"), arr)
-    print(f"wrote {len(tensors)} oracle maps to {args.out_dir}")
+    _write_taps(args.out_dir, oracle_outputs(gt, num_classes=args.classes, frame_hw=args.frame))
 
 
 # ---- bench / compare -----------------------------------------------------------

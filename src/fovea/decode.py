@@ -44,6 +44,13 @@ class Corner:
     kind: str = "tl"
 
 
+def _box_field(values):
+    """A JSON record's ``box`` as a tuple of 4 floats."""
+    box = tuple(float(v) for v in values)
+    _require(len(box) == 4, "box", "hold 4 coordinates (x1, y1, x2, y2)", values)
+    return box
+
+
 @dataclass
 class Detection:
     cls: int
@@ -57,7 +64,7 @@ class Detection:
     @classmethod
     def from_dict(cls, d):
         with _from_fields("detection"):
-            return cls(int(d["class"]), float(d["score"]), tuple(float(v) for v in d["box"]))
+            return cls(int(d["class"]), float(d["score"]), _box_field(d["box"]))
 
     @property
     def longer_side(self):

@@ -63,11 +63,11 @@ def _from_fields(what):
         raise ValueError(f"{what}: missing or bad field {exc}") from None
 
 
-def _kernel_pair(kernel):
-    """Check that ``kernel`` is a tuple or list of two integers >= 1."""
-    if not (isinstance(kernel, (tuple, list)) and len(kernel) == 2
-            and _is_integer(kernel[0], 1) and _is_integer(kernel[1], 1)):
-        raise ValueError(f"kernel must be a pair of integers >= 1, got {kernel!r}")
+def _pair(name, value):
+    """Check that ``value`` is a tuple or list of two integers >= 1."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and _is_integer(value[0], 1) and _is_integer(value[1], 1)):
+        raise ValueError(f"{name} must be a pair of integers >= 1, got {value!r}")
 
 
 def _fit(h, w, kernel, stride, padding, transpose=False):
@@ -105,7 +105,7 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
-        _kernel_pair(self.kernel)
+        _pair("kernel", self.kernel)
         _integer("stride", self.stride)
         _integer("padding", self.padding, 0)
         _integer("groups", self.groups)
@@ -286,7 +286,7 @@ def max_pool2d(x, kernel, stride, padding=0):
     x = as_tensor(x, "x")
     if isinstance(kernel, _INTEGERS):
         kernel = (kernel, kernel)
-    _kernel_pair(kernel)
+    _pair("kernel", kernel)
     _integer("stride", stride)
     _integer("padding", padding, 0)
     kh, kw = kernel

@@ -416,13 +416,18 @@ class GraphModel:
             raise ValueError("graph has no weights attached; call init_weights or load them")
 
     def infer(self, image, to_original=None):
-        taps = forward(self.graph, image, self.params)
-        attention = {size: taps[f"attn_{size}"]
-                     for size in SIZE_CLASSES if f"attn_{size}" in taps}
-        corners = {kind: {"heat": taps[f"{kind}_heat"], "embed": taps[f"{kind}_embed"],
-                          "off": taps[f"{kind}_off"]}
-                   for kind in ("tl", "br")}
-        return {"attention": attention, "corners": corners}
+        return model_maps(forward(self.graph, image, self.params))
+
+
+def model_maps(taps):
+    """The ``infer`` layout of a model's ``{tap name: map}``: the builders'
+    and the oracle's ``attn_<size>``, ``<kind>_heat``, ``<kind>_embed`` and
+    ``<kind>_off`` as ``{"attention": {size: map}, "corners": {kind: {"heat",
+    "embed", "off"}}}``.  Attention sizes without a tap are left out."""
+    attention = {size: taps[f"attn_{size}"] for size in SIZE_CLASSES if f"attn_{size}" in taps}
+    corners = {kind: {part: taps[f"{kind}_{part}"] for part in ("heat", "embed", "off")}
+               for kind in ("tl", "br")}
+    return {"attention": attention, "corners": corners}
 
 
 _CORNER_MAP_CHANNELS = {"heat": None, "off": 2, "embed": 1}  # heat: the class count

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decode import Detection, size_class_of
-from .kernels import _from_fields, _integer, _require
-from .pipeline import Affine, CROP_SIZE
+from .decode import Detection, _box_field, size_class_of
+from .kernels import _from_fields, _integer, _pair, _require
+from .pipeline import CROP_SIZE, model_maps
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
 HEATMAP_HW = (64, 64)
@@ -49,18 +49,21 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, d):
         with _from_fields("scene spec"):
-            objs = [SceneObject(int(o["class"]), tuple(float(v) for v in o["box"]))
+            objs = [SceneObject(int(o["class"]), _box_field(o["box"]))
                     for o in d.get("objects", [])]
-            return cls(int(d["height"]), int(d["width"]), objs,
+            return cls(d["height"], d["width"], objs,
                        int(d.get("seed", 0)), float(d.get("noise", 0.1)))
 
 
 def gen_scene(spec):
     """Render a SceneSpec deterministically; returns (image, ground truth).
 
-    Raises ``ValueError`` for a NaN, infinite or negative ``noise``, an
-    object class that is not an integer >= 0, and a box outside the canvas.
+    Raises ``ValueError`` for a ``height`` or ``width`` that is not an
+    integer >= 1, a NaN, infinite or negative ``noise``, an object class that
+    is not an integer >= 0, and a box outside the canvas.
     """
+    _integer("height", spec.height)
+    _integer("width", spec.width)
     _require(0.0 <= spec.noise < math.inf, "noise", "be finite and >= 0", spec.noise)
     rng = np.random.default_rng(spec.seed)
     canvas = rng.uniform(0.0, spec.noise, size=(spec.height, spec.width)).astype(np.float32)
@@ -127,56 +130,42 @@ def _separated(a, b, gap):
     return tl_gap >= gap and br_gap >= gap
 
 
-@dataclass
-class OracleOutputs:
-    attention: dict
-    tl_heat: np.ndarray
-    tl_embed: np.ndarray
-    tl_off: np.ndarray
-    br_heat: np.ndarray
-    br_embed: np.ndarray
-    br_off: np.ndarray
-
-    def corners(self):
-        return {"tl": {"heat": self.tl_heat, "embed": self.tl_embed, "off": self.tl_off},
-                "br": {"heat": self.br_heat, "embed": self.br_embed, "off": self.br_off}}
-
-
 def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE), tags=None):
     """Analytically render the maps a perfect network would output for ``gt``.
 
-    ``gt`` boxes are in frame pixels and must lie inside the frame, and their
-    classes in [0, num_classes).  ``tags`` optionally fixes each object's
-    embedding value (defaults to 1, 2, ...).
+    Returns ``{tap name: map}`` under the names the builders tap:
+    ``tl_heat``, ``tl_embed``, ``tl_off``, the same for ``br``, and
+    ``attn_<size>`` per size class.  ``gt`` boxes are in frame pixels and
+    must lie inside the frame, and their classes in [0, num_classes).
+    ``tags`` optionally fixes each object's embedding value (defaults to 1,
+    2, ...).  Raises ``ValueError`` for a ``num_classes`` that is not an
+    integer >= 1 and a ``frame_hw`` that is not two integers >= 1.
     """
+    _integer("num_classes", num_classes)
+    _pair("frame_hw", frame_hw)
     fh, fw = frame_hw
     hh, hw_ = HEATMAP_HW
     fy, fx = fh / hh, fw / hw_
 
-    tl_heat = np.zeros((1, num_classes, hh, hw_), np.float32)
-    br_heat = np.zeros_like(tl_heat)
-    tl_embed = np.zeros((1, 1, hh, hw_), np.float32)
-    br_embed = np.zeros_like(tl_embed)
-    tl_off = np.zeros((1, 2, hh, hw_), np.float32)
-    br_off = np.zeros_like(tl_off)
-    attention = {size: np.zeros((1, 1) + tuple(dims), np.float32)
-                 for size, dims in ATTENTION_MAP_HW.items()}
+    maps = {f"{kind}_{part}": np.zeros((1, channels, hh, hw_), np.float32)
+            for kind in ("tl", "br")
+            for part, channels in (("heat", num_classes), ("embed", 1), ("off", 2))}
+    maps.update({f"attn_{size}": np.zeros((1, 1) + tuple(dims), np.float32)
+                 for size, dims in ATTENTION_MAP_HW.items()})
 
     for i, det in enumerate(gt):
         x1, y1, x2, y2 = det.box
         if not 0 <= det.cls < num_classes:
             raise ValueError(f"gt class {det.cls} lies outside [0, num_classes={num_classes})")
         tag = float(tags[i]) if tags is not None else float(i + 1)
-        for (cx, cy), heat, embed, off in (((x1, y1), tl_heat, tl_embed, tl_off),
-                                           ((x2, y2), br_heat, br_embed, br_off)):
+        for kind, cx, cy in (("tl", x1, y1), ("br", x2, y2)):
             ix = int(np.floor(cx / fx))
             iy = int(np.floor(cy / fy))
             if not (0 <= ix < hw_ and 0 <= iy < hh):
                 raise ValueError(f"corner ({cx}, {cy}) falls outside the {fh}x{fw} frame")
-            heat[0, det.cls, iy, ix] = ORACLE_PEAK
-            embed[0, 0, iy, ix] = tag
-            off[0, 0, iy, ix] = cx / fx - ix
-            off[0, 1, iy, ix] = cy / fy - iy
+            maps[f"{kind}_heat"][0, det.cls, iy, ix] = ORACLE_PEAK
+            maps[f"{kind}_embed"][0, 0, iy, ix] = tag
+            maps[f"{kind}_off"][0, :, iy, ix] = cx / fx - ix, cy / fy - iy
 
         size = size_class_of(max(x2 - x1, y2 - y1))
         ah, aw = ATTENTION_MAP_HW[size]
@@ -184,9 +173,9 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE), tags=None):
         mx = int(np.floor((x1 + x2) / 2.0 / sx + 0.5))
         my = int(np.floor((y1 + y2) / 2.0 / sy + 0.5))
         if 0 <= my < ah and 0 <= mx < aw:
-            attention[size][0, 0, my, mx] = ORACLE_PEAK
+            maps[f"attn_{size}"][0, 0, my, mx] = ORACLE_PEAK
 
-    return OracleOutputs(attention, tl_heat, tl_embed, tl_off, br_heat, br_embed, br_off)
+    return maps
 
 
 class OracleModel:
@@ -215,8 +204,7 @@ class OracleModel:
                     box[2] <= fw - 1 and box[3] <= fh - 1):
                 visible.append(Detection(det.cls, ORACLE_PEAK, box))
                 tags.append(i + 1)
-        out = oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags)
-        return {"attention": out.attention, "corners": out.corners()}
+        return model_maps(oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags))
 
 
 def blank_model(num_classes=3):

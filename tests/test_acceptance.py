@@ -192,11 +192,11 @@ def test_criterion_6_decode_round_trip():
         for spec in corpus():
             gt = [Detection(o.cls, 1.0, o.box) for o in spec.objects]
             out = oracle_outputs(gt, num_classes=3, frame_hw=(spec.height, spec.width))
-            factor = spec.height / out.tl_heat.shape[2]
-            tl = heatmap_peaks(out.tl_heat, 100, offsets=out.tl_off,
-                               embeddings=out.tl_embed, kind="tl")
-            br = heatmap_peaks(out.br_heat, 100, offsets=out.br_off,
-                               embeddings=out.br_embed, kind="br")
+            factor = spec.height / out["tl_heat"].shape[2]
+            tl = heatmap_peaks(out["tl_heat"], 100, offsets=out["tl_off"],
+                               embeddings=out["tl_embed"], kind="tl")
+            br = heatmap_peaks(out["br_heat"], 100, offsets=out["br_off"],
+                               embeddings=out["br_embed"], kind="br")
             dets = group_corners(tl, br, embed_threshold=0.5, downsample_factor=factor)
             confident = [d for d in dets if d.score > 0.5]
             assert len(confident) == len(gt), f"seed {spec.seed}: spurious detections"

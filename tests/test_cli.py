@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import fovea
-from fovea import skt
+from fovea import ArchGraph, Emit, skt
 from fovea.cli import main
+
+
+GT_RECORD = {"class": 0, "score": 1.0, "box": [10, 10, 60, 80]}
 
 
 def run(argv):
@@ -119,6 +122,25 @@ def test_scene_oracle_writes_maps(tmp_path):
     assert (out_dir / "attn_small.skt").exists()
 
 
+def test_scene_oracle_writes_the_tap_files_arch_forward_writes(tmp_path):
+    # a small graph with the builders' heads, so that its taps carry the backbones' names
+    g = ArchGraph((1, 3, 16, 16))
+    e = Emit(g)
+    x = e.conv("stem", "input", 3, 4, 3)
+    e.attention_heads({size: (x, 4) for size in ("small", "medium", "large")}, mid=4)
+    e.corner_heads(x, 4, 2, lead_kernel=1, mid=4)
+    graph_path, in_path = str(tmp_path / "heads.json"), tmp_path / "in.skt"
+    g.save(graph_path)
+    run(["arch", "init", graph_path, "--out-dir", str(tmp_path / "weights")])
+    skt.write_tensor(in_path, np.zeros((1, 3, 16, 16), np.float32))
+    run(["arch", "forward", graph_path, "--weights", str(tmp_path / "weights"),
+         "--input", str(in_path), "--out-dir", str(tmp_path / "taps")])
+    run(["scene", "oracle", "--gt", _written(tmp_path / "gt.json", [GT_RECORD]),
+         "--classes", "2", "--out-dir", str(tmp_path / "maps")])
+    written = [sorted(p.name for p in (tmp_path / d).iterdir()) for d in ("taps", "maps")]
+    assert written[0] == written[1] == sorted(f"{name}.skt" for name in g.taps)
+
+
 def test_bench_single_repetition(tmp_path):
     out = tmp_path / "bench.json"
     run(["bench", "--ops", "conv3x3", "maxpool3x3", "--sizes", "8", "16",
@@ -158,7 +180,7 @@ def _written(path, doc):
     (lambda tmp: ["arch", "stats", str(tmp / "graph.json")], "input_dims"),
     (lambda tmp: ["arch", "build", "--variant", "squeeze", "--classes", "0",
                   "--out", str(tmp / "zero.json")],
-     "'heads.tl.heat'.*channels must be >= 1, got 256 and 0"),
+     "num_classes must be an integer >= 1, got 0"),
     (lambda tmp: ["scene", "gen", "--spec", str(tmp / "graph.json"),
                   "--out-image", str(tmp / "i.skt"), "--out-gt", str(tmp / "gt.json")],
      "scene spec: missing or bad field 'height'"),
@@ -171,8 +193,19 @@ def _written(path, doc):
     (lambda tmp: ["arch", "stats", _written(tmp / "int-nodes.json",
                                             {"input_dims": [1, 3, 8, 8], "nodes": 5})],
      "graph JSON nodes must be a list, got 5"),
+    (lambda tmp: ["scene", "oracle", "--gt", _written(tmp / "gt.json", [GT_RECORD]),
+                  "--frame", "0x0", "--out-dir", str(tmp / "maps")],
+     r"frame_hw must be a pair of integers >= 1, got \(0, 0\)"),
+    (lambda tmp: ["scene", "oracle", "--out-dir", str(tmp / "maps"), "--gt",
+                  _written(tmp / "gt.json", [{**GT_RECORD, "box": [10, 10, 60]}])],
+     r"detection: missing or bad field box must hold 4 coordinates"),
+    (lambda tmp: ["scene", "gen", "--out-image", str(tmp / "i.skt"), "--out-gt",
+                  str(tmp / "gt.json"), "--spec",
+                  _written(tmp / "spec.json", {"height": -5, "width": 10})],
+     "height must be an integer >= 1, got -5"),
 ], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height",
-        "saccade-config-non-numeric", "graph-node-not-an-object", "graph-nodes-not-a-list"])
+        "saccade-config-non-numeric", "graph-node-not-an-object", "graph-nodes-not-a-list",
+        "scene-oracle-zero-frame", "scene-oracle-three-value-box", "scene-spec-negative-height"])
 def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))

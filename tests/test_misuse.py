@@ -17,7 +17,9 @@ import pytest
 import fovea
 from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, Node,
                    ObjectLocation, SaccadeConfig, attention_targets, bench, bilinear_resize,
-                   OracleModel, SceneObject, SceneSpec, blank_model, conv2d, crop_pixels,
+                   OracleModel, SceneObject, SceneSpec, blank_model, build_hourglass54,
+                   build_hourglass104_reference, build_single_module, build_squeeze_hourglass,
+                   conv2d, crop_pixels,
                    depthwise_conv2d, downsize_pair, elementwise, extract_locations, focal_loss,
                    gen_scene, group_corners, heatmap_peaks, init_weights, iou, make_crop,
                    max_pool2d, nearest_upsample2x, oracle_outputs, pull_push_offset_losses,
@@ -258,6 +260,46 @@ MISUSE = [
      r"^embeddings must hold \(N, 2\) values"),
     ("downsize_pair", "image", NAN, lambda v: downsize_pair(np.full((1, 3, 8, 8), v)),
      "image has non-finite"),
+    # a block or upsample kind the builders do not know; a class count the template checks
+    ("build_single_module", "block", "bogus",
+     lambda v: build_single_module(v, dims=(32, 48), input_hw=(16, 16)),
+     r"^unknown block kind 'bogus'"),
+    ("build_single_module", "upsample", "bogus",
+     lambda v: build_single_module("fire", dims=(32, 48), input_hw=(16, 16), upsample=v),
+     r"^unknown upsample kind 'bogus'"),
+    ("build_squeeze_hourglass", "num_classes", 2.5, build_squeeze_hourglass,
+     "^num_classes must be an integer >= 1, got 2.5"),
+    ("build_hourglass54", "num_classes", 0, build_hourglass54,
+     "^num_classes must be an integer >= 1, got 0"),
+    ("build_hourglass104_reference", "num_classes", True, build_hourglass104_reference,
+     "^num_classes must be an integer >= 1, got True"),
+    ("oracle_outputs", "num_classes", -1, lambda v: oracle_outputs([], v),
+     "^num_classes must be an integer >= 1, got -1"),
+    ("oracle_outputs", "frame_hw", (0, 0), lambda v: oracle_outputs([], 3, frame_hw=v),
+     r"^frame_hw must be a pair of integers >= 1, got \(0, 0\)"),
+    ("oracle_outputs", "frame_hw", (255,), lambda v: oracle_outputs([], 3, frame_hw=v),
+     "^frame_hw must be a pair of integers >= 1"),
+    ("oracle_outputs", "frame_hw", (255.0, 255), lambda v: oracle_outputs([], 3, frame_hw=v),
+     "^frame_hw must be a pair of integers >= 1"),
+    # JSON records: a box holds 4 values, a scene spec a height and width >= 1
+    ("Detection.from_dict", "box", [10, 10, 60],
+     lambda v: Detection.from_dict({"class": 0, "score": 1.0, "box": v}),
+     r"detection: missing or bad field box must hold 4 coordinates \(x1, y1, x2, y2\)"),
+    ("SceneSpec.from_dict", "objects.box", [8, 8, 40],
+     lambda v: SceneSpec.from_dict({"height": 64, "width": 64,
+                                    "objects": [{"class": 0, "box": v}]}),
+     "scene spec: missing or bad field box must hold 4 coordinates"),
+    ("gen_scene", "height", -5,
+     lambda v: gen_scene(SceneSpec.from_dict({"height": v, "width": 10})),
+     "^height must be an integer >= 1, got -5"),
+    ("gen_scene", "height", 0,
+     lambda v: gen_scene(SceneSpec.from_dict({"height": v, "width": 10})),
+     "^height must be an integer >= 1, got 0"),
+    ("gen_scene", "width", 0,
+     lambda v: gen_scene(SceneSpec.from_dict({"height": 10, "width": v})),
+     "^width must be an integer >= 1, got 0"),
+    ("gen_scene", "width", 2.5, lambda v: gen_scene(SceneSpec(10, v)),
+     "^width must be an integer >= 1, got 2.5"),
 ]
 
 

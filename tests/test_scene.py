@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fovea.builders import build_hourglass54
 from fovea.decode import Detection, group_corners, heatmap_peaks
 from fovea.pipeline import Affine, iou
 from fovea.scene import (OracleModel, SceneObject, SceneSpec, gen_scene,
@@ -45,10 +46,12 @@ def test_gen_scene_rejects_out_of_canvas_box():
 def test_oracle_single_object_round_trip():
     gt = [Detection(1, 1.0, (12.5, 30.25, 180.0, 200.75))]
     out = oracle_outputs(gt, num_classes=3)
-    assert out.tl_heat.sum() == np.float32(0.9)
-    assert out.br_heat.sum() == np.float32(0.9)
-    tl = heatmap_peaks(out.tl_heat, 5, offsets=out.tl_off, embeddings=out.tl_embed, kind="tl")
-    br = heatmap_peaks(out.br_heat, 5, offsets=out.br_off, embeddings=out.br_embed, kind="br")
+    assert out["tl_heat"].sum() == np.float32(0.9)
+    assert out["br_heat"].sum() == np.float32(0.9)
+    tl = heatmap_peaks(out["tl_heat"], 5, offsets=out["tl_off"], embeddings=out["tl_embed"],
+                       kind="tl")
+    br = heatmap_peaks(out["br_heat"], 5, offsets=out["br_off"], embeddings=out["br_embed"],
+                       kind="br")
     dets = group_corners([c for c in tl if c.score > 0.5],
                          [c for c in br if c.score > 0.5],
                          embed_threshold=0.5, downsample_factor=255 / 64)
@@ -60,21 +63,32 @@ def test_oracle_single_object_round_trip():
 def test_oracle_small_object_routes_to_small_map_only():
     gt = [Detection(0, 1.0, (40.0, 40.0, 60.0, 55.0))]  # longer side 20
     out = oracle_outputs(gt, num_classes=1)
-    assert out.attention["small"].sum() == np.float32(0.9)
-    assert out.attention["medium"].sum() == 0
-    assert out.attention["large"].sum() == 0
+    assert out["attn_small"].sum() == np.float32(0.9)
+    assert out["attn_medium"].sum() == 0
+    assert out["attn_large"].sum() == 0
 
 
 def test_oracle_empty_gt_all_zero():
     out = oracle_outputs([], num_classes=2)
-    assert out.tl_heat.sum() == 0 and out.br_heat.sum() == 0
-    assert all(arr.sum() == 0 for arr in out.attention.values())
+    assert out["tl_heat"].sum() == 0 and out["br_heat"].sum() == 0
+    assert all(out[f"attn_{size}"].sum() == 0 for size in ("small", "medium", "large"))
+
+
+def test_oracle_maps_are_a_drop_in_for_the_hourglass54_taps():
+    # at 255x255 the oracle renders every map the backbone taps for the pipeline, at its shape
+    g = build_hourglass54(3)
+    shapes = g.shapes()
+    gt = [Detection(o.cls, 1.0, o.box) for o in random_scene(0, 3, hw=(255, 255)).objects]
+    maps = oracle_outputs(gt, 3)
+    assert set(maps) == set(g.taps) - {"feature"}
+    for name, arr in maps.items():
+        assert arr.shape == shapes[g.taps[name]], name
 
 
 def test_oracle_embedding_tags_start_at_one():
     gt = [Detection(0, 1.0, (10, 10, 50, 50)), Detection(0, 1.0, (120, 120, 200, 210))]
     out = oracle_outputs(gt, num_classes=1)
-    tags = sorted(set(out.tl_embed.ravel().tolist()) - {0.0})
+    tags = sorted(set(out["tl_embed"].ravel().tolist()) - {0.0})
     assert tags == [1.0, 2.0]
 
 
@@ -85,8 +99,8 @@ def test_oracle_multi_object_round_trip_many_seeds():
         spec = random_scene(seed=seed, n_objects=1 + seed % 4, hw=(255, 255))
         gt = [Detection(o.cls, 1.0, o.box) for o in spec.objects]
         out = oracle_outputs(gt, num_classes=3)
-        tl = heatmap_peaks(out.tl_heat, 100, offsets=out.tl_off, embeddings=out.tl_embed)
-        br = heatmap_peaks(out.br_heat, 100, offsets=out.br_off, embeddings=out.br_embed,
+        tl = heatmap_peaks(out["tl_heat"], 100, offsets=out["tl_off"], embeddings=out["tl_embed"])
+        br = heatmap_peaks(out["br_heat"], 100, offsets=out["br_off"], embeddings=out["br_embed"],
                            kind="br")
         dets = group_corners(tl, br, 0.5, 255 / 64)
         confident = [d for d in dets if d.score > 0.5]
