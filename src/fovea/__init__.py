@@ -6,7 +6,7 @@ network-free end-to-end testing, and cost/depth analysis tooling.
 """
 
 from .kernels import (ConvSpec, conv2d, depthwise_conv2d, transpose_conv2d,
-                      nearest_upsample2x, max_pool2d, relu, sigmoid, elementwise,
+                      nearest_upsample2x, max_pool2d, relu, sigmoid,
                       bilinear_resize, resize_longer_side, zero_pad_to)
 from .graph import ArchGraph, Node, forward, init_weights
 from .builders import (Emit, build_hourglass54, build_hourglass104_reference,
@@ -20,7 +20,7 @@ from .pipeline import (Affine, ObjectLocation, CropWindow, SaccadeConfig, downsi
                        strip_boundary_boxes, soft_nms, iou, run_saccade, GraphModel,
                        CROP_SIZE)
 from .scene import (SceneSpec, SceneObject, OracleModel, gen_scene, random_scene,
-                    oracle_outputs, blank_model)
+                    oracle_outputs)
 from .bench import bench
 from .skt import read_tensor, write_tensor
 

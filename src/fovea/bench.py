@@ -2,7 +2,9 @@
 
 Timing is hardware-bound, so the report pairs each entry's median/p10/p90
 wall times with its multiply-accumulate count where one is defined; cost
-per MAC is then derivable on any machine.  The post-network ops
+per MAC is then derivable on any machine.  The kernel ops (``conv3x3``,
+``conv7x7s2``, ``dwconv3x3``, ``tconv4x4``) are single graph nodes, run and
+counted by their ``graph.OPS`` entries.  The post-network ops
 (``soft_nms``, ``group_corners``, ``peaks``) count no MACs; their ``size``
 is the input pool size, the number of corners per kind, or the side of a
 (1, 3, size, size) heatmap.  The sampling ops
@@ -20,7 +22,7 @@ from .kernels import _integer, _one_of
 from .analysis import cost_report
 from .builders import build_hourglass54, build_squeeze_hourglass
 from .decode import Corner, Detection, group_corners, heatmap_peaks
-from .graph import forward, init_weights
+from .graph import OPS, Node, forward, init_weights
 from .pipeline import (CROP_SIZE, ObjectLocation, SaccadeConfig, crop_pixels, make_crop,
                        resize_affine, soft_nms)
 
@@ -29,37 +31,24 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _bench_conv3x3(size):
-    x = _rng().normal(size=(1, 64, size, size)).astype(np.float32)
-    w = _rng(1).normal(size=(64, 64, 3, 3)).astype(np.float32)
-    spec = kernels.ConvSpec(64, 64, (3, 3), padding=1)
-    macs = size * size * 64 * 64 * 9
-    return (lambda: kernels.conv2d(x, w, None, spec)), macs
+# the kernel ops: one node each, drawn, run and counted through its ``OPS`` entry
+_KERNEL_NODES = (
+    Node("conv3x3", "conv", in_channels=64, out_channels=64, kernel=(3, 3), padding=1),
+    Node("conv7x7s2", "conv", in_channels=3, out_channels=128, kernel=(7, 7), stride=2,
+         padding=3),  # the backbone stem
+    Node("dwconv3x3", "dwconv", in_channels=64, out_channels=64, kernel=(3, 3), padding=1),
+    Node("tconv4x4", "tconv", in_channels=64, out_channels=64, kernel=(4, 4), stride=2, padding=1),
+)
 
 
-def _bench_conv7x7s2(size):
-    # the backbone stem: 3 -> 128 channels, 7x7, stride 2, pad 3
-    x = _rng().normal(size=(1, 3, size, size)).astype(np.float32)
-    w = _rng(1).normal(size=(128, 3, 7, 7)).astype(np.float32)
-    spec = kernels.ConvSpec(3, 128, (7, 7), stride=2, padding=3)
-    oh, ow = kernels.conv_output_hw(size, size, spec.kernel, spec.stride, spec.padding)
-    macs = oh * ow * 128 * 3 * 49
-    return (lambda: kernels.conv2d(x, w, None, spec)), macs
-
-
-def _bench_dwconv3x3(size):
-    x = _rng().normal(size=(1, 64, size, size)).astype(np.float32)
-    w = _rng(1).normal(size=(64, 1, 3, 3)).astype(np.float32)
-    spec = kernels.ConvSpec(64, 64, (3, 3), padding=1, groups=64)
-    macs = size * size * 64 * 9
-    return (lambda: kernels.depthwise_conv2d(x, w, spec)), macs
-
-
-def _bench_tconv4x4(size):
-    x = _rng().normal(size=(1, 64, size, size)).astype(np.float32)
-    w = _rng(1).normal(size=(64, 64, 4, 4)).astype(np.float32)
-    macs = size * size * 64 * 64 * 16
-    return (lambda: kernels.transpose_conv2d(x, w)), macs
+def _bench_node(node):
+    def make(size):
+        op = OPS[node.kind]
+        x = _rng().normal(size=(1, node.in_channels, size, size)).astype(np.float32)
+        w = _rng(1).normal(size=op.weight(node)[0]).astype(np.float32)
+        macs = op.macs(node, [x.shape], op.shape(node, [x.shape]))
+        return (lambda: op.run(node, [x], {"w": w})), macs
+    return make
 
 
 def _bench_maxpool3x3(size):
@@ -138,10 +127,7 @@ def _bench_init(builder, num_classes=3):
 
 
 BENCH_OPS = {
-    "conv3x3": _bench_conv3x3,
-    "conv7x7s2": _bench_conv7x7s2,
-    "dwconv3x3": _bench_dwconv3x3,
-    "tconv4x4": _bench_tconv4x4,
+    **{node.id: _bench_node(node) for node in _KERNEL_NODES},
     "maxpool3x3": _bench_maxpool3x3,
     "soft_nms": _bench_soft_nms,
     "group_corners": _bench_group_corners,

@@ -31,7 +31,7 @@ upsampled partner (roughly: the post-stem resolution must be divisible by
 
 from .decode import SIZE_CLASSES
 from .graph import ArchGraph, Node
-from .kernels import _integer, _one_of
+from .kernels import _integer, _one_of, _pair
 
 
 class Emit:
@@ -184,6 +184,7 @@ def _hourglass(num_classes, input_hw, block, stem, dims, upsample, lead_kernel,
     into the next module.  With ``attention``, attention heads read the last
     module's three finest up features, finest first."""
     _integer("num_classes", num_classes)
+    _pair("input_hw", input_hw)
     g = ArchGraph((1, 3) + tuple(input_hw))
     e = Emit(g)
     short = "res" if block == "residual" else block
@@ -243,6 +244,7 @@ def build_squeeze_hourglass(num_classes, input_hw=(255, 255), extra_pre_downsamp
 def build_single_module(block="residual", dims=(256, 384, 384, 512), mult=1,
                         middle_mult=1, upsample="nearest", input_hw=(64, 64)):
     """A bare one-module graph, handy for block-for-block cost comparisons."""
+    _pair("input_hw", input_hw)
     g = ArchGraph((1, dims[0]) + tuple(input_hw))
     e = Emit(g)
     out, _ = _emit_module(e, "module1", "input", list(dims), mult=mult,

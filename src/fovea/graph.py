@@ -37,7 +37,7 @@ from .kernels import (ConvSpec, _fit, _from_fields, _integer, _is_integer, _one_
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _LABELS = ("stage", "role", "block", "block_kind", "activation")
-_ACTIVATIONS = ("", "relu", "sigmoid")  # fused post-op nonlinearities
+_ACTIVATIONS = ("", "relu", "sigmoid")  # fused post-op nonlinearities, run as their OPS kinds
 
 
 @dataclass
@@ -384,7 +384,7 @@ def forward(graph, x, params=None):
         except ValueError as exc:
             raise ValueError(f"node {node.id!r}: {exc}") from exc
         if node.activation:
-            y = relu(y) if node.activation == "relu" else sigmoid(y)
+            y = OPS[node.activation].run(node, [y], {})
         values[node.id] = y
         for inp in node.inputs:
             refcount[inp] -= 1

@@ -73,11 +73,13 @@ def _pair(name, value):
 def _fit(h, w, kernel, stride, padding, transpose=False):
     """Output (h, w) of a conv, or with ``transpose`` a transpose conv, over an
     h x w input; raises ``ValueError`` when it is smaller than 1x1."""
+    kh, kw = kernel
     if transpose:
-        oh = (h - 1) * stride - 2 * padding + kernel[0]
-        ow = (w - 1) * stride - 2 * padding + kernel[1]
+        oh = (h - 1) * stride - 2 * padding + kh
+        ow = (w - 1) * stride - 2 * padding + kw
     else:
-        oh, ow = conv_output_hw(h, w, kernel, stride, padding)
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"kernel {tuple(kernel)} at stride {stride} and pad {padding} does not "
                          f"fit input {h}x{w}: output {oh}x{ow} is smaller than 1x1")
@@ -114,13 +116,6 @@ class ConvSpec:
                 f"channels ({self.in_channels} -> {self.out_channels}) must be "
                 f"divisible by groups ({self.groups})"
             )
-
-
-def conv_output_hw(h, w, kernel, stride, padding):
-    kh, kw = kernel
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    return oh, ow
 
 
 def conv2d(x, weights, bias, spec):
@@ -318,15 +313,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return np.clip(out, _SIG_LO, _SIG_HI)
-
-
-_ELEMENTWISE = {"relu": relu, "sigmoid": sigmoid}
-
-
-def elementwise(x, fn):
-    """Apply a named pointwise nonlinearity ('relu' or 'sigmoid')."""
-    _one_of("elementwise fn", fn, _ELEMENTWISE)
-    return _ELEMENTWISE[fn](x)
 
 
 def _bilinear_sample(x, ys, xs, zero_outside=False):

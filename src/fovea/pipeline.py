@@ -407,23 +407,30 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
 
 
 class GraphModel:
-    """Adapter running an ArchGraph's taps into the pipeline's output layout."""
+    """Adapter running an ArchGraph, with its attached weights, into the
+    pipeline's output layout."""
 
-    def __init__(self, graph, params=None):
+    def __init__(self, graph):
         self.graph = graph
-        self.params = params if params is not None else graph.params
-        if not self.params:
+        if not graph.params:
             raise ValueError("graph has no weights attached; call init_weights or load them")
 
     def infer(self, image, to_original=None):
-        return model_maps(forward(self.graph, image, self.params))
+        return model_maps(forward(self.graph, image))
+
+
+_CORNER_TAPS = tuple(f"{kind}_{part}" for kind in ("tl", "br") for part in ("heat", "embed", "off"))
 
 
 def model_maps(taps):
     """The ``infer`` layout of a model's ``{tap name: map}``: the builders'
     and the oracle's ``attn_<size>``, ``<kind>_heat``, ``<kind>_embed`` and
     ``<kind>_off`` as ``{"attention": {size: map}, "corners": {kind: {"heat",
-    "embed", "off"}}}``.  Attention sizes without a tap are left out."""
+    "embed", "off"}}}``.  Attention sizes without a tap are left out; a
+    missing corner tap raises a ``ValueError`` that lists them all."""
+    missing = [name for name in _CORNER_TAPS if name not in taps]
+    if missing:  # the message is formatted only on failure: this runs once per model call
+        raise ValueError(f"model taps must include the corner taps {missing}, got {sorted(taps)}")
     attention = {size: taps[f"attn_{size}"] for size in SIZE_CLASSES if f"attn_{size}" in taps}
     corners = {kind: {part: taps[f"{kind}_{part}"] for part in ("heat", "embed", "off")}
                for kind in ("tl", "br")}
@@ -556,12 +563,13 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     cores that ``heatmap_peaks`` and ``group_corners`` wrap, and candidate
     locations are ranked and suppressed as columns.  ``Detection``s are built
     only for ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
-    Raises ``ValueError`` for an image with a batch other than 1 or a
+    Raises ``ValueError`` for a ``model`` without ``infer`` (wrap an
+    ``ArchGraph`` in ``GraphModel``), an image with a batch other than 1 or a
     non-finite pixel, and for bad corner maps or downsized-frame attention maps.
     """
+    _require(callable(getattr(model, "infer", None)), "model",
+             "provide infer(frame, to_original)", type(model).__name__)
     config = config or SaccadeConfig()
-    if not hasattr(model, "infer"):  # a weighted ArchGraph works directly
-        model = GraphModel(model)
     image = as_tensor(image, "image")
     _require(image.shape[0] == 1, "image", "hold a single picture (batch 1)", image.shape)
     _, _, img_h, img_w = image.shape

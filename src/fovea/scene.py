@@ -205,8 +205,3 @@ class OracleModel:
                 visible.append(Detection(det.cls, ORACLE_PEAK, box))
                 tags.append(i + 1)
         return model_maps(oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags))
-
-
-def blank_model(num_classes=3):
-    """An oracle with no objects: zero attention, zero heatmaps everywhere."""
-    return OracleModel([], num_classes)

@@ -21,6 +21,12 @@ def test_bench_stem_conv_schema():
     assert 0 < entry["p10_s"] <= entry["median_s"] <= entry["p90_s"]
 
 
+def test_bench_depthwise_and_transpose_conv_macs():
+    report = bench(["dwconv3x3", "tconv4x4"], [16], repetitions=1)
+    assert [(e["op"], e["size"], e["macs"]) for e in report["entries"]] == \
+           [("dwconv3x3", 16, 16 * 16 * 64 * 9), ("tconv4x4", 16, 16 * 16 * 64 * 64 * 16)]
+
+
 def test_bench_post_network_ops_schema():
     report = bench(["soft_nms", "group_corners", "peaks"], [16], repetitions=2)
     assert [(e["op"], e["size"], e["macs"], e["samples"]) for e in report["entries"]] == \

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fovea import kernels, naive
-from fovea.kernels import (ConvSpec, bilinear_resize, conv2d, depthwise_conv2d,
-                           elementwise, max_pool2d, nearest_upsample2x, relu,
-                           resize_longer_side, sigmoid, transpose_conv2d, zero_pad_to)
+from fovea.kernels import (ConvSpec, bilinear_resize, conv2d, depthwise_conv2d, max_pool2d,
+                           nearest_upsample2x, relu, resize_longer_side, sigmoid,
+                           transpose_conv2d, zero_pad_to)
 
 RTOL = 1e-5
 
@@ -379,14 +379,6 @@ def test_sigmoid_large_magnitudes_stay_in_open_interval():
     assert np.all(y > 0.0) and np.all(y < 1.0)
     want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
     np.testing.assert_allclose(y, want, rtol=RTOL)
-
-
-def test_elementwise_dispatch():
-    x = np.array([-1.0, 1.0], np.float32)
-    assert np.array_equal(elementwise(x, "relu"), relu(x))
-    assert np.array_equal(elementwise(x, "sigmoid"), sigmoid(x))
-    with pytest.raises(ValueError, match="unknown"):
-        elementwise(x, "tanh")
 
 
 # ---- resize / pad --------------------------------------------------------------

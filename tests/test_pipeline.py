@@ -15,8 +15,7 @@ from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
                             extract_locations, iou, location_from_detection,
                             make_crop, resize_affine, run_saccade, soft_nms,
                             strip_boundary_boxes, suppress_locations)
-from fovea.scene import (OracleModel, SceneObject, SceneSpec, blank_model, gen_scene,
-                         random_scene)
+from fovea.scene import OracleModel, SceneObject, SceneSpec, gen_scene, random_scene
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -697,7 +696,7 @@ def test_iou_basics():
 def test_run_saccade_blank_scene():
     img = rand_image((510, 510), seed=12)
     trace = {}
-    dets = run_saccade(img, blank_model(), trace=trace)
+    dets = run_saccade(img, OracleModel([], 3), trace=trace)
     assert dets == []
     assert trace["n_crops"] == 0
     assert trace["n_locations"] == 0
@@ -767,13 +766,13 @@ def test_run_saccade_detections_inside_image():
 def test_run_saccade_rejects_bad_crop_order():
     img = rand_image((510, 510), seed=26)
     with pytest.raises(ValueError, match="permutation"):
-        run_saccade(img, blank_model(), crop_order=[0])
+        run_saccade(img, OracleModel([], 3), crop_order=[0])
 
 
 def test_run_saccade_rejects_batch_and_non_finite_image():
     img = rand_image((64, 64), seed=28)
     with pytest.raises(ValueError, match="image.*batch 1"):
-        run_saccade(np.concatenate([img, img]), blank_model())
+        run_saccade(np.concatenate([img, img]), OracleModel([], 3))
     bad = [np.full_like(img, np.nan)]
     for value in (np.nan, np.inf):
         one = img.copy()
@@ -781,7 +780,7 @@ def test_run_saccade_rejects_batch_and_non_finite_image():
         bad.append(one)
     for image in bad:
         with pytest.raises(ValueError, match="image.*non-finite"):
-            run_saccade(image, blank_model())
+            run_saccade(image, OracleModel([], 3))
 
 
 def test_run_saccade_accepts_weighted_graph_directly():
@@ -795,7 +794,8 @@ def test_run_saccade_accepts_weighted_graph_directly():
     # budget tiny; this checks the graph-model plumbing, not detection quality
     cfg = SaccadeConfig(max_regions=2, corners_per_kind=4)
     trace = {}
-    dets = run_saccade(img, g, cfg, trace=trace)  # no attention taps: box branch only
+    # no attention taps: box branch only
+    dets = run_saccade(img, pipeline.GraphModel(g), cfg, trace=trace)
     assert isinstance(dets, list)
     assert trace["n_crops"] <= 2
 
