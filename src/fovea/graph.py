@@ -171,12 +171,18 @@ def param_shapes(node):
     return shapes
 
 
+def _input_dims(name, dims):
+    """``dims`` as an (n, c, h, w) tuple, checked to be four integers >= 1."""
+    _require(isinstance(dims, (tuple, list)) and len(dims) == 4
+             and all(_is_integer(d, 1) for d in dims), name, "be four integers >= 1", dims)
+    return tuple(int(d) for d in dims)
+
+
 class ArchGraph:
     """Ordered node list + named output taps + (optional) attached weights."""
 
     def __init__(self, input_dims):
-        n, c, h, w = input_dims
-        self.input_dims = (int(n), int(c), int(h), int(w))
+        self.input_dims = _input_dims("input_dims", input_dims)
         self.nodes = [Node(id="input", kind="input", stage="input")]
         self._index = {"input": self.nodes[0]}
         self.taps = {}
@@ -218,7 +224,7 @@ class ArchGraph:
 
         ``input_dims`` replaces the declared input size for this call only.
         """
-        dims = self.input_dims if input_dims is None else tuple(int(v) for v in input_dims)
+        dims = self.input_dims if input_dims is None else _input_dims("input_dims", input_dims)
         out = {"input": dims}
         for node in self.nodes[1:]:
             try:
@@ -260,8 +266,7 @@ class ArchGraph:
         if missing:
             raise ValueError(f"graph JSON is missing {missing}")
         dims, taps = doc["input_dims"], doc.get("taps", {})
-        _require(isinstance(dims, list) and len(dims) == 4 and all(_is_integer(d, 1) for d in dims),
-                 "graph JSON input_dims", "be four integers >= 1", dims)
+        _input_dims("graph JSON input_dims", dims)
         _require(isinstance(doc["nodes"], list), "graph JSON nodes", "be a list", doc["nodes"])
         _require(isinstance(taps, dict), "graph JSON taps", "be an object", taps)
         graph = cls(dims)

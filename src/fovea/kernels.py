@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # Upper bound on one band of im2col columns in ``conv2d`` and of the GEMM
 # product in ``transpose_conv2d``; their docstrings say why.
@@ -126,15 +126,19 @@ def conv2d(x, weights, bias, spec):
     follow floor((in + 2*pad - kernel) / stride) + 1.
 
     The input is lowered to im2col columns laid out (n, groups, icg*kh*kw,
-    rows*ow), with the reduction axis in (channel, kh, kw) order: the order of
-    the weight layout, so ``weights.reshape(groups, ocg, icg*kh*kw)`` is the
-    left GEMM operand with no copy.  Every ``groups`` value takes this one
-    path; ``depthwise_conv2d`` builds the same columns its own way at stride
-    1.  The columns are built one band of output rows at a time, at most
-    ``_COLS_BYTES`` each: a whole-image buffer is kh*kw times the input (57
-    MB for a 384-channel 64x64 3x3 conv), which would set the peak resident
-    memory of a forward pass.  A 1x1, stride-1, unpadded conv multiplies
-    ``x`` itself.
+    rows*width), with the reduction axis in (channel, kh, kw) order: the
+    order of the weight layout, so ``weights.reshape(groups, ocg, icg*kh*kw)``
+    is the left GEMM operand with no copy.  Every ``groups`` value, depthwise
+    included, takes this one path.  At stride 1 the input is zero-padded once
+    into rows of width wp = w + 2*pad, plus one spare row, so tap (i, j) of a
+    band of output rows from r0 is one contiguous run of that buffer, at
+    offset (r0 + i)*wp + j; the band's GEMM computes wp - ow extra columns
+    per output row, which are dropped.  A strided conv gathers each window
+    of the padded input, and its width is ow.  The columns are built one
+    band of output rows at a time, at most ``_COLS_BYTES`` each: a
+    whole-image buffer is kh*kw times the input (57 MB for a 384-channel
+    64x64 3x3 conv), which would set the peak resident memory of a forward
+    pass.  A 1x1, stride-1, unpadded conv multiplies ``x`` itself.
     """
     x, w = _conv_operands(x, weights, spec)
     bias = _bias(bias, spec.out_channels)
@@ -148,16 +152,24 @@ def conv2d(x, weights, bias, spec):
     if (kh, kw, s, p) == (1, 1, 1, 0):
         out = np.matmul(wm, x.reshape(n, g, k, h * wd))
     else:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        # (n, c, kh, kw, oh, ow) view of every window; a band's copy is its columns
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-        win = win.transpose(0, 1, 4, 5, 2, 3)
-        out = np.empty((n, g, ocg, oh * ow), dtype=np.float32)
-        band = max(1, _COLS_BYTES // (4 * n * c * kh * kw * ow))
+        if s == 1:
+            # the spare row keeps the last band's runs at taps j > 0 inside the buffer
+            xp = np.zeros((n, c, h + 2 * p + 1, wd + 2 * p), dtype=np.float32)
+            xp[:, :, p : p + h, p : p + wd] = x
+            width = wd + 2 * p
+        else:
+            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+            width = ow
+        sn, sc, sh, sw = xp.strides
+        # (n, c, kh, kw, oh, width) view of every tap; a band's copy is its columns
+        win = as_strided(xp, (n, c, kh, kw, oh, width), (sn, sc, sh, sw, s * sh, s * sw),
+                         writeable=False)
+        out = np.empty((n, g, ocg, oh, ow), dtype=np.float32)
+        band = max(1, _COLS_BYTES // (4 * n * c * kh * kw * width))
         for r0 in range(0, oh, band):
             r1 = min(oh, r0 + band)
-            cols = np.ascontiguousarray(win[..., r0:r1, :]).reshape(n, g, k, (r1 - r0) * ow)
-            out[..., r0 * ow : r1 * ow] = np.matmul(wm, cols)
+            cols = np.ascontiguousarray(win[..., r0:r1, :]).reshape(n, g, k, (r1 - r0) * width)
+            out[..., r0:r1, :] = np.matmul(wm, cols).reshape(n, g, ocg, r1 - r0, width)[..., :ow]
     out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
@@ -185,45 +197,11 @@ def _bias(bias, channels):
 
 
 def depthwise_conv2d(x, weights, spec):
-    """Per-channel convolution: groups == in_channels == out_channels, no bias.
-
-    A strided one is ``conv2d``.  At stride 1 the input is zero-padded once
-    into rows of width wp = w + 2*pad, plus one spare row, and flattened.
-    Tap (i, j) of a band of output rows from r0 is then one contiguous run
-    of that buffer, at offset (r0 + i)*wp + j, and all kh*kw runs are
-    gathered in one copy instead of one short row at a time.  The same
-    per-channel ``matmul`` as ``conv2d``'s runs over them, so every output
-    is bit-equal to it; each output row computes wp - ow extra columns,
-    which are dropped.  Bands hold at most ``_COLS_BYTES`` of columns.
-    """
+    """Per-channel convolution: ``conv2d`` with no bias, under a ``spec``
+    whose groups == in_channels == out_channels."""
     _require(spec.groups == spec.in_channels == spec.out_channels, "a depthwise spec",
              "have groups == in == out channels", spec)
-    if spec.stride != 1:
-        return conv2d(x, weights, None, spec)
-    x, w = _conv_operands(x, weights, spec)
-    n, c, h, wd = x.shape
-    kh, kw = spec.kernel
-    p = spec.padding
-    oh, ow = _fit(h, wd, spec.kernel, 1, p)
-
-    wp = wd + 2 * p
-    # the spare row keeps the last band's runs at taps j > 0 inside the buffer
-    flat = np.zeros((n, c, h + 2 * p + 1, wp), dtype=np.float32)
-    flat[:, :, p : p + h, p : p + wd] = x
-    flat = flat.reshape(n, c, -1)
-    sn, sc, se = flat.strides
-    wm = w.reshape(c, 1, kh * kw)
-    out = np.empty((n, c, oh, ow), dtype=np.float32)
-    band = max(1, _COLS_BYTES // (4 * n * c * kh * kw * wp))
-    for r0 in range(0, oh, band):
-        r1 = min(oh, r0 + band)
-        size = (r1 - r0) * wp
-        # (n, c, kh, kw, size) view: tap (i, j) is the run at (r0 + i)*wp + j
-        taps = as_strided(flat[:, :, r0 * wp :], (n, c, kh, kw, size),
-                          (sn, sc, wp * se, se, se), writeable=False)
-        cols = np.ascontiguousarray(taps).reshape(n, c, kh * kw, size)
-        out[:, :, r0:r1] = np.matmul(wm, cols).reshape(n, c, r1 - r0, wp)[..., :ow]
-    return out
+    return conv2d(x, weights, None, spec)
 
 
 def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):

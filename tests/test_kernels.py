@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fovea import kernels, naive
+from fovea.builders import BUILDERS
 from fovea.kernels import (ConvSpec, bilinear_resize, conv2d, depthwise_conv2d, max_pool2d,
                            nearest_upsample2x, relu, resize_longer_side, sigmoid,
                            transpose_conv2d, zero_pad_to)
@@ -69,9 +70,10 @@ def test_conv2d_shape_errors():
 
 
 def test_conv2d_band_seams_match_naive(monkeypatch):
-    # a column budget of 3 output rows: 7 rows (pad 0) run as bands 3+3+1,
-    # 9 rows (pad 1) as 3+3+3 and 5 rows (stride 2) as 3+2, so every seam
-    # and a part-filled last band are compared
+    # a column budget of 3 output rows ow wide: 5 rows (stride 2) run as
+    # bands 3+2, and at stride 1, whose rows are wp = ow + 2 wide, 7 rows
+    # (pad 0) as 2+2+2+1 and 9 rows (pad 1) as 2+2+2+2+1, so every seam and
+    # a part-filled last band are compared
     x = rand((2, 4, 9, 9), seed=30)
     for stride, pad in [(1, 0), (1, 1), (2, 1)]:
         ow = (9 + 2 * pad - 3) // stride + 1
@@ -136,26 +138,85 @@ def test_depthwise_rejects_group_mismatch():
                          ConvSpec(4, 4, (3, 3), padding=1, groups=2))
 
 
+# ---- stride-1 columns against the window view ---------------------------------
+
+
+def _conv2d_window(x, w, bias, spec):
+    """The former ``conv2d``, frozen as the byte reference: every conv built
+    its columns from a window view of the padded input."""
+    n, c, h, wd = x.shape
+    kh, kw = spec.kernel
+    s, p, g = spec.stride, spec.padding, spec.groups
+    oh, ow = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    ocg, k = spec.out_channels // g, c // g * kh * kw
+    wm = w.reshape(g, ocg, k)
+    if (kh, kw, s, p) == (1, 1, 1, 0):
+        out = np.matmul(wm, x.reshape(n, g, k, h * wd))
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+        win = win.transpose(0, 1, 4, 5, 2, 3)
+        out = np.empty((n, g, ocg, oh * ow), dtype=np.float32)
+        band = max(1, kernels._COLS_BYTES // (4 * n * c * kh * kw * ow))
+        for r0 in range(0, oh, band):
+            r1 = min(oh, r0 + band)
+            cols = np.ascontiguousarray(win[..., r0:r1, :]).reshape(n, g, k, (r1 - r0) * ow)
+            out[..., r0 * ow : r1 * ow] = np.matmul(wm, cols)
+    out = out.reshape(n, spec.out_channels, oh, ow)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
+
+
+def _assert_bytes_match_window(x, w, bias, spec):
+    want = _conv2d_window(x, w, bias, spec)
+    got = conv2d(x, w, bias, spec)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if bias is None and spec.groups == spec.in_channels == spec.out_channels:
+        assert depthwise_conv2d(x, w, spec).tobytes() == want.tobytes()
+
+
+def _stride1_node_shapes():
+    """One row per distinct stride-1 conv or dwconv node that builds columns,
+    over every backbone at 255x255: (input dims, spec, bias)."""
+    rows = {}
+    for build in BUILDERS.values():
+        g = build(3, (255, 255))
+        dims = g.shapes()
+        for node in g.nodes:
+            if (node.kind in ("conv", "dwconv") and node.stride == 1
+                    and (node.kernel != (1, 1) or node.padding)):
+                groups = node.in_channels if node.kind == "dwconv" else 1
+                spec = ConvSpec(node.in_channels, node.out_channels, node.kernel,
+                                padding=node.padding, groups=groups)
+                (_, c, h, w), (kh, kw) = dims[node.inputs[0]], node.kernel
+                rows[f"{node.kind}-{c}x{h}x{w}-{spec.out_channels}-k{kh}x{kw}p{node.padding}"] = \
+                    (dims[node.inputs[0]], spec, node.bias)
+    return [pytest.param(*row, id=key) for key, row in rows.items()]
+
+
+@pytest.mark.parametrize("dims, spec, bias", _stride1_node_shapes())
+def test_conv2d_bytes_match_window_on_backbone_nodes(dims, spec, bias):
+    x = rand(dims, seed=sum(dims))
+    w = rand((spec.out_channels, spec.in_channels // spec.groups, *spec.kernel),
+             seed=spec.out_channels, scale=0.05)
+    _assert_bytes_match_window(x, w, rand((spec.out_channels,), seed=1) if bias else None, spec)
+
+
 # every depthwise call of a squeeze forward at 255x255, as (c, hw, stride)
 SQUEEZE_DW = [(128, 128, 2), (128, 64, 2), (128, 32, 1), (128, 32, 2), (128, 16, 1),
               (192, 16, 1), (192, 16, 2), (192, 8, 1), (192, 8, 2), (192, 4, 1),
               (256, 4, 1), (256, 4, 2), (256, 2, 1)]
 
 
-def _assert_dw_bytes_match_conv2d(x, w, spec):
-    got = depthwise_conv2d(x, w, spec)
-    want = conv2d(x, w, None, spec)  # the window-view im2col path
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("c, hw, stride", SQUEEZE_DW)
 def test_depthwise_bytes_match_conv2d_on_squeeze_shapes(c, hw, stride):
     x = rand((1, c, hw, hw), seed=c + hw)
     w = rand((c, 1, 3, 3), seed=c + hw + 1)
-    _assert_dw_bytes_match_conv2d(x, w, _dw_spec(c, stride))
+    _assert_bytes_match_window(x, w, None, _dw_spec(c, stride))
 
 
-@pytest.mark.parametrize("n, c, h, w, k, pad", [
+ODD_SHAPES = [
     (2, 5, 9, 9, 3, 1),     # batch of 2
     (1, 3, 7, 13, 3, 1),    # non-square maps
     (2, 4, 11, 6, 3, 1),
@@ -166,11 +227,28 @@ def test_depthwise_bytes_match_conv2d_on_squeeze_shapes(c, hw, stride):
     (1, 6, 1, 1, 3, 1),     # 1x1 maps
     (2, 6, 1, 1, 1, 0),
     (1, 2, 1, 5, 3, 1),
-])
+]
+
+
+@pytest.mark.parametrize("n, c, h, w, k, pad", ODD_SHAPES)
 def test_depthwise_bytes_match_conv2d_on_odd_shapes(n, c, h, w, k, pad):
     x = rand((n, c, h, w), seed=h * w + k)
     wt = rand((c, 1, k, k), seed=pad + 7)
-    _assert_dw_bytes_match_conv2d(x, wt, ConvSpec(c, c, (k, k), padding=pad, groups=c))
+    _assert_bytes_match_window(x, wt, None, ConvSpec(c, c, (k, k), padding=pad, groups=c))
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("n, c, h, w, k, pad", ODD_SHAPES)
+def test_conv2d_matches_window_on_odd_shapes(n, c, h, w, k, pad, groups):
+    # not bytes: at GEMMs this small, OpenBLAS rounds an output element
+    # differently as the GEMM's width changes, and the stride-1 columns are
+    # wp rather than ow wide.  2c input channels let both group counts divide them.
+    x = rand((n, 2 * c, h, w), seed=h * w + k)
+    wt = rand((6, 2 * c // groups, k, k), seed=pad + 7)
+    b = rand((6,), seed=k)
+    spec = ConvSpec(2 * c, 6, (k, k), padding=pad, groups=groups)
+    np.testing.assert_allclose(conv2d(x, wt, b, spec), _conv2d_window(x, wt, b, spec),
+                               rtol=RTOL, atol=1e-6)
 
 
 def test_depthwise_band_seams_match_conv2d_and_naive(monkeypatch):
@@ -182,7 +260,7 @@ def test_depthwise_band_seams_match_conv2d_and_naive(monkeypatch):
         for budget in (4 * 2 * 4 * 9 * (10 + 2 * pad) * 3, 1):
             monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
             spec = ConvSpec(4, 4, (3, 3), padding=pad, groups=4)
-            _assert_dw_bytes_match_conv2d(x, w, spec)
+            _assert_bytes_match_window(x, w, None, spec)
             np.testing.assert_allclose(depthwise_conv2d(x, w, spec),
                                        naive.depthwise_conv2d_naive(x, w, 1, pad),
                                        rtol=RTOL, atol=1e-6)

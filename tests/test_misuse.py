@@ -19,7 +19,7 @@ from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, N
                    ObjectLocation, SaccadeConfig, attention_targets, bench, bilinear_resize,
                    GraphModel, OracleModel, SceneObject, SceneSpec, build_hourglass54,
                    build_hourglass104_reference, build_single_module, build_squeeze_hourglass,
-                   conv2d, crop_pixels,
+                   compare_archs, conv2d, cost_report, crop_pixels,
                    depthwise_conv2d, downsize_pair, extract_locations, focal_loss,
                    gen_scene, group_corners, heatmap_peaks, init_weights, iou, make_crop,
                    max_pool2d, nearest_upsample2x, oracle_outputs, pull_push_offset_losses,
@@ -324,12 +324,17 @@ MISUSE = [
     ("build_single_module", "input_hw", (0, 16),
      lambda v: build_single_module("fire", dims=(32, 48), input_hw=v),
      "^input_hw must be a pair of integers >= 1"),
+    # an input size given for one report, checked before shapes propagate
+    ("cost_report", "input_dims", (1, 3, 255),
+     lambda v: cost_report(build_squeeze_hourglass(3, (127, 127)), v),
+     r"^input_dims must be four integers >= 1, got \(1, 3, 255\)"),
+    ("compare_archs", "input_dims", (1, 3, 127.5, 127),
+     lambda v: compare_archs([("squeeze", build_squeeze_hourglass(3, (127, 127)))], v),
+     r"^input_dims must be four integers >= 1, got \(1, 3, 127.5, 127\)"),
 ]
 
 
 _CHECKED_AS_BUILT = "takes only an ArchGraph, whose nodes ArchGraph.add and shapes check"
-_UNCHECKED_DIMS = ("input_dims is not checked yet: (1, 3, 255) fails naming node 'stem.conv1' "
-                   "and (1, 3, 127.5, 127) is truncated")
 
 # exported callables without a row, each with the reason
 NO_ROW = {
@@ -348,8 +353,6 @@ NO_ROW = {
     "depth_report": _CHECKED_AS_BUILT,
     "param_enumeration": _CHECKED_AS_BUILT,
     "structure_census": _CHECKED_AS_BUILT,
-    "cost_report": _UNCHECKED_DIMS,
-    "compare_archs": _UNCHECKED_DIMS,
 }
 
 

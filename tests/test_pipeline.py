@@ -1449,3 +1449,25 @@ def test_tracer_wraps_live_names_and_restores_them(monkeypatch):
     rows = tracer.summarize()
     assert rows["pipeline.run_saccade"]["calls"] == 1
     assert rows["pipeline.soft_nms"]["out"] == len(dets)
+
+
+def test_tracer_counts_each_conv_node_once(monkeypatch):
+    # depthwise_conv2d runs through kernels.conv2d, but the tracer wraps the
+    # names graph looks up, so each conv and dwconv node is one span
+    from fovea import analysis, build_squeeze_hourglass, graph, init_weights
+    tracing = _perfbench("tracing", monkeypatch)
+    g = build_squeeze_hourglass(3, (255, 255))
+    init_weights(g, seed=0)
+    x = np.random.default_rng(0).normal(size=(1, 3, 255, 255)).astype(np.float32)
+    tracer = tracing.Tracer({id(g): analysis.cost_report(g).macs})
+    tracer.install()
+    try:
+        graph.forward(g, x)
+    finally:
+        tracer.uninstall()
+    rows = tracer.summarize()
+    convs = sum(row["calls"] for name, row in rows.items() if name.startswith("kernels.conv2d"))
+    kinds = [node.kind for node in g.nodes]
+    assert rows["graph.forward"]["calls"] == 1
+    assert (rows["kernels.depthwise_conv2d"]["calls"], convs) == (kinds.count("dwconv"),
+                                                                 kinds.count("conv")) == (59, 131)
