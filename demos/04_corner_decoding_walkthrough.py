@@ -1,15 +1,17 @@
 """From corner maps to boxes, step by step, on oracle-rendered maps.
 
 The oracle renders exactly what a perfect network would output for a known
-scene; decoding those maps has to reproduce the scene's boxes. Along the
-way this shows the forward loss values the training recipe would use.
+scene: the training targets of ``corner_targets`` and ``attention_targets``,
+scaled to a 0.9 peak. Decoding those maps has to reproduce the scene's
+boxes. Along the way this shows the forward loss values the training recipe
+would use, which the oracle's maps minimise.
 
 Run:  python demos/04_corner_decoding_walkthrough.py
 """
 
 import numpy as np
 
-from fovea import (Detection, attention_targets, focal_loss, group_corners,
+from fovea import (Detection, attention_targets, corner_targets, focal_loss, group_corners,
                    heatmap_peaks, iou, oracle_outputs, pull_push_offset_losses)
 
 gt = [Detection(0, 1.0, (24.0, 40.5, 120.0, 180.25)),
@@ -46,10 +48,29 @@ for size, hw, stride in [("small", (64, 64), 4), ("medium", (32, 32), 8),
     t = attention_targets(boxes, hw, size, stride)
     print(f"attention targets [{size}]: {int(t.sum())} positives")
 
-# 4) forward loss values on a perfect prediction are all ~zero
-print("focal(perfect) =", focal_loss((maps["tl_heat"] > 0).astype(float),
-                                     (maps["tl_heat"] > 0).astype(float)))
+# 4) forward loss values against the corner targets: the cell floor(c / f)
+# of each corner and its sub-cell offset, on the 64x64 grid over 255x255
+targets = corner_targets(gt, num_classes=2, frame_hw=(255, 255), heat_hw=(64, 64))
+heat, cells, offsets = targets["tl"]
+print("tl target cells (x, y):", cells.tolist())
+print("focal(perfect) =", focal_loss(heat, heat))
+print("focal(oracle heat, p=0.9 at every target) =", round(focal_loss(maps["tl_heat"], heat), 6))
 print("focal(single positive at p=0.5) =", round(focal_loss([[0.5]], [[1.0]]), 6))
+
+
+
+def at_cells(name, kind):  # one oracle map's values at each object's target cell
+    cells = targets[kind][1]
+    return maps[name][0][:, cells[:, 1], cells[:, 0]].T
+
+
+# the oracle's own embeddings and offsets against the offset targets; the
+# maps hold float32, so the targets are compared at float32 too
+emb = np.hstack([at_cells("tl_embed", "tl"), at_cells("br_embed", "br")])
+off = np.stack([at_cells("tl_off", "tl"), at_cells("br_off", "br")], axis=1)
+gt_off = np.stack([targets["tl"][2], targets["br"][2]], axis=1).astype(np.float32)
+pull, push, offset = pull_push_offset_losses(emb, off, gt_off)
+print(f"pull={pull} push={push} offset={offset}  (oracle maps at the target cells)")
 
 emb = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]  # per-object corner embedding pairs
 off = np.zeros((3, 2, 2))

@@ -14,7 +14,7 @@ from .builders import (Emit, build_hourglass54, build_hourglass104_reference,
 from .analysis import (cost_report, depth_report, structure_census, compare_archs,
                        param_enumeration, CostReport, DepthReport)
 from .decode import (Corner, Detection, heatmap_peaks, group_corners, focal_loss,
-                     attention_targets, pull_push_offset_losses, size_class_of)
+                     attention_targets, corner_targets, pull_push_offset_losses, size_class_of)
 from .pipeline import (Affine, ObjectLocation, CropWindow, SaccadeConfig, downsize_pair,
                        extract_locations, suppress_locations, make_crop, crop_pixels,
                        strip_boundary_boxes, soft_nms, iou, run_saccade, GraphModel,

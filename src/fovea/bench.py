@@ -145,9 +145,12 @@ def bench(ops, sizes, repetitions=3):
     """Time each (op, size) pair; returns a JSON-ready report dict.
 
     Report schema: {"repetitions": int, "entries": [{"op", "size", "macs",
-    "samples", "median_s", "p10_s", "p90_s"}]}.
+    "samples", "median_s", "p10_s", "p90_s"}]}.  A size or ``repetitions``
+    that is not an integer >= 1 raises ``ValueError`` before any op is built.
     """
     _integer("repetitions", repetitions)
+    for size in sizes:
+        _integer("bench size", size)
     entries = []
     for op in ops:
         _one_of("bench op", op, BENCH_OPS)

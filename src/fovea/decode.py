@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _from_fields, _integer, _one_of, _require, max_pool2d
+from .kernels import _from_fields, _integer, _is_integer, _one_of, _pair, _require, max_pool2d
 
 CLAMP_EPS = 1e-7  # keeps log() finite in the losses
 
@@ -25,6 +25,18 @@ SIZE_CLASSES = ("small", "medium", "large")
 def _size_index(longer_side):
     """``SIZE_CLASSES`` index of a side or each of an array, unchecked: NaN is large."""
     return 2 - (longer_side <= MEDIUM_MAX) - (longer_side < SMALL_MAX)
+
+
+def _longer_sides(x1, y1, x2, y2):
+    """The side that routes a box, or each box of coordinate arrays: dx unless
+    dy > dx, as Python's ``max(dx, dy)`` picks it, so a NaN dy is passed over."""
+    dx, dy = x2 - x1, y2 - y1
+    return np.where(dy > dx, dy, dx) if isinstance(dx, np.ndarray) else max(dx, dy)
+
+
+def _strides(frame_hw, map_hw):
+    """(y, x) frame pixels per cell of a ``map_hw`` map over ``frame_hw``."""
+    return frame_hw[0] / map_hw[0], frame_hw[1] / map_hw[1]
 
 
 def size_class_of(longer_side):
@@ -68,8 +80,7 @@ class Detection:
 
     @property
     def longer_side(self):
-        x1, y1, x2, y2 = self.box
-        return max(x2 - x1, y2 - y1)
+        return _longer_sides(*self.box)
 
 
 def _peak_columns(heatmaps, k, offsets=None, embeddings=None):
@@ -82,7 +93,6 @@ def _peak_columns(heatmaps, k, offsets=None, embeddings=None):
     """
     _integer("k", k)
     heat = np.asarray(heatmaps, dtype=np.float32)
-    _require(heat.ndim == 4 and heat.shape[0] == 1, "heatmaps", "be (1, C, H, W)", heat.shape)
     pooled = max_pool2d(heat, 3, 1, 1)
     flat = heat[0].ravel()
     # equality: pooled >= heat everywhere by construction
@@ -107,11 +117,13 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
     sort by score descending with ties broken by (class, y, x) ascending.
     Offsets (1, 2, H, W; channel 0 = x) and embeddings (1, 1, H, W) are read
     out at each kept location when provided.  Wraps ``_peak_columns``.
-    Raises ``ValueError`` for a heatmap with a NaN or infinite value, which
-    would otherwise drop out of the window test without an error, and for
-    offsets or embeddings not shaped as above at the heatmap's (H, W).
+    Raises ``ValueError`` for a heatmap not shaped (1, C, H, W) or with a NaN
+    or infinite value, which would otherwise drop out of the window test
+    without an error, then for offsets or embeddings not shaped as above.
     """
     heatmaps = np.asarray(heatmaps, dtype=np.float32)
+    _require(heatmaps.ndim == 4 and heatmaps.shape[0] == 1, "heatmaps", "be (1, C, H, W)",
+             heatmaps.shape)
     if not np.isfinite(heatmaps).all():
         raise ValueError("heatmaps hold non-finite (NaN or inf) values")
     for name, maps, channels in (("offsets", offsets, 2), ("embeddings", embeddings, 1)):
@@ -198,24 +210,62 @@ def focal_loss(pred, gt, alpha=2.0):
     return float(-(pos + neg).sum() / n_pos)
 
 
+def corner_targets(gt, num_classes, frame_hw, heat_hw):
+    """Binary corner-heatmap targets for ``gt`` on a ``heat_hw`` grid over ``frame_hw``.
+
+    Returns ``{"tl": ..., "br": ...}``, each ``(heat, cells, offsets)``: a (1,
+    num_classes, H, W) float32 map of ones at each object's class and cell,
+    and (n, 2) (x, y) cells and (dx, dy) offsets in gt order.  At f frame
+    pixels per cell, corner c sits in cell floor(c / f) with offset c / f -
+    cell, which ``group_corners`` inverts as (cell + offset) * f.  Raises
+    ``ValueError`` for sizes that are not integers >= 1, a class that is not
+    an integer in [0, num_classes) and a corner outside the frame.
+    """
+    _integer("num_classes", num_classes)
+    _pair("frame_hw", frame_hw)
+    _pair("heat_hw", heat_hw)
+    fy, fx = _strides(frame_hw, heat_hw)
+    hh, hw = heat_hw
+    targets = {kind: (np.zeros((1, num_classes, hh, hw), np.float32), [], [])
+               for kind in ("tl", "br")}
+    for det in gt:
+        if not (_is_integer(det.cls, 0) and det.cls < num_classes):
+            raise ValueError(f"gt class {det.cls} lies outside [0, num_classes={num_classes})")
+        for (heat, cells, offsets), (cx, cy) in zip(targets.values(), (det.box[:2], det.box[2:])):
+            qx, qy = cx / fx, cy / fy
+            if not (0 <= qx < hw and 0 <= qy < hh):  # as 0 <= floor(q) < n, and false for NaN
+                raise ValueError(f"corner ({cx}, {cy}) falls outside the "
+                                 f"{frame_hw[0]}x{frame_hw[1]} frame")
+            ix, iy = math.floor(qx), math.floor(qy)
+            heat[0, det.cls, iy, ix] = 1.0
+            cells.append((ix, iy))
+            offsets.append((qx - ix, qy - iy))
+    return {kind: (heat, np.array(cells, np.int64).reshape(-1, 2), np.array(offsets).reshape(-1, 2))
+            for kind, (heat, cells, offsets) in targets.items()}
+
+
 def attention_targets(boxes, map_hw, size_class, stride):
     """Binary training targets for one attention scale.
 
     Boxes whose longer side routes to ``size_class`` contribute one positive
     pixel at their center, mapped to map coordinates at the given stride and
-    rounded half-up.  Raises ``ValueError`` for a ``size_class`` that is not
-    one of ``SIZE_CLASSES`` and a stride that is not finite and > 0.
+    rounded half-up; one outside the map adds none.  ``stride`` is one number
+    or a (y, x) pair.  Raises ``ValueError`` for a ``size_class`` that is not
+    one of ``SIZE_CLASSES``, a stride that is not finite and > 0, and a box
+    whose longer side is NaN or < 0 (as ``size_class_of``).
     """
     _one_of("size_class", size_class, SIZE_CLASSES)
-    _require(0 < stride < math.inf, "stride", "be finite and > 0", stride)
+    pair = tuple(stride) if isinstance(stride, (tuple, list)) else (stride, stride)
+    _require(len(pair) == 2 and all(0 < s < math.inf for s in pair), "stride",
+             "be finite and > 0, one number or a (y, x) pair", stride)
+    sy, sx = pair
     h, w = map_hw
     target = np.zeros((1, 1, h, w), dtype=np.float32)
-    for box in boxes:
-        x1, y1, x2, y2 = box
-        if size_class_of(max(x2 - x1, y2 - y1)) != size_class:
+    for x1, y1, x2, y2 in boxes:
+        if size_class_of(_longer_sides(x1, y1, x2, y2)) != size_class:
             continue
-        mx = int(np.floor((x1 + x2) / 2.0 / stride + 0.5))
-        my = int(np.floor((y1 + y2) / 2.0 / stride + 0.5))
+        mx = math.floor((x1 + x2) / 2.0 / sx + 0.5)
+        my = math.floor((y1 + y2) / 2.0 / sy + 0.5)
         if 0 <= my < h and 0 <= mx < w:
             target[0, 0, my, mx] = 1.0
     return target

@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _peak_columns,
-                     _size_index)
+from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _longer_sides,
+                     _peak_columns, _size_index)
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
 from .kernels import (_bilinear_sample, _integer, _one_of, _require, as_tensor,
@@ -191,13 +191,6 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
                       for y, x, score in zip(ys.tolist(), xs.tolist(), scores[ys, xs].tolist())]
     locations.sort(key=lambda l: (-l.score, l.y, l.x, l.size))
     return locations
-
-
-def location_from_detection(det, scale=255):
-    """Coarse candidate from a downsized-image detection (box center)."""
-    x1, y1, x2, y2 = det.box
-    return ObjectLocation((x1 + x2) / 2.0, (y1 + y2) / 2.0,
-                          SIZE_CLASSES[_size_index(max(x2 - x1, y2 - y1))], det.score, "box", scale)
 
 
 def _suppress_columns(xs, ys, radius):
@@ -605,9 +598,8 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
             attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
         strong = score > config.attention_threshold
         x1, y1, x2, y2 = remap.apply_box(boxes[strong]).T
-        dx, dy = x2 - x1, y2 - y1  # the longer side as Python's max(dx, dy) picks it
         box_rows.append(_candidates("box", score[strong], (x1 + x2) / 2.0, (y1 + y2) / 2.0,
-                                    _size_index(np.where(dy > dx, dy, dx)), tag))
+                                    _size_index(_longer_sides(x1, y1, x2, y2)), tag))
         columns.append((cls, score, aff.apply_box(boxes)))
 
     candidates = np.concatenate(box_rows + attention_rows)

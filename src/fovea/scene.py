@@ -1,14 +1,12 @@
 """Synthetic scenes and the perfect-network oracle.
 
 A scene is solid rectangles (one intensity per class) over seeded noise,
-replicated to three channels.  From its ground truth the oracle renders
-exactly the maps a flawless detector head would produce: corner-heatmap
-peaks at corner cells with sub-pixel remainders stored in the offset maps,
-per-object integer embedding tags (starting at 1, so the zero background
-never groups with a real corner), and one positive attention pixel per box
-center on the size-appropriate scale.  Decoding oracle maps reproduces the
-ground truth exactly, which makes the whole geometry pipeline testable
-without any trained weights.
+replicated to three channels.  From its ground truth the oracle renders the
+maps a flawless detector head would produce: the training targets of
+``decode.corner_targets`` and ``decode.attention_targets``, with sub-pixel
+offsets and per-object embedding tags (from 1, so the zero background never
+groups with a real corner).  Decoding oracle maps reproduces the ground
+truth exactly, so the geometry pipeline is testable without trained weights.
 """
 
 import math
@@ -16,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decode import Detection, _box_field, size_class_of
-from .kernels import _from_fields, _integer, _pair, _require
+from .decode import Detection, _box_field, _strides, attention_targets, corner_targets
+from .kernels import _from_fields, _integer, _require
 from .pipeline import CROP_SIZE, model_maps
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
@@ -66,7 +64,11 @@ def gen_scene(spec):
     _integer("width", spec.width)
     _require(0.0 <= spec.noise < math.inf, "noise", "be finite and >= 0", spec.noise)
     rng = np.random.default_rng(spec.seed)
-    canvas = rng.uniform(0.0, spec.noise, size=(spec.height, spec.width)).astype(np.float32)
+    image = np.empty((1, 3, spec.height, spec.width), np.float32)
+    canvas = image[0, 0]
+    for top in range(0, spec.height, 64):  # one (h, w) call's float64 draws, 64 rows at a time
+        rows = canvas[top:top + 64]
+        rows[...] = rng.uniform(0.0, spec.noise, size=rows.shape)
     gt = []
     for obj in spec.objects:
         _integer("object class", obj.cls, 0)
@@ -76,7 +78,7 @@ def gen_scene(spec):
         intensity = 0.35 + 0.08 * (obj.cls % 8)
         canvas[int(round(y1)): int(round(y2)) + 1, int(round(x1)): int(round(x2)) + 1] = intensity
         gt.append(Detection(obj.cls, 1.0, (x1, y1, x2, y2)))
-    image = np.repeat(canvas[None, None], 3, axis=1)
+    image[0, 1:] = canvas
     return image, gt
 
 
@@ -131,50 +133,30 @@ def _separated(a, b, gap):
 
 
 def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE), tags=None):
-    """Analytically render the maps a perfect network would output for ``gt``.
+    """The maps a perfect network would output for ``gt``, in frame pixels.
 
     Returns ``{tap name: map}`` under the names the builders tap:
     ``tl_heat``, ``tl_embed``, ``tl_off``, the same for ``br``, and
-    ``attn_<size>`` per size class.  ``gt`` boxes are in frame pixels and
-    must lie inside the frame, and their classes in [0, num_classes).
-    ``tags`` optionally fixes each object's embedding value (defaults to 1,
-    2, ...).  Raises ``ValueError`` for a ``num_classes`` that is not an
-    integer >= 1 and a ``frame_hw`` that is not two integers >= 1.
+    ``attn_<size>`` per size class.  Heat and attention maps are the targets
+    of ``decode.corner_targets`` and ``decode.attention_targets`` times
+    ``ORACLE_PEAK``.  Each object's embedding tag (``tags``, or 1, 2, ...)
+    and offsets are written at its corner cells in gt order, so a later
+    corner wins a shared cell.  Raises ``ValueError`` as ``corner_targets``.
     """
-    _integer("num_classes", num_classes)
-    _pair("frame_hw", frame_hw)
-    fh, fw = frame_hw
-    hh, hw_ = HEATMAP_HW
-    fy, fx = fh / hh, fw / hw_
-
-    maps = {f"{kind}_{part}": np.zeros((1, channels, hh, hw_), np.float32)
-            for kind in ("tl", "br")
-            for part, channels in (("heat", num_classes), ("embed", 1), ("off", 2))}
-    maps.update({f"attn_{size}": np.zeros((1, 1) + tuple(dims), np.float32)
-                 for size, dims in ATTENTION_MAP_HW.items()})
-
-    for i, det in enumerate(gt):
-        x1, y1, x2, y2 = det.box
-        if not 0 <= det.cls < num_classes:
-            raise ValueError(f"gt class {det.cls} lies outside [0, num_classes={num_classes})")
-        tag = float(tags[i]) if tags is not None else float(i + 1)
-        for kind, cx, cy in (("tl", x1, y1), ("br", x2, y2)):
-            ix = int(np.floor(cx / fx))
-            iy = int(np.floor(cy / fy))
-            if not (0 <= ix < hw_ and 0 <= iy < hh):
-                raise ValueError(f"corner ({cx}, {cy}) falls outside the {fh}x{fw} frame")
-            maps[f"{kind}_heat"][0, det.cls, iy, ix] = ORACLE_PEAK
-            maps[f"{kind}_embed"][0, 0, iy, ix] = tag
-            maps[f"{kind}_off"][0, :, iy, ix] = cx / fx - ix, cy / fy - iy
-
-        size = size_class_of(max(x2 - x1, y2 - y1))
-        ah, aw = ATTENTION_MAP_HW[size]
-        sy, sx = fh / ah, fw / aw
-        mx = int(np.floor((x1 + x2) / 2.0 / sx + 0.5))
-        my = int(np.floor((y1 + y2) / 2.0 / sy + 0.5))
-        if 0 <= my < ah and 0 <= mx < aw:
-            maps[f"attn_{size}"][0, 0, my, mx] = ORACLE_PEAK
-
+    maps = {}
+    tags = range(1, len(gt) + 1) if tags is None else tags
+    for kind, (heat, cells, offsets) in corner_targets(gt, num_classes, frame_hw,
+                                                       HEATMAP_HW).items():
+        embed, off = (np.zeros((1, channels, *HEATMAP_HW), np.float32) for channels in (1, 2))
+        for tag, (x, y), d in zip(tags, cells.tolist(), offsets.tolist(), strict=True):
+            embed[0, 0, y, x] = tag
+            off[0, :, y, x] = d
+        heat *= ORACLE_PEAK
+        maps.update({f"{kind}_heat": heat, f"{kind}_embed": embed, f"{kind}_off": off})
+    for size, dims in ATTENTION_MAP_HW.items():
+        target = attention_targets([det.box for det in gt], dims, size, _strides(frame_hw, dims))
+        target *= ORACLE_PEAK
+        maps[f"attn_{size}"] = target
     return maps
 
 

@@ -175,6 +175,19 @@ def _written(path, doc):
     return str(path)
 
 
+def _tensor(path, shape):
+    skt.write_tensor(str(path), np.zeros(shape, np.float32))
+    return str(path)
+
+
+def _empty_dir(path):
+    path.mkdir()
+    return str(path)
+
+
+TINY_GRAPH = {"input_dims": [1, 3, 8, 8], "nodes": [{"id": "input", "kind": "input"}]}
+
+
 @pytest.mark.parametrize("make_argv, match", [
     (lambda tmp: ["arch", "stats", "/nonexistent/graph.json"], "No such file"),
     (lambda tmp: ["arch", "stats", str(tmp / "graph.json")], "input_dims"),
@@ -203,9 +216,28 @@ def _written(path, doc):
                   str(tmp / "gt.json"), "--spec",
                   _written(tmp / "spec.json", {"height": -5, "width": 10})],
      "height must be an integer >= 1, got -5"),
+    (lambda tmp: ["decode", "peaks", "--heat", _tensor(tmp / "heat.skt", (3, 8, 8)),
+                  "--offsets", _tensor(tmp / "off.skt", (1, 3, 8, 8))],
+     r"heatmaps must be \(1, C, H, W\), got \(3, 8, 8\)"),
+    (lambda tmp: ["bench", "--ops", "peaks", "--sizes", "0"],
+     "bench size must be an integer >= 1, got 0"),
+    (lambda tmp: ["bench", "--ops", "soft_nms", "--sizes", "8", "-1"],
+     "bench size must be an integer >= 1, got -1"),
+    (lambda tmp: ["arch", "init", _written(tmp / "tiny.json", TINY_GRAPH), "--seed", "-1",
+                  "--out-dir", str(tmp / "weights")],
+     "seed must be an integer >= 0, got -1"),
+    (lambda tmp: ["arch", "forward", _written(tmp / "tiny.json", TINY_GRAPH),
+                  "--weights", _empty_dir(tmp / "weights"),
+                  "--input", _tensor(tmp / "x.skt", (1, 3, 4, 4)), "--out-dir", str(tmp / "taps")],
+     r"input must be shaped \(1, 3, 8, 8\) as the graph declares, got \(1, 3, 4, 4\)"),
+    (lambda tmp: ["compare", "--graphs", _written(tmp / "tiny.json", TINY_GRAPH),
+                  "--input", "1x3x0x8"],
+     r"input_dims must be four integers >= 1, got \(1, 3, 0, 8\)"),
 ], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height",
         "saccade-config-non-numeric", "graph-node-not-an-object", "graph-nodes-not-a-list",
-        "scene-oracle-zero-frame", "scene-oracle-three-value-box", "scene-spec-negative-height"])
+        "scene-oracle-zero-frame", "scene-oracle-three-value-box", "scene-spec-negative-height",
+        "decode-peaks-three-dim-heat", "bench-zero-size", "bench-negative-size",
+        "arch-init-negative-seed", "arch-forward-wrong-input", "compare-zero-input-dim"])
 def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))

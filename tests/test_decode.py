@@ -5,7 +5,8 @@ import pytest
 
 from fovea import naive
 from fovea.decode import (SIZE_CLASSES, Corner, Detection, _peak_columns, _size_index,
-                          attention_targets, focal_loss, group_corners, heatmap_peaks,
+                          attention_targets, corner_targets, focal_loss, group_corners,
+                          heatmap_peaks,
                           pull_push_offset_losses, size_class_of)
 from fovea.kernels import max_pool2d
 
@@ -375,6 +376,49 @@ def test_attention_targets_center_position():
 
 def test_attention_targets_empty():
     assert attention_targets([], (8, 8), "small", stride=4).sum() == 0
+
+
+def test_attention_targets_take_the_stride_per_axis():
+    boxes = [(8, 16, 24, 32), (0.0, 0.0, 10.0, 3.0)]  # centres (16, 24) and (5, 1.5)
+    one = attention_targets(boxes, (16, 16), "small", stride=4)
+    assert one.tobytes() == attention_targets(boxes, (16, 16), "small", (4, 4.0)).tobytes()
+    # y at 8 px per pixel, x at 2: (16, 24) -> (8, 3) and (5, 1.5) -> (3, 0) half-up
+    t = attention_targets(boxes, (16, 16), "small", stride=[8, 2])
+    assert t[0, 0, 3, 8] == 1 and t[0, 0, 0, 3] == 1 and t.sum() == 2
+
+
+# ---- corner targets ------------------------------------------------------------
+
+
+def test_corner_targets_place_cells_and_offsets():
+    gt = [Detection(1, 1.0, (10.0, 30.0, 30.5, 63.0)), Detection(0, 1.0, (0.0, 4.0, 7.0, 7.5))]
+    targets = corner_targets(gt, 2, (64, 32), (16, 16))  # 4 px per cell in y, 2 in x
+    heat, cells, offsets = targets["tl"]
+    assert heat.shape == (1, 2, 16, 16) and heat.dtype == np.float32
+    assert cells.tolist() == [[5, 7], [0, 1]]
+    assert offsets.tolist() == [[0.0, 0.5], [0.0, 0.0]]
+    assert heat[0, 1, 7, 5] == heat[0, 0, 1, 0] == 1 and heat.sum() == 2
+    heat, cells, offsets = targets["br"]
+    assert cells.tolist() == [[15, 15], [3, 1]] and offsets.tolist() == [[0.25, 0.75], [0.5, 0.875]]
+    assert heat[0, 1, 15, 15] == heat[0, 0, 1, 3] == 1 and heat.sum() == 2
+
+
+def test_corner_targets_invert_through_the_downsample_factor():
+    # (cell + offset) * f, as group_corners applies it, gives the corners back
+    rng = np.random.default_rng(5)
+    corners = rng.uniform(0, 255, (20, 2))
+    gt = [Detection(0, 1.0, (*np.minimum(a, b), *np.maximum(a, b)))
+          for a, b in zip(corners[:10], corners[10:])]
+    for kind, axes in (("tl", slice(0, 2)), ("br", slice(2, 4))):
+        _, cells, offsets = corner_targets(gt, 1, (255, 255), (64, 64))[kind]
+        want = np.array([d.box[axes] for d in gt])
+        np.testing.assert_allclose((cells + offsets) * (255 / 64), want, rtol=1e-12)
+        assert ((offsets >= 0) & (offsets < 1)).all()
+
+
+def test_corner_targets_empty():
+    for heat, cells, offsets in corner_targets([], 3, (255, 255), (64, 64)).values():
+        assert heat.sum() == 0 and cells.shape == offsets.shape == (0, 2)
 
 
 def test_attention_targets_counts_match_routing():

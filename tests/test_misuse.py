@@ -19,7 +19,7 @@ from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, N
                    ObjectLocation, SaccadeConfig, attention_targets, bench, bilinear_resize,
                    GraphModel, OracleModel, SceneObject, SceneSpec, build_hourglass54,
                    build_hourglass104_reference, build_single_module, build_squeeze_hourglass,
-                   compare_archs, conv2d, cost_report, crop_pixels,
+                   compare_archs, conv2d, corner_targets, cost_report, crop_pixels,
                    depthwise_conv2d, downsize_pair, extract_locations, focal_loss,
                    gen_scene, group_corners, heatmap_peaks, init_weights, iou, make_crop,
                    max_pool2d, nearest_upsample2x, oracle_outputs, pull_push_offset_losses,
@@ -324,6 +324,44 @@ MISUSE = [
     ("build_single_module", "input_hw", (0, 16),
      lambda v: build_single_module("fire", dims=(32, 48), input_hw=v),
      "^input_hw must be a pair of integers >= 1"),
+    # the target rules: the corner cell and sub-cell offset, the attention centre
+    ("corner_targets", "num_classes", 0, lambda v: corner_targets([], v, (255, 255), (64, 64)),
+     "^num_classes must be an integer >= 1, got 0"),
+    ("corner_targets", "frame_hw", (255,), lambda v: corner_targets([], 3, v, (64, 64)),
+     r"^frame_hw must be a pair of integers >= 1, got \(255,\)"),
+    ("corner_targets", "heat_hw", (64, 0), lambda v: corner_targets([], 3, (255, 255), v),
+     r"^heat_hw must be a pair of integers >= 1, got \(64, 0\)"),
+    ("corner_targets", "gt.cls", 3,
+     lambda v: corner_targets([Detection(v, 1.0, (8.0, 8.0, 40.0, 40.0))], 3, (255, 255), (64, 64)),
+     r"^gt class 3 lies outside \[0, num_classes=3\)"),
+    ("corner_targets", "gt.cls", 1.5,
+     lambda v: corner_targets([Detection(v, 1.0, (8.0, 8.0, 40.0, 40.0))], 3, (255, 255), (64, 64)),
+     r"^gt class 1.5 lies outside \[0, num_classes=3\)"),
+    ("oracle_outputs", "gt.cls", 1.5,
+     lambda v: oracle_outputs([Detection(v, 1.0, (8.0, 8.0, 40.0, 40.0))], 3),
+     r"^gt class 1.5 lies outside \[0, num_classes=3\)"),
+    ("corner_targets", "gt.box", (8.0, 8.0, 255.0, 40.0),
+     lambda v: corner_targets([Detection(0, 1.0, v)], 3, (255, 255), (64, 64)),
+     r"^corner \(255.0, 40.0\) falls outside the 255x255 frame"),
+    ("corner_targets", "gt.box", (8.0, NAN, 40.0, 40.0),
+     lambda v: corner_targets([Detection(0, 1.0, v)], 3, (255, 255), (64, 64)),
+     r"^corner \(8.0, nan\) falls outside the 255x255 frame"),
+    ("attention_targets", "stride", (4, 0),
+     lambda v: attention_targets([(0, 0, 8, 8)], (4, 4), "small", v), "^stride must be finite"),
+    ("attention_targets", "stride", (4, 4, 4),
+     lambda v: attention_targets([(0, 0, 8, 8)], (4, 4), "small", v),
+     r"^stride must be finite and > 0, one number or a \(y, x\) pair"),
+    ("attention_targets", "boxes", (8, 8, 0, 0),
+     lambda v: attention_targets([v], (4, 4), "small", 4), "^longer_side must be >= 0, got -8"),
+    # a heatmap's own shape is checked before the maps read against it
+    ("heatmap_peaks", "heatmaps", (3, 8, 8),
+     lambda v: heatmap_peaks(np.zeros(v), 5, offsets=np.zeros((1, 3, 8, 8))),
+     r"^heatmaps must be \(1, C, H, W\), got \(3, 8, 8\)"),
+    # each bench size is checked before any op is built
+    ("bench", "sizes", 0, lambda v: bench(["peaks"], [8, v]),
+     "^bench size must be an integer >= 1, got 0"),
+    ("bench", "sizes", -1, lambda v: bench(["soft_nms"], [v]),
+     "^bench size must be an integer >= 1, got -1"),
     # an input size given for one report, checked before shapes propagate
     ("cost_report", "input_dims", (1, 3, 255),
      lambda v: cost_report(build_squeeze_hourglass(3, (127, 127)), v),

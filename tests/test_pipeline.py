@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from fovea import naive, pipeline
-from fovea.decode import (Corner, Detection, _detections, _group_columns, group_corners,
-                          heatmap_peaks)
+from fovea.decode import (SIZE_CLASSES, Corner, Detection, _detections, _group_columns,
+                          _size_index, group_corners, heatmap_peaks)
 from fovea.kernels import resize_longer_side
 from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
                             SaccadeConfig, _clamp_boxes, crop_pixels, downsize_pair,
-                            extract_locations, iou, location_from_detection,
-                            make_crop, resize_affine, run_saccade, soft_nms,
+                            extract_locations, iou, make_crop, resize_affine, run_saccade, soft_nms,
                             strip_boundary_boxes, suppress_locations)
 from fovea.scene import OracleModel, SceneObject, SceneSpec, gen_scene, random_scene
 
@@ -22,6 +21,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def rand_image(hw, seed=0):
     return np.random.default_rng(seed).uniform(0, 1, (1, 3) + hw).astype(np.float32)
+
+
+def location_from_detection(det, scale=255):
+    """A box candidate at a detection's centre, routed by its longer side as
+    ``max(dx, dy)`` picks it (so a NaN dx routes to large): the list-API view
+    of the box rows that ``run_saccade`` builds."""
+    x1, y1, x2, y2 = det.box
+    return ObjectLocation((x1 + x2) / 2.0, (y1 + y2) / 2.0,
+                          SIZE_CLASSES[_size_index(max(x2 - x1, y2 - y1))], det.score, "box", scale)
 
 
 # ---- downsizing ----------------------------------------------------------------

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from fovea.builders import build_hourglass54
-from fovea.decode import Detection, group_corners, heatmap_peaks
-from fovea.pipeline import Affine, iou
-from fovea.scene import (OracleModel, SceneObject, SceneSpec, gen_scene,
-                         oracle_outputs, random_scene)
+from fovea.decode import (CLAMP_EPS, Detection, corner_targets, focal_loss, group_corners,
+                          heatmap_peaks, pull_push_offset_losses, size_class_of)
+from fovea.pipeline import CROP_SIZE, Affine, iou
+from fovea.scene import (ATTENTION_MAP_HW, HEATMAP_HW, ORACLE_PEAK, OracleModel, SceneObject,
+                         SceneSpec, gen_scene, oracle_outputs, random_scene)
 
 
 def test_gen_scene_empty():
@@ -155,3 +158,118 @@ def test_random_scene_rejects_frames_too_small_for_any_box(hw):
     with pytest.raises(ValueError, match=rf"hw=\({hw[0]}, {hw[1]}\)"):
         random_scene(0, 1, hw=hw)
     assert random_scene(0, 0, hw=hw).objects == []
+
+
+# ---- the oracle as the target rules' renderer ----------------------------------
+
+
+def _oracle_outputs_loop(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE), tags=None):
+    """The former ``oracle_outputs``, which spelled the corner-cell and
+    attention-centre rules itself: frozen as the byte reference."""
+    fh, fw = frame_hw
+    hh, hw_ = HEATMAP_HW
+    fy, fx = fh / hh, fw / hw_
+
+    maps = {f"{kind}_{part}": np.zeros((1, channels, hh, hw_), np.float32)
+            for kind in ("tl", "br")
+            for part, channels in (("heat", num_classes), ("embed", 1), ("off", 2))}
+    maps.update({f"attn_{size}": np.zeros((1, 1) + tuple(dims), np.float32)
+                 for size, dims in ATTENTION_MAP_HW.items()})
+
+    for i, det in enumerate(gt):
+        x1, y1, x2, y2 = det.box
+        tag = float(tags[i]) if tags is not None else float(i + 1)
+        for kind, cx, cy in (("tl", x1, y1), ("br", x2, y2)):
+            ix = int(np.floor(cx / fx))
+            iy = int(np.floor(cy / fy))
+            maps[f"{kind}_heat"][0, det.cls, iy, ix] = ORACLE_PEAK
+            maps[f"{kind}_embed"][0, 0, iy, ix] = tag
+            maps[f"{kind}_off"][0, :, iy, ix] = cx / fx - ix, cy / fy - iy
+
+        size = size_class_of(max(x2 - x1, y2 - y1))
+        ah, aw = ATTENTION_MAP_HW[size]
+        sy, sx = fh / ah, fw / aw
+        mx = int(np.floor((x1 + x2) / 2.0 / sx + 0.5))
+        my = int(np.floor((y1 + y2) / 2.0 / sy + 0.5))
+        if 0 <= my < ah and 0 <= mx < aw:
+            maps[f"attn_{size}"][0, 0, my, mx] = ORACLE_PEAK
+
+    return maps
+
+
+def _reference_cases():
+    """(gt, frame_hw, tags) on seeded scenes at square and non-square frames,
+    plus an empty gt and corners that share a cell."""
+    for seed in range(50):
+        hw = ((510, 510), (97, 641), (255, 255), (480, 640))[seed % 4]
+        spec = random_scene(seed, 1 + seed % 8, hw=hw)
+        gt = [Detection(o.cls, 1.0, o.box) for o in spec.objects]
+        yield gt, hw, None
+        if seed % 5 == 0:  # the same objects rendered on the crop frame, with scene tags
+            inside = [d for d in gt if max(d.box) < CROP_SIZE]
+            yield inside, (CROP_SIZE, CROP_SIZE), [7 * i + 3 for i in range(len(inside))]
+    yield [], (255, 255), None
+    yield [], (97, 641), None
+    # two top-left corners in cell (2, 2) at 255/64 px per cell; then the same
+    # class on both, so their heat peaks coincide as well
+    shared = [Detection(0, 1.0, (10.2, 10.3, 100.0, 100.0)),
+              Detection(1, 1.0, (11.0, 9.0, 60.0, 200.0))]
+    yield shared, (255, 255), None
+    yield [Detection(1, 1.0, d.box) for d in shared], (255, 255), [4, 9]
+    # two bottom-right corners in one cell, and two centres on one attention pixel
+    yield [Detection(2, 1.0, (40.0, 40.0, 200.0, 150.0)),
+           Detection(2, 1.0, (60.0, 40.0, 201.5, 150.0))], (255, 255), None
+
+
+def test_oracle_outputs_bytes_match_the_former_renderer():
+    cases = list(_reference_cases())
+    assert len(cases) >= 55
+    for gt, frame_hw, tags in cases:
+        got = oracle_outputs(gt, 3, frame_hw=frame_hw, tags=tags)
+        want = _oracle_outputs_loop(gt, 3, frame_hw=frame_hw, tags=tags)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), (frame_hw, name)
+
+
+def test_shared_cells_keep_the_later_corner():
+    # both top-left corners fall in cell (2, 2); the second object's tag and offsets win
+    gt = [Detection(0, 1.0, (10.2, 10.3, 100.0, 100.0)),
+          Detection(1, 1.0, (11.0, 9.0, 60.0, 200.0))]
+    out = oracle_outputs(gt, 2)
+    assert out["tl_embed"][0, 0, 2, 2] == 2.0
+    np.testing.assert_array_equal(out["tl_off"][0, :, 2, 2],
+                                  np.float32([11.0 * 64 / 255 - 2, 9.0 * 64 / 255 - 2]))
+    assert out["tl_heat"][:, :, 2, 2].tolist() == [[np.float32(ORACLE_PEAK)] * 2]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_is_the_losses_fixed_point(seed):
+    # the oracle stands for a perfectly trained network, so the losses are at
+    # their minimum on its maps, read at the cells of the targets
+    spec = random_scene(seed, 2 + seed % 6)
+    frame_hw = (spec.height, spec.width)
+    gt = [Detection(o.cls, 1.0, o.box) for o in spec.objects]
+    maps = oracle_outputs(gt, 3, frame_hw=frame_hw)
+    targets = corner_targets(gt, 3, frame_hw, HEATMAP_HW)
+
+    def at_cells(name, cells):  # (n, channels) values of one map at per-object cells
+        return maps[name][0][:, cells[:, 1], cells[:, 0]].T
+
+    tl_heat, tl_cells, tl_off = targets["tl"]
+    br_heat, br_cells, br_off = targets["br"]
+    embeddings = np.hstack([at_cells("tl_embed", tl_cells), at_cells("br_embed", br_cells)])
+    offsets = np.stack([at_cells("tl_off", tl_cells), at_cells("br_off", br_cells)], axis=1)
+    # the maps hold float32, so the offset targets are compared at float32
+    gt_offsets = np.stack([tl_off, br_off], axis=1).astype(np.float32)
+    assert pull_push_offset_losses(embeddings, offsets, gt_offsets) == (0.0, 0.0, 0.0)
+
+    # focal loss of heat 0.9 on every positive and 0 elsewhere, in closed form
+    p, eps = float(np.float32(ORACLE_PEAK)), CLAMP_EPS
+    for kind, heat in (("tl", tl_heat), ("br", br_heat)):
+        n_pos, n_neg = int(heat.sum()), heat.size - int(heat.sum())
+        assert n_pos == len(gt)
+        want = -(1 - p) ** 2 * math.log(p) - n_neg / n_pos * eps ** 2 * math.log(1 - eps)
+        assert focal_loss(maps[f"{kind}_heat"], heat) == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(maps[f"{kind}_heat"] > 0, heat == 1)
