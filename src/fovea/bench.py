@@ -145,15 +145,17 @@ def bench(ops, sizes, repetitions=3):
     """Time each (op, size) pair; returns a JSON-ready report dict.
 
     Report schema: {"repetitions": int, "entries": [{"op", "size", "macs",
-    "samples", "median_s", "p10_s", "p90_s"}]}.  A size or ``repetitions``
-    that is not an integer >= 1 raises ``ValueError`` before any op is built.
+    "samples", "median_s", "p10_s", "p90_s"}]}.  An unknown op, or a size or
+    ``repetitions`` that is not an integer >= 1, raises ``ValueError`` before
+    any op is built.
     """
     _integer("repetitions", repetitions)
+    for op in ops:
+        _one_of("bench op", op, BENCH_OPS)
     for size in sizes:
         _integer("bench size", size)
     entries = []
     for op in ops:
-        _one_of("bench op", op, BENCH_OPS)
         for size in sizes:
             fn, macs = BENCH_OPS[op](size)
             fn()  # warm-up, excluded from samples

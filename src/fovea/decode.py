@@ -252,7 +252,7 @@ def attention_targets(boxes, map_hw, size_class, stride):
     rounded half-up; one outside the map adds none.  ``stride`` is one number
     or a (y, x) pair.  Raises ``ValueError`` for a ``size_class`` that is not
     one of ``SIZE_CLASSES``, a stride that is not finite and > 0, and a box
-    whose longer side is NaN or < 0 (as ``size_class_of``).
+    with a non-finite coordinate or a longer side < 0 (as ``size_class_of``).
     """
     _one_of("size_class", size_class, SIZE_CLASSES)
     pair = tuple(stride) if isinstance(stride, (tuple, list)) else (stride, stride)
@@ -262,6 +262,7 @@ def attention_targets(boxes, map_hw, size_class, stride):
     h, w = map_hw
     target = np.zeros((1, 1, h, w), dtype=np.float32)
     for x1, y1, x2, y2 in boxes:
+        _require(all(map(math.isfinite, (x1, y1, x2, y2))), "boxes", "be finite", (x1, y1, x2, y2))
         if size_class_of(_longer_sides(x1, y1, x2, y2)) != size_class:
             continue
         mx = math.floor((x1 + x2) / 2.0 / sx + 0.5)

@@ -211,14 +211,15 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
     default 4x4 kernel / stride 2 / pad 1 the output spatial dims are exactly
     double the input's.
 
-    Each band is one GEMM over every tap, (oc_band*kh*kw, c) @ (c, h*w),
-    whose left operand is a transposed view of ``weights``: no weight copy,
-    which a GEMM per kernel row would need on every call.  Tap (i, j) of the
-    product is then added, in (i, j) order, into rows i, i + s, ... and
-    columns j, j + s, ... of the uncropped output, for stride s, which is
-    cropped by ``padding`` on each side.  The product holds kh*kw values per
-    input pixel and output channel, so a band holds at most ``_COLS_BYTES``
-    of it, as in ``conv2d``.
+    Each band is one pixel-major GEMM over every tap, (h*w, c) @ (c,
+    oc_band*kh*kw), of views of ``x`` and ``weights``, no copy of either.
+    At stride s, tap i of input row y lands on row (y + i // s) * s + i % s
+    of the output, held as (h', s, w', s, oc), so each tap offset pair
+    (i // s, j // s) is one block add over every phase, made in (i, j)
+    order.  A kernel that is not a multiple of s gets +0.0 taps, which
+    change no bits of a sum begun at +0.0.  One transposing copy crops
+    ``padding`` off each side.  A band holds at most ``_COLS_BYTES`` of the
+    product, kh*kw values per input pixel and output channel, as in ``conv2d``.
     """
     x = as_tensor(x, "x")
     w = np.asarray(weights, dtype=np.float32)
@@ -231,18 +232,21 @@ def transpose_conv2d(x, weights, bias=None, stride=2, padding=1):
              "be >= 1 and padding >= 0, both integers", {"stride": stride, "padding": padding})
     oh, ow = _fit(h, wd, (kh, kw), stride, padding, transpose=True)
 
-    s = stride
-    hs, ws = (h - 1) * s + 1, (wd - 1) * s + 1  # the rows and columns one tap spans
-    full = np.zeros((n, oc, hs + kh - 1, ws + kw - 1), dtype=np.float32)
-    xm = x.reshape(n, c, h * wd)
-    band = max(1, _COLS_BYTES // (4 * n * kh * kw * h * wd))
+    s, p, a, b = stride, padding, -(-kh // stride), -(-kw // stride)  # a x b offsets per phase
+    full = np.zeros((n, h + a - 1, s, wd + b - 1, s, oc), dtype=np.float32)
+    xt = x.reshape(n, c, h * wd).transpose(0, 2, 1)
+    band = max(1, _COLS_BYTES // (4 * n * a * s * b * s * h * wd))
     for o0 in range(0, oc, band):
         o1 = min(oc, o0 + band)
-        prod = np.matmul(w[:, o0:o1].reshape(c, -1).T, xm).reshape(n, o1 - o0, kh, kw, h, wd)
-        for i in range(kh):
-            for j in range(kw):
-                full[:, o0:o1, i : i + hs : s, j : j + ws : s] += prod[:, :, i, j]
-    out = np.ascontiguousarray(full[:, :, padding : padding + oh, padding : padding + ow])
+        prod = np.matmul(xt, w[:, o0:o1].reshape(c, -1)).reshape(n, h, wd, o1 - o0, kh, kw)
+        if kh % s or kw % s:
+            prod = np.pad(prod, ((0, 0),) * 4 + ((0, a * s - kh), (0, b * s - kw)))
+        prod = prod.reshape(n, h, wd, o1 - o0, a, s, b, s).transpose(0, 4, 6, 1, 5, 2, 7, 3)
+        for i in range(a):
+            for j in range(b):
+                full[:, i : i + h, :, j : j + wd, :, o0:o1] += prod[:, i, j]
+    full = full.reshape(n, (h + a - 1) * s, (wd + b - 1) * s, oc)[:, p : p + oh, p : p + ow]
+    out = np.ascontiguousarray(full.transpose(0, 3, 1, 2))
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out

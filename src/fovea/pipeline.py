@@ -400,37 +400,23 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
 
 
 class GraphModel:
-    """Adapter running an ArchGraph, with its attached weights, into the
-    pipeline's output layout."""
+    """Adapter running an ArchGraph, with its attached weights, as a model:
+    ``infer`` returns ``forward``'s ``{tap name: map}``.  Raises ``ValueError``
+    for a graph without weights or without the six corner taps."""
 
     def __init__(self, graph):
-        self.graph = graph
         if not graph.params:
             raise ValueError("graph has no weights attached; call init_weights or load them")
+        missing = [name for name in _CORNER_TAPS if name not in graph.taps]
+        _require(not missing, "graph taps", f"include the corner taps {missing}", [*graph.taps])
+        self.graph = graph
 
     def infer(self, image, to_original=None):
-        return model_maps(forward(self.graph, image))
+        return forward(self.graph, image)
 
 
-_CORNER_TAPS = tuple(f"{kind}_{part}" for kind in ("tl", "br") for part in ("heat", "embed", "off"))
-
-
-def model_maps(taps):
-    """The ``infer`` layout of a model's ``{tap name: map}``: the builders'
-    and the oracle's ``attn_<size>``, ``<kind>_heat``, ``<kind>_embed`` and
-    ``<kind>_off`` as ``{"attention": {size: map}, "corners": {kind: {"heat",
-    "embed", "off"}}}``.  Attention sizes without a tap are left out; a
-    missing corner tap raises a ``ValueError`` that lists them all."""
-    missing = [name for name in _CORNER_TAPS if name not in taps]
-    if missing:  # the message is formatted only on failure: this runs once per model call
-        raise ValueError(f"model taps must include the corner taps {missing}, got {sorted(taps)}")
-    attention = {size: taps[f"attn_{size}"] for size in SIZE_CLASSES if f"attn_{size}" in taps}
-    corners = {kind: {part: taps[f"{kind}_{part}"] for part in ("heat", "embed", "off")}
-               for kind in ("tl", "br")}
-    return {"attention": attention, "corners": corners}
-
-
-_CORNER_MAP_CHANNELS = {"heat": None, "off": 2, "embed": 1}  # heat: the class count
+_CORNER_TAPS = {f"{kind}_{part}": channels for kind in ("tl", "br")  # heat: the class count
+                for part, channels in (("heat", None), ("embed", 1), ("off", 2))}
 
 
 def _checked_map(frame, label, arr, channels=None, unit=False):
@@ -451,36 +437,30 @@ def _checked_map(frame, label, arr, channels=None, unit=False):
 
 
 def _checked_corner_maps(out, frame):
-    """The ``tl`` and ``br`` corner maps of one model output, checked.
+    """The six corner taps of one model output, ``{tap name: map}``, checked.
 
     Raises a ``ValueError`` naming the frame (``255``, ``192``, ``crop 3``)
-    and the map for a missing map, a map not shaped (1, C, H, W), class
-    counts that differ between ``tl`` and ``br``, an ``off`` other than 2 or
-    an ``embed`` other than 1 channel, maps that disagree in H x W, a
-    non-finite value, or a heatmap value outside [0, 1].
+    and the tap for an output that is not a dict, missing taps (all in one
+    message), a map not shaped (1, C, H, W), ``tl_heat`` and ``br_heat``
+    class counts that differ, an ``_off`` other than 2 or an ``_embed`` other
+    than 1 channel, maps that disagree in H x W, a non-finite value, or a
+    heatmap value outside [0, 1].  Other taps are not read.
     """
     where = f"model output for frame {frame}"
-    corners = out.get("corners") if isinstance(out, dict) else None
-    if not isinstance(corners, dict):
-        raise ValueError(f"{where}: no 'corners' maps")
-    maps = {}
-    for kind in ("tl", "br"):
-        if not isinstance(corners.get(kind), dict):
-            raise ValueError(f"{where}: no '{kind}' corner maps")
-        maps[kind] = {}
-        for name, channels in _CORNER_MAP_CHANNELS.items():
-            if name not in corners[kind]:
-                raise ValueError(f"{where}: {kind}.{name} is missing")
-            maps[kind][name] = _checked_map(frame, f"{kind}.{name}", corners[kind][name],
-                                            channels, unit=name == "heat")
-    hw = maps["tl"]["heat"].shape[2:]
-    for kind, name in ((k, n) for k in ("tl", "br") for n in _CORNER_MAP_CHANNELS):
-        if maps[kind][name].shape[2:] != hw:
-            raise ValueError(f"{where}: {kind}.{name} is {maps[kind][name].shape[2:]} (H, W), "
-                             f"tl.heat is {hw}")
-    if maps["tl"]["heat"].shape[1] != maps["br"]["heat"].shape[1]:
-        raise ValueError(f"{where}: tl.heat has {maps['tl']['heat'].shape[1]} classes, "
-                         f"br.heat has {maps['br']['heat'].shape[1]}")
+    if not isinstance(out, dict):
+        raise ValueError(f"{where} must be a dict keyed by tap name, got {type(out).__name__}")
+    missing = [name for name in _CORNER_TAPS if name not in out]
+    if missing:
+        raise ValueError(f"{where}: " + ", ".join(f"{name} is missing" for name in missing))
+    maps = {name: _checked_map(frame, name, out[name], channels, unit=name.endswith("heat"))
+            for name, channels in _CORNER_TAPS.items()}
+    hw = maps["tl_heat"].shape[2:]
+    for name, arr in maps.items():
+        if arr.shape[2:] != hw:
+            raise ValueError(f"{where}: {name} is {arr.shape[2:]} (H, W), tl_heat is {hw}")
+    if maps["tl_heat"].shape[1] != maps["br_heat"].shape[1]:
+        raise ValueError(f"{where}: tl_heat has {maps['tl_heat'].shape[1]} classes, "
+                         f"br_heat has {maps['br_heat'].shape[1]}")
     return maps
 
 
@@ -507,10 +487,10 @@ def _detect_frame(out, name, config, margin=None):
     """The class, score and (n, 4) frame-pixel box columns of the detections
     in one 255x255 frame's model output scoring at least ``nms_floor`` (with
     a ``margin``, only those inside it)."""
-    corners = _checked_corner_maps(out, name)
-    tl, br = (_peak_columns(m["heat"], config.corners_per_kind, m["off"], m["embed"])
-              for m in (corners["tl"], corners["br"]))
-    factor = CROP_SIZE / corners["tl"]["heat"].shape[2]
+    maps = _checked_corner_maps(out, name)
+    tl, br = (_peak_columns(maps[f"{kind}_heat"], config.corners_per_kind, maps[f"{kind}_off"],
+                            maps[f"{kind}_embed"]) for kind in ("tl", "br"))
+    factor = CROP_SIZE / maps["tl_heat"].shape[2]
     cls, score, boxes = _group_columns(tl, br, config.embed_threshold, factor, config.nms_floor)
     if margin is not None:
         inside = _inside_margin(*boxes.T, margin)
@@ -542,18 +522,21 @@ def _location(row):
 def run_saccade(image, model, config=None, trace=None, crop_order=None):
     """Full inference: downsize, rank candidate locations, zoom, detect, merge.
 
-    ``model`` provides ``infer(frame, to_original)``, called once per
-    distinct (pixels, ``to_original``) input: a crop whose map equals an
-    earlier frame's and whose pixels are byte-identical to it (a zoom-1 crop
-    is the whole 255 frame) reuses that output, so a stateful model sees
-    fewer calls than frames.  Each frame and crop still decodes on its own.
-    Pass a dict as ``trace`` to collect locations, suppression decisions,
-    crop windows, pixel counts (``pixels_processed`` counts every frame and
-    crop) and ``n_model_calls``, the ``infer`` calls made.  ``crop_order``
-    permutes crop processing order (the result is invariant to it; exists
-    for order-independence tests).  Each frame's
-    checked corner maps become class, score and box columns through the array
-    cores that ``heatmap_peaks`` and ``group_corners`` wrap, and candidate
+    ``model`` provides ``infer(frame, to_original)``, which returns ``{tap
+    name: map}``: the six corner taps (``tl_heat``, ``tl_embed``, ``tl_off``
+    and the same for ``br``) and, optionally, ``attn_<size>`` per size class,
+    which only the downsized frames read; other taps are ignored.  It is
+    called once per distinct (pixels, ``to_original``) input: a crop whose
+    map equals an earlier frame's and whose pixels are byte-identical to it
+    (a zoom-1 crop is the whole 255 frame) reuses that output, so a stateful
+    model sees fewer calls than frames.  Each frame and crop still decodes on
+    its own.  Pass a dict as ``trace`` to collect locations, suppression
+    decisions, crop windows, pixel counts (``pixels_processed`` counts every
+    frame and crop) and ``n_model_calls``, the ``infer`` calls made.
+    ``crop_order`` permutes crop processing order (the result is invariant
+    to it; exists for order-independence tests).  Each frame's checked
+    corner maps become class, score and box columns through the array cores
+    that ``heatmap_peaks`` and ``group_corners`` wrap, and candidate
     locations are ranked and suppressed as columns.  ``Detection``s are built
     only for ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
     Raises ``ValueError`` for a ``model`` without ``infer`` (wrap an
@@ -584,12 +567,8 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
         cls, score, boxes = _detect_frame(out, tag, config)
         # map this frame's coordinates into the canonical 255 frame
         remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
-        attention = out.get("attention") or {}  # missing or empty: no attention taps
-        if not isinstance(attention, dict):
-            raise ValueError(f"model output for frame {tag}: attention must be a dict of maps "
-                             f"keyed by size class, got {type(attention).__name__}")
-        attention = {size: _checked_map(tag, f"attn {size}", arr, 1, unit=True)
-                     for size, arr in attention.items()}
+        attention = {size: _checked_map(tag, f"attn {size}", out[f"attn_{size}"], 1, unit=True)
+                     for size in SIZE_CLASSES if f"attn_{size}" in out}
         if attention:
             strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
             locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)

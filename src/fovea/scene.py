@@ -16,7 +16,7 @@ import numpy as np
 
 from .decode import Detection, _box_field, _strides, attention_targets, corner_targets
 from .kernels import _from_fields, _integer, _require
-from .pipeline import CROP_SIZE, model_maps
+from .pipeline import CROP_SIZE
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
 HEATMAP_HW = (64, 64)
@@ -165,8 +165,9 @@ class OracleModel:
 
     ``infer`` transforms the scene's ground-truth boxes into the queried
     frame (via the frame's map back to source pixels), keeps the ones fully
-    inside, and renders oracle maps for them.  Embedding tags stay attached
-    to scene objects, so the same object carries the same tag in every frame.
+    inside, and returns ``oracle_outputs`` for them: ``{tap name: map}``, as
+    ``GraphModel.infer`` does.  Embedding tags stay attached to scene
+    objects, so the same object carries the same tag in every frame.
     """
 
     def __init__(self, gt, num_classes):
@@ -186,4 +187,4 @@ class OracleModel:
                     box[2] <= fw - 1 and box[3] <= fh - 1):
                 visible.append(Detection(det.cls, ORACLE_PEAK, box))
                 tags.append(i + 1)
-        return model_maps(oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags))
+        return oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from fovea.bench import bench
@@ -50,6 +52,15 @@ def test_bench_forward_macs_ordering_at_255():
     macs = {e["op"]: e["macs"] for e in report["entries"]}
     assert macs["forward_squeeze"] < macs["forward_hourglass54"]
     assert all(e["median_s"] > 0 for e in report["entries"])
+
+
+def test_bench_checks_every_op_name_before_building_any(monkeypatch):
+    ops = sys.modules["fovea.bench"].BENCH_OPS
+    built = []
+    monkeypatch.setitem(ops, "peaks", lambda size: built.append(size) or ops["soft_nms"](size))
+    with pytest.raises(ValueError, match="^unknown bench op 'bogus'"):
+        bench(["peaks", "bogus"], [16])
+    assert built == []
 
 
 def test_bench_rejects_unknown_op_and_bad_reps():

@@ -56,11 +56,11 @@ def _scene(noise=0.1, cls=0):
     return SceneSpec(64, 64, [SceneObject(cls, (8.0, 8.0, 40.0, 40.0))], noise=noise)
 
 
-def _module_maps(block):
+def _module_model(block):
     # a weighted one-module graph: a feature tap and no corner heads
     g = build_single_module(block, dims=(8, 8), input_hw=(8, 8))
     init_weights(g)
-    return GraphModel(g).infer(np.ones((1, 8, 8, 8), np.float32))
+    return GraphModel(g)
 
 
 def _graph_json(**doc):
@@ -304,14 +304,14 @@ MISUSE = [
      "^width must be an integer >= 1, got 0"),
     ("gen_scene", "width", 2.5, lambda v: gen_scene(SceneSpec(10, v)),
      "^width must be an integer >= 1, got 2.5"),
-    # the model contract: run_saccade takes an object with infer, and a graph's
-    # taps must hold the corner maps
+    # the model contract: run_saccade takes an object with infer, and a graph
+    # without the corner taps is refused when it is wrapped
     ("run_saccade", "model", "squeeze", lambda v: run_saccade(IMAGE, v),
      r"^model must provide infer\(frame, to_original\), got 'str'"),
     ("run_saccade", "model", None, lambda v: run_saccade(IMAGE, v),
      r"^model must provide infer\(frame, to_original\), got 'NoneType'"),
-    ("GraphModel.infer", "graph.taps", "residual", _module_maps,
-     r"^model taps must include the corner taps \['tl_heat', 'tl_embed', 'tl_off', 'br_heat'"),
+    ("GraphModel", "graph.taps", "residual", _module_model,
+     r"^graph taps must include the corner taps \['tl_heat', 'tl_embed', 'tl_off', 'br_heat'"),
     # the builders' input size, checked before any node is added
     ("build_squeeze_hourglass", "input_hw", (255,), lambda v: build_squeeze_hourglass(3, v),
      r"^input_hw must be a pair of integers >= 1, got \(255,\)"),
@@ -353,6 +353,13 @@ MISUSE = [
      r"^stride must be finite and > 0, one number or a \(y, x\) pair"),
     ("attention_targets", "boxes", (8, 8, 0, 0),
      lambda v: attention_targets([v], (4, 4), "small", 4), "^longer_side must be >= 0, got -8"),
+    # a routed box with a non-finite coordinate, which math.floor cannot take
+    ("attention_targets", "boxes", (0.0, NAN, 20.0, 8.0),
+     lambda v: attention_targets([v], (4, 4), "small", 4),
+     r"^boxes must be finite, got \(0.0, nan, 20.0, 8.0\)"),
+    ("attention_targets", "boxes", (0.0, 0.0, float("inf"), 8.0),
+     lambda v: attention_targets([v], (4, 4), "large", 4),
+     r"^boxes must be finite, got \(0.0, 0.0, inf, 8.0\)"),
     # a heatmap's own shape is checked before the maps read against it
     ("heatmap_peaks", "heatmaps", (3, 8, 8),
      lambda v: heatmap_peaks(np.zeros(v), 5, offsets=np.zeros((1, 3, 8, 8))),

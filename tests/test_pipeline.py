@@ -14,7 +14,8 @@ from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
                             SaccadeConfig, _clamp_boxes, crop_pixels, downsize_pair,
                             extract_locations, iou, make_crop, resize_affine, run_saccade, soft_nms,
                             strip_boundary_boxes, suppress_locations)
-from fovea.scene import OracleModel, SceneObject, SceneSpec, gen_scene, random_scene
+from fovea.scene import (OracleModel, SceneObject, SceneSpec, gen_scene, oracle_outputs,
+                         random_scene)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -861,35 +862,33 @@ def test_saccade_config_validation():
 
 
 class _Tampered:
-    """An oracle whose ``part`` maps (``corners`` or ``attention``) for the
-    ``call``-th frame pass through ``tamper``, which edits them in place or
-    returns their replacement (calls go 255, 192, then crop 0, 1, ...)."""
+    """A model whose ``{tap name: map}`` output for the ``call``-th frame
+    passes through ``tamper``, which edits it in place or returns its
+    replacement (calls go 255, 192, then crop 0, 1, ...)."""
 
-    def __init__(self, model, tamper, call=0, part="corners"):
-        self.model, self.tamper, self.call, self.part, self.calls = model, tamper, call, part, 0
+    def __init__(self, model, tamper, call=0):
+        self.model, self.tamper, self.call, self.calls = model, tamper, call, 0
 
     def infer(self, image, to_original):
         out = self.model.infer(image, to_original)
         if self.calls == self.call:
-            replaced = self.tamper(out[self.part])
+            replaced = self.tamper(out)
             if replaced is not None:
-                out[self.part] = replaced
+                out = replaced
         self.calls += 1
         return out
 
 
-def _set(kind, name, fn):
-    def tamper(corners):
-        corners[kind][name] = fn(corners[kind][name])
+def _set(tap, fn):
+    def tamper(out):
+        out[tap] = fn(out[tap])
     return tamper
 
 
-def _drop(kind, name=None):
-    def tamper(corners):
-        if name:
-            del corners[kind][name]
-        else:
-            del corners[kind]
+def _drop(*taps):
+    def tamper(out):
+        for tap in taps:
+            del out[tap]
     return tamper
 
 
@@ -902,25 +901,29 @@ def _poke(value):
 
 
 @pytest.mark.parametrize("tamper, call, match", [
-    (_drop("tl"), 0, "frame 255: no 'tl' corner maps"),
-    (_drop("tl", "off"), 0, "frame 255: tl.off is missing"),
-    (_drop("br", "heat"), 1, "frame 192: br.heat is missing"),
-    (_drop("br", "embed"), 2, r"frame crop 0: br.embed is missing"),
-    (_set("tl", "heat", lambda a: a[0]), 0, r"tl.heat must be shaped \(1, C, H, W\)"),
-    (_set("br", "embed", lambda a: np.concatenate([a, a])), 4,
+    # each fragment's "." also matches the "_" of the tap name it reports
+    (lambda out: list(out.values()), 0,
+     "^model output for frame 255 must be a dict keyed by tap name, got list$"),
+    (_drop("tl_off", "br_heat", "br_embed"), 1,
+     "^model output for frame 192: tl_off is missing, br_heat is missing, br_embed is missing$"),
+    (_drop("tl_off"), 0, "frame 255: tl.off is missing"),
+    (_drop("br_heat"), 1, "frame 192: br.heat is missing"),
+    (_drop("br_embed"), 2, r"frame crop 0: br.embed is missing"),
+    (_set("tl_heat", lambda a: a[0]), 0, r"tl.heat must be shaped \(1, C, H, W\)"),
+    (_set("br_embed", lambda a: np.concatenate([a, a])), 4,
      r"frame crop 2: br.embed must be shaped \(1, C, H, W\), got \(2, 1, 64, 64\)"),
-    (_set("br", "heat", lambda a: a[:, :2]), 0, "tl.heat has 3 classes, br.heat has 2"),
-    (_set("tl", "off", lambda a: a[:, :1]), 1, "frame 192: tl.off must have 2 channel"),
-    (_set("br", "embed", lambda a: np.concatenate([a, a], axis=1)), 0,
+    (_set("br_heat", lambda a: a[:, :2]), 0, "tl.heat has 3 classes, br.heat has 2"),
+    (_set("tl_off", lambda a: a[:, :1]), 1, "frame 192: tl.off must have 2 channel"),
+    (_set("br_embed", lambda a: np.concatenate([a, a], axis=1)), 0,
      "br.embed must have 1 channel"),
-    (_set("tl", "embed", lambda a: a[:, :, :10, :10]), 0, r"tl.embed is \(10, 10\)"),
-    (_set("br", "off", lambda a: a[:, :, :32]), 3, r"frame crop 1: br.off is \(32, 64\)"),
-    (_set("br", "heat", lambda a: a[:, :, :32, :32]), 0, r"br.heat is \(32, 32\)"),
-    (_set("br", "heat", _poke(np.nan)), 0, "frame 255: br.heat holds non-finite"),
-    (_set("tl", "off", _poke(np.inf)), 2, "frame crop 0: tl.off holds non-finite"),
-    (_set("tl", "embed", _poke(-np.inf)), 1, "tl.embed holds non-finite"),
-    (_set("tl", "heat", lambda a: a * 5), 0, r"tl.heat lies outside \[0, 1\]"),
-    (_set("br", "heat", _poke(-0.25)), 4, r"frame crop 2: br.heat lies outside \[0, 1\]"),
+    (_set("tl_embed", lambda a: a[:, :, :10, :10]), 0, r"tl.embed is \(10, 10\)"),
+    (_set("br_off", lambda a: a[:, :, :32]), 3, r"frame crop 1: br.off is \(32, 64\)"),
+    (_set("br_heat", lambda a: a[:, :, :32, :32]), 0, r"br.heat is \(32, 32\)"),
+    (_set("br_heat", _poke(np.nan)), 0, "frame 255: br.heat holds non-finite"),
+    (_set("tl_off", _poke(np.inf)), 2, "frame crop 0: tl.off holds non-finite"),
+    (_set("tl_embed", _poke(-np.inf)), 1, "tl.embed holds non-finite"),
+    (_set("tl_heat", lambda a: a * 5), 0, r"tl.heat lies outside \[0, 1\]"),
+    (_set("br_heat", _poke(-0.25)), 4, r"frame crop 2: br.heat lies outside \[0, 1\]"),
 ])
 def test_run_saccade_rejects_bad_corner_maps(tamper, call, match):
     img, gt = gen_scene(random_scene(0, 3))
@@ -932,44 +935,56 @@ def test_run_saccade_rejects_bad_corner_maps(tamper, call, match):
 
 def test_tampered_oracle_reaches_every_frame_untouched():
     img, gt = gen_scene(random_scene(0, 3))
-    model = _Tampered(OracleModel(gt, num_classes=3), lambda corners: None, call=4)
+    model = _Tampered(OracleModel(gt, num_classes=3), lambda out: None, call=4)
     trace = {}
     assert run_saccade(img, model, trace=trace) == run_saccade(img, OracleModel(gt, 3))
     assert trace["n_crops"] == 3 and model.calls == 5
 
 
-def _set_attention(size, fn):
-    def tamper(attention):
-        attention[size] = fn(attention[size])
-    return tamper
+def test_run_saccade_ignores_taps_it_does_not_read():
+    img, gt = gen_scene(random_scene(0, 3))
+    oracle = OracleModel(gt, num_classes=3)
+    extra = {"feature": np.full((1, 8, 64, 64), np.nan, np.float32), "attn_huge": "not a map",
+             "tl_heat_2": None}
+    model = _Tampered(oracle, lambda out: out.update(extra), call=0)
+    trace, want = {}, {}
+    assert run_saccade(img, model, trace=trace) == run_saccade(img, oracle, trace=want)
+    assert trace == want and model.calls == 5
 
 
-def _nan_attention(attention):
+def test_infer_may_return_oracle_outputs_as_they_are():
+    # on a 255x255 image the 255 frame is the image, so every object is in it
+    img, gt = gen_scene(random_scene(4, 3, hw=(255, 255)))
+    oracle = OracleModel(gt, num_classes=3)
+    model = _Tampered(oracle, lambda out: oracle_outputs(gt, 3), call=0)
+    dets = run_saccade(img, model)
+    assert dets == run_saccade(img, oracle)
+    for want in gt:
+        assert max(iou(want.box, d.box) for d in dets if d.cls == want.cls) > 0.99
+
+
+def _nan_attention(out):
     # every map NaN used to pass silently and still yield detections
-    attention.update({size: np.full_like(arr, np.nan) for size, arr in attention.items()})
+    out.update({f"attn_{size}": np.full_like(out[f"attn_{size}"], np.nan) for size in SIZE_CLASSES})
 
 
 @pytest.mark.parametrize("tamper, call, match", [
-    (_set_attention("small", _poke(np.nan)), 0, "frame 255: attn small holds non-finite"),
-    (_set_attention("large", lambda a: np.full_like(a, np.inf)), 1,
+    (_set("attn_small", _poke(np.nan)), 0, "frame 255: attn small holds non-finite"),
+    (_set("attn_large", lambda a: np.full_like(a, np.inf)), 1,
      "frame 192: attn large holds non-finite"),
-    (_set_attention("medium", _poke(1.5)), 1, r"frame 192: attn medium lies outside \[0, 1\]"),
-    (_set_attention("small", _poke(-0.25)), 0, r"frame 255: attn small lies outside \[0, 1\]"),
-    (_set_attention("medium", lambda a: a[0]), 0,
+    (_set("attn_medium", _poke(1.5)), 1, r"frame 192: attn medium lies outside \[0, 1\]"),
+    (_set("attn_small", _poke(-0.25)), 0, r"frame 255: attn small lies outside \[0, 1\]"),
+    (_set("attn_medium", lambda a: a[0]), 0,
      r"frame 255: attn medium must be shaped \(1, C, H, W\), got \(1, 32, 32\)"),
-    (_set_attention("large", lambda a: np.concatenate([a, a])), 1,
+    (_set("attn_large", lambda a: np.concatenate([a, a])), 1,
      r"frame 192: attn large must be shaped \(1, C, H, W\), got \(2, 1, 16, 16\)"),
-    (_set_attention("small", lambda a: np.concatenate([a, a], axis=1)), 0,
+    (_set("attn_small", lambda a: np.concatenate([a, a], axis=1)), 0,
      "frame 255: attn small must have 1 channel"),
     (_nan_attention, 0, "frame 255: attn small holds non-finite values"),
-    (lambda attention: list(attention.values()), 0,
-     "frame 255: attention must be a dict of maps keyed by size class, got list"),
-    (lambda attention: tuple(attention.values()), 1,
-     "frame 192: attention must be a dict of maps keyed by size class, got tuple"),
 ])
 def test_run_saccade_rejects_bad_attention_maps(tamper, call, match):
     img, gt = gen_scene(random_scene(0, 3))
-    model = _Tampered(OracleModel(gt, num_classes=3), tamper, call, part="attention")
+    model = _Tampered(OracleModel(gt, num_classes=3), tamper, call)
     with pytest.raises(ValueError, match=match):
         run_saccade(img, model)
     assert model.calls == call + 1  # raised at the tampered frame, before any crop
@@ -990,20 +1005,20 @@ def test_trace_labels_box_locations_with_their_frame():
     assert trace["n_kept_locations"] == 4 and trace["n_locations"] == 16
     assert sorted(_box_scales(oracle, img)) == [192] * 4 + [255] * 4
     # with one frame's heatmaps blanked, only the other frame yields boxes
-    blank = _set("tl", "heat", np.zeros_like)
+    blank = _set("tl_heat", np.zeros_like)
     for call, frame in [(0, 192), (1, 255)]:
         scales = _box_scales(_Tampered(oracle, blank, call), img)
         assert scales and set(scales) == {frame}
 
 
 class _FixedModel:
-    """Answers every frame with the same corner maps and attention maps."""
+    """Answers every frame with the same ``{tap name: map}``."""
 
-    def __init__(self, corners, attention=None):
-        self.corners, self.attention = corners, attention or {}
+    def __init__(self, maps):
+        self.maps = maps
 
     def infer(self, image, to_original):
-        return {"corners": self.corners, "attention": self.attention}
+        return self.maps
 
 
 def _tie_rich_model(seed):
@@ -1011,10 +1026,14 @@ def _tie_rich_model(seed):
     candidates often share a score, a row or a whole position."""
     rng = np.random.default_rng(seed)
     ladder = lambda shape: (rng.integers(0, 5, shape) / 4).astype(np.float32)
-    corners = {kind: {"heat": ladder((1, 3, 64, 64)), "off": np.zeros((1, 2, 64, 64)),
-                      "embed": ladder((1, 1, 64, 64))} for kind in ("tl", "br")}
-    return _FixedModel(corners, {size: ladder((1, 1, hw, hw))
-                                 for size, hw in (("small", 64), ("medium", 32), ("large", 16))})
+    maps = {}
+    for kind in ("tl", "br"):  # the draw order fixes the maps, and with them the counts below
+        maps[f"{kind}_heat"] = ladder((1, 3, 64, 64))
+        maps[f"{kind}_off"] = np.zeros((1, 2, 64, 64))
+        maps[f"{kind}_embed"] = ladder((1, 1, 64, 64))
+    for size, hw in (("small", 64), ("medium", 32), ("large", 16)):
+        maps[f"attn_{size}"] = ladder((1, 1, hw, hw))
+    return _FixedModel(maps)
 
 
 def _near_twin_boxes_model():
@@ -1022,12 +1041,12 @@ def _near_twin_boxes_model():
     apart, so their locations round to the same 4 decimals."""
     heat = {kind: np.zeros((1, 2, 64, 64), np.float32) for kind in ("tl", "br")}
     off = {kind: np.zeros((1, 2, 64, 64), np.float32) for kind in ("tl", "br")}
+    embed = {kind: np.zeros((1, 1, 64, 64), np.float32) for kind in ("tl", "br")}
     heat["tl"][0, 0, 10, 10] = heat["tl"][0, 1, 10, 11] = 0.9
     heat["br"][0, :, 20, 20] = 0.9
     off["tl"][0, 0, 10, 10], off["tl"][0, 0, 10, 11] = 0.5 + 1e-6, -0.5
-    return _FixedModel({kind: {"heat": heat[kind], "off": off[kind],
-                               "embed": np.zeros((1, 1, 64, 64), np.float32)}
-                        for kind in ("tl", "br")})
+    return _FixedModel({f"{kind}_{part}": maps[kind] for kind in ("tl", "br")
+                        for part, maps in (("heat", heat), ("off", off), ("embed", embed))})
 
 
 def _assert_flags_match_suppression(trace, radius):
@@ -1074,11 +1093,11 @@ def test_trace_flags_match_suppression_on_tie_rich_pools(seed):
 # ---- the object path the column path replaced ----------------------------------
 
 
-def _reference_decode(corners, config):
+def _reference_decode(out, config):
     """One frame through the list APIs, as the object path decoded it."""
-    factor = CROP_SIZE / corners["tl"]["heat"].shape[2]
-    tl, br = (heatmap_peaks(corners[k]["heat"], config.corners_per_kind,
-                            offsets=corners[k]["off"], embeddings=corners[k]["embed"], kind=k)
+    factor = CROP_SIZE / out["tl_heat"].shape[2]
+    tl, br = (heatmap_peaks(out[f"{k}_heat"], config.corners_per_kind,
+                            offsets=out[f"{k}_off"], embeddings=out[f"{k}_embed"], kind=k)
               for k in ("tl", "br"))
     return group_corners(tl, br, config.embed_threshold, factor)
 
@@ -1104,14 +1123,14 @@ def _run_saccade_reference(image, model, config):
     for frame, aff, tag in ((f255, aff255, 255), (f192, aff192, 192)):
         out = model.infer(frame, aff)
         remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
-        if out.get("attention"):
-            strides = {size: CROP_SIZE / arr.shape[2] for size, arr in out["attention"].items()}
-            locs = extract_locations(out["attention"], config.attention_threshold,
-                                     strides, scale=tag)
+        attention = {size: out[f"attn_{size}"] for size in SIZE_CLASSES if f"attn_{size}" in out}
+        if attention:
+            strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
+            locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)
             for loc in locs:
                 loc.x, loc.y = remap.apply(loc.x, loc.y)
             attention_locations += locs
-        for det in _reference_decode(out["corners"], config):
+        for det in _reference_decode(out, config):
             if det.score < config.nms_floor:
                 continue
             n_downsized += 1
@@ -1128,7 +1147,7 @@ def _run_saccade_reference(image, model, config):
     crop_counts = []
     for window in windows:
         out = model.infer(crop_pixels(image, window), window.to_original)
-        dets = [d for d in _reference_decode(out["corners"], config)
+        dets = [d for d in _reference_decode(out, config)
                 if d.box[0] > lo and d.box[1] > lo and d.box[2] < hi and d.box[3] < hi]
         n_kept = 0
         for det in dets:
@@ -1364,8 +1383,8 @@ def test_hourglass54_attention_taps_drive_the_saccade(monkeypatch):
     # at the default threshold attention passes almost everywhere, but the kept
     # box candidates rank first, so both crops are box-sourced; one is zoom 1
     shapes = {}
-    model = _Tampered(pipeline.GraphModel(g), part="attention", tamper=lambda maps: shapes.update(
-        {size: arr.shape[2:] for size, arr in maps.items()}))
+    model = _Tampered(pipeline.GraphModel(g), tamper=lambda out: shapes.update(
+        {size: out[f"attn_{size}"].shape[2:] for size in SIZE_CLASSES}))
     (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
         img, model, monkeypatch, SaccadeConfig(max_regions=2))
     assert shapes == ATTENTION_MAP_HW

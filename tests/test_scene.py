@@ -118,8 +118,8 @@ def test_oracle_model_drops_boxes_outside_frame():
     model = OracleModel(gt, num_classes=2)
     # identity frame mapping: frame covers [0, 255): the second box is outside
     out = model.infer(np.zeros((1, 3, 255, 255), np.float32), Affine(1.0, 1.0))
-    assert out["corners"]["tl"]["heat"][0, 0].sum() == np.float32(0.9)
-    assert out["corners"]["tl"]["heat"][0, 1].sum() == 0
+    assert out["tl_heat"][0, 0].sum() == np.float32(0.9)
+    assert out["tl_heat"][0, 1].sum() == 0
 
 
 def test_oracle_model_requires_geometry():
