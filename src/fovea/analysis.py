@@ -9,7 +9,9 @@ any nominal layer-count constants):
   * kh * kw; elementwise ops, upsampling, adds and concats count zero;
 * activation sizes are float32 node outputs: ``peak_*`` is the single
   largest node output, ``activation_bytes`` sums every node output (the
-  everything-live worst case);
+  everything-live worst case), ``live_peak_bytes`` the most ``forward``
+  holds at once by ``graph.plan``: a step's output counts before its frees,
+  taps are never freed, kernel temporaries and pre-activation arrays are not;
 * depth counts weighted layers (conv / dwconv / tconv) on the longest
   input-to-output path.
 """
@@ -19,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .graph import OPS, param_shapes
+from .graph import param_shapes, plan
 
 
 @dataclass
@@ -47,6 +49,7 @@ class StageCost:
 @dataclass
 class CostReport(StageCost):
     input_dims: tuple = ()
+    live_peak_bytes: int = 0
     per_stage: dict = field(default_factory=dict)
 
     def stage_aggregate(self, include=None, exclude=()):
@@ -63,23 +66,23 @@ class CostReport(StageCost):
     def to_dict(self):
         d = {k: getattr(self, k) for k in
              ("weights", "biases", "macs", "activation_bytes",
-              "peak_activation_bytes", "peak_activation_area")}
+              "peak_activation_bytes", "peak_activation_area", "live_peak_bytes")}
         d["input_dims"] = list(self.input_dims)
         d["per_stage"] = {s: c.to_dict() for s, c in self.per_stage.items()}
         return d
 
 
 def cost_report(graph, input_dims=None):
-    shapes = graph.shapes(input_dims)
-    report = CostReport(input_dims=shapes["input"])
-    for node in graph.nodes:
-        sizes = {name: math.prod(shape) for name, shape in param_shapes(node).items()}
-        out_shape = shapes[node.id]
-        macs = (OPS[node.kind].macs(node, [shapes[i] for i in node.inputs], out_shape)
-                if node.is_weighted() else 0)
-        act_bytes = 4 * math.prod(out_shape)
+    steps = plan(graph, input_dims)
+    report, held = CostReport(input_dims=steps[0].shape), {}  # held: {id: bytes} forward keeps
+    for node, shape, macs, frees in steps:
+        sizes = {name: math.prod(s) for name, s in param_shapes(node).items()}
+        held[node.id] = act_bytes = 4 * math.prod(shape)
+        report.live_peak_bytes = max(report.live_peak_bytes, sum(held.values()))
+        for i in frees:
+            del held[i]
         cost = StageCost(sizes.get("w", 0), sizes.get("b", 0), macs, act_bytes,
-                         act_bytes, math.prod(out_shape[2:]))
+                         act_bytes, math.prod(shape[2:]))
         report.per_stage.setdefault(node.stage or "other", StageCost()).add(cost)
         report.add(cost)
     return report

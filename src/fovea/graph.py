@@ -16,9 +16,10 @@ Weights are ``{node id: {name: array}}``: a weighted node owns ``w``, and
 ``b`` exactly when ``node.bias`` is set.  ``load_weights`` and ``forward``
 run ``check_weights``, which lists every missing, extra or mis-shaped tensor.
 
-Graphs are immutable once built (nothing enforces this; builders simply
-never mutate) and forward() is a pure function, so one graph may serve
-many threads.
+``plan`` is the one node walk of a graph at an input size, cached until the
+next ``add`` or ``tap``; ``forward``, ``shapes`` and ``cost_report`` read it.
+Graphs are immutable once built (nothing enforces this; builders simply never
+mutate) and forward() is a pure function, so one graph may serve many threads.
 """
 
 import functools
@@ -187,6 +188,7 @@ class ArchGraph:
         self._index = {"input": self.nodes[0]}
         self.taps = {}
         self.params = {}
+        self._plans = {}  # input dims -> plan(); add and tap drop it
 
     def add(self, node):
         """Append a node; the only gate for its id, kind, inputs and activation."""
@@ -208,6 +210,7 @@ class ArchGraph:
             raise ValueError(f"node {node.id!r}: {exc}") from None
         self._index[node.id] = node
         self.nodes.append(node)
+        self._plans = {}
         return node.id
 
     def node(self, node_id):
@@ -216,22 +219,11 @@ class ArchGraph:
     def tap(self, name, node_id):
         _require(node_id in self._index, f"tap {name!r}", "point at a known node", node_id)
         self.taps[name] = node_id
-
-    # ---- shape propagation -------------------------------------------------
+        self._plans = {}
 
     def shapes(self, input_dims=None):
-        """Propagate (n, c, h, w) through every node; raises on any mismatch.
-
-        ``input_dims`` replaces the declared input size for this call only.
-        """
-        dims = self.input_dims if input_dims is None else _input_dims("input_dims", input_dims)
-        out = {"input": dims}
-        for node in self.nodes[1:]:
-            try:
-                out[node.id] = OPS[node.kind].shape(node, [out[i] for i in node.inputs])
-            except ValueError as exc:
-                raise ValueError(f"node {node.id!r}: {exc}") from None
-        return out
+        """{node id: (n, c, h, w)} from ``plan``; ``input_dims`` overrides the declared size."""
+        return {step.node.id: step.shape for step in plan(self, input_dims)}
 
     def check_weights(self, params):
         """Raise one ValueError listing every missing, extra or mis-shaped tensor."""
@@ -363,36 +355,55 @@ def init_weights(graph, seed=0, zeros=False):
 # ---- execution ---------------------------------------------------------------
 
 
+Step = NamedTuple("Step", [("node", Node), ("shape", tuple), ("macs", int), ("frees", tuple)])
+
+
+def plan(graph, input_dims=None):
+    """One ``Step`` per node, input first: its output shape, its ``OPS`` MACs (0
+    without a rule) and the ids it is the last reader of.  Taps, and values
+    nothing reads, are never freed.  A failing shape rule raises a ValueError
+    naming the node and caches nothing."""
+    dims = graph.input_dims if input_dims is None else _input_dims("input_dims", input_dims)
+    steps = graph._plans.get(dims)
+    if steps is None:
+        shapes, macs = {"input": dims}, {"input": 0}
+        for node in graph.nodes[1:]:
+            op, ins = OPS[node.kind], [shapes[i] for i in node.inputs]
+            try:
+                shapes[node.id] = op.shape(node, ins)
+            except ValueError as exc:
+                raise ValueError(f"node {node.id!r}: {exc}") from None
+            macs[node.id] = op.macs(node, ins, shapes[node.id]) if op.macs else 0
+        read, frees = set(graph.taps.values()), {}
+        for node in reversed(graph.nodes):
+            frees[node.id] = tuple(i for i in dict.fromkeys(node.inputs) if i not in read)
+            read.update(node.inputs)
+        steps = graph._plans[dims] = tuple(Step(n, shapes[n.id], macs[n.id], frees[n.id])
+                                           for n in graph.nodes)
+    return steps
+
+
 def forward(graph, x, params=None):
     """Evaluate the graph on one input tensor; returns {tap name: tensor}.
 
-    Evaluation order is the (topological) node order, so repeated calls with
-    identical inputs and weights are bitwise identical.
+    Runs the cached ``plan``: (topological) node order, so repeated calls
+    with identical inputs and weights are bitwise identical.
     """
     params = params if params is not None else graph.params
     x = np.asarray(x, dtype=np.float32)
     _require(tuple(x.shape) == graph.input_dims, "input",
              f"be shaped {graph.input_dims} as the graph declares", x.shape)
     graph.check_weights(params)
-
-    refcount = {}
-    for node in graph.nodes:
-        for inp in node.inputs:
-            refcount[inp] = refcount.get(inp, 0) + 1
-    tapped = set(graph.taps.values())
-
     values = {"input": x}
-    for node in graph.nodes[1:]:
-        ins = [values[i] for i in node.inputs]
+    del x  # held by values alone, so it too is dropped after its last reader
+    for node, _, _, frees in plan(graph)[1:]:
         try:
-            y = OPS[node.kind].run(node, ins, params.get(node.id, {}))
+            y = OPS[node.kind].run(node, [values[i] for i in node.inputs], params.get(node.id, {}))
         except ValueError as exc:
             raise ValueError(f"node {node.id!r}: {exc}") from exc
         if node.activation:
             y = OPS[node.activation].run(node, [y], {})
         values[node.id] = y
-        for inp in node.inputs:
-            refcount[inp] -= 1
-            if refcount[inp] == 0 and inp not in tapped:
-                del values[inp]  # free dead intermediates
+        for i in frees:
+            del values[i]
     return {name: values[nid] for name, nid in graph.taps.items()}

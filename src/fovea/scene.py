@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import Detection, _box_field, _strides, attention_targets, corner_targets
-from .kernels import _from_fields, _integer, _require
-from .pipeline import CROP_SIZE
+from .kernels import _from_fields, _integer, _require, as_tensor
+from .pipeline import CROP_SIZE, Affine
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
 HEATMAP_HW = (64, 64)
@@ -176,9 +176,10 @@ class OracleModel:
         self.num_classes = num_classes
 
     def infer(self, image, to_original):
-        _require(to_original is not None, "to_original", "map the frame to source pixels", None)
+        _require(isinstance(to_original, Affine), "to_original",
+                 "be an Affine mapping the frame to source pixels", to_original)
         to_frame = to_original.invert()
-        fh, fw = image.shape[2], image.shape[3]
+        fh, fw = as_tensor(image, "image").shape[2:]
         visible = []
         tags = []
         for i, det in enumerate(self.gt):

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from fovea.analysis import (compare_archs, compare_to_csv, cost_report, depth_report,
                             param_enumeration, structure_census)
-from fovea.builders import (Emit, build_hourglass54, build_hourglass104_reference,
+from fovea.builders import (BUILDERS, Emit, build_hourglass54, build_hourglass104_reference,
                             build_single_module, build_squeeze_hourglass)
 from fovea.graph import ArchGraph, init_weights
 
@@ -21,7 +22,18 @@ def test_cost_single_1x1_conv_counts():
     assert report.biases == 8
     assert report.macs == 6 * 6 * 8 * 4  # out elems x in channels x 1x1
     assert report.peak_activation_bytes == 4 * 8 * 36
+    assert report.live_peak_bytes == 4 * (4 + 8) * 36  # the input is freed after c1 runs
     assert report.per_stage["body"].weights == 32
+
+
+@pytest.mark.parametrize("variant, hw, peak", [
+    ("squeeze", 255, 16_777_216), ("hourglass54", 255, 23_068_672), ("hg104-ref", 255, 20_971_520),
+    ("squeeze", 127, 4_194_304), ("hourglass54", 127, 5_767_168), ("hg104-ref", 127, 5_242_880),
+])
+def test_live_peak_bytes_pinned(variant, hw, peak):
+    report = cost_report(BUILDERS[variant](3, (hw, hw)))
+    assert report.live_peak_bytes == peak
+    assert report.to_dict()["live_peak_bytes"] == peak
 
 
 def test_cost_macs_formula_3x3():

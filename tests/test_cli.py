@@ -29,6 +29,7 @@ def test_arch_build_stats_init_forward(tmp_path):
     stats = json.loads(stats_path.read_text())
     assert stats["weights"] > 0 and stats["macs"] > 0
     assert "stem" in stats["per_stage"]
+    assert stats["live_peak_bytes"] == 16_777_216
 
     weights_dir = tmp_path / "weights"
     run(["arch", "init", str(graph_path), "--out-dir", str(weights_dir), "--seed", "3"])

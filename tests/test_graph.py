@@ -1,11 +1,12 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from fovea import graph as graph_module, skt
-from fovea.builders import build_single_module, build_squeeze_hourglass
+from fovea.builders import BUILDERS, build_single_module, build_squeeze_hourglass
 from fovea.graph import ArchGraph, Node, forward, init_weights
 
 
@@ -281,3 +282,113 @@ def test_init_weights_zeros_on_chunk_seam_graph():
     for node_id, tensors in params.items():
         assert sorted(tensors) == (["b", "w"] if g.node(node_id).bias else ["w"])
         assert all(t.dtype == np.float32 and not t.any() for t in tensors.values())
+
+
+# ---- the execution plan ------------------------------------------------------------
+
+
+def _shapes_reference(graph):
+    """Frozen copy of the propagation loop ``ArchGraph.shapes`` ran before ``plan``."""
+    out = {"input": graph.input_dims}
+    for node in graph.nodes[1:]:
+        out[node.id] = graph_module.OPS[node.kind].shape(node, [out[i] for i in node.inputs])
+    return out
+
+
+def _single_module(block, upsample):
+    return lambda: build_single_module(block, dims=(16, 24, 32), upsample=upsample,
+                                       input_hw=(16, 16))
+
+
+PLAN_GRAPHS = [pytest.param(lambda b=b, hw=hw: b(3, (hw, hw)), id=f"{name}-{hw}")
+               for name, b in BUILDERS.items() for hw in (255, 127)]
+PLAN_GRAPHS += [pytest.param(_single_module(block, up), id=f"{block}-{up}")
+                for block in ("residual", "fire") for up in ("nearest", "tconv")]
+
+
+@pytest.mark.parametrize("build", PLAN_GRAPHS)
+def test_plan_frees_every_value_once_at_its_last_reader(build):
+    g = build()
+    steps = graph_module.plan(g)
+    assert [step.node for step in steps] == g.nodes
+    last_reader = {}
+    for node in g.nodes:
+        last_reader.update(dict.fromkeys(node.inputs, node.id))
+    tapped = set(g.taps.values())
+    freed = [(i, step.node.id) for step in steps for i in step.frees]
+    assert sorted(i for i, _ in freed) == sorted(n.id for n in g.nodes if n.id not in tapped)
+    assert all(last_reader[i] == reader for i, reader in freed)
+    assert g.shapes() == _shapes_reference(g)
+
+
+def test_plan_frees_a_value_added_to_itself_once():
+    g = ArchGraph((1, 2, 4, 4))
+    g.add(Node(id="r", kind="relu", inputs=["input"]))
+    g.add(Node(id="s", kind="add", inputs=["r", "r"]))
+    g.tap("out", "s")
+    assert [step.frees for step in graph_module.plan(g)] == [(), ("input",), ("r",)]
+    x = rand((1, 2, 4, 4))
+    assert np.array_equal(forward(g, x, params={})["out"], 2 * np.maximum(x, 0))
+
+
+@pytest.mark.parametrize("warm", ["forward", "shapes"])
+def test_add_and_tap_drop_the_cached_plan(warm):
+    g = _weighted_graph()
+    x = rand((1, 3, 8, 8))
+    forward(g, x) if warm == "forward" else g.shapes()
+    g.tap("mid", "c1")  # the cached plan frees c1 after c2 reads it
+    assert sorted(forward(g, x)) == ["mid", "out"]
+    g.add(Node(id="r", kind="relu", inputs=["c2"]))
+    assert g.shapes()["r"] == (1, 2, 8, 8)
+    g.tap("r", "r")
+    out = forward(g, x)
+    assert sorted(out) == ["mid", "out", "r"] and out["r"].shape == (1, 2, 8, 8)
+
+
+def test_failing_shape_rule_caches_nothing():
+    g = ArchGraph((1, 1, 4, 4))
+    g.add(_conv("c", in_channels=1, kernel=(5, 5), padding=0))
+    g.tap("out", "c")
+    init_weights(g)
+    fits = r"^node 'c': kernel \(5, 5\) at stride 1 and pad 0 does not fit input 4x4"
+    for call in (g.shapes, lambda: forward(g, rand((1, 1, 4, 4))), g.shapes):
+        with pytest.raises(ValueError, match=fits):
+            call()
+    assert g.shapes((1, 1, 8, 8))["c"] == (1, 2, 4, 4)
+    with pytest.raises(ValueError, match=fits):
+        graph_module.plan(g)
+
+
+@pytest.mark.parametrize("build", [pytest.param(lambda: build_squeeze_hourglass(2, (127, 127)),
+                                                id="squeeze-127"),
+                                   pytest.param(_single_module("residual", "nearest"),
+                                                id="residual-nearest")])
+def test_forward_holds_exactly_the_plan_live_set(build, monkeypatch):
+    g = build()
+    init_weights(g, seed=5)
+    steps = graph_module.plan(g)
+    want, live = [], {"input"}
+    for step in steps[1:]:
+        want.append(set(live))
+        live = (live | {step.node.id}) - set(step.frees)
+
+    refs, held = {}, []  # node id -> weakref to its latest output; live ids at each node
+
+    def watched(run):
+        def call(node, ins, p):
+            for i, arr in zip(node.inputs, ins):
+                refs.setdefault(i, weakref.ref(arr))  # the input tensor
+            if node.id not in refs:  # the node's own run, not its fused activation
+                held.append({i for i, ref in refs.items() if ref() is not None})
+            out = run(node, ins, p)
+            refs[node.id] = weakref.ref(out)
+            return out
+        return call
+
+    monkeypatch.setattr(graph_module, "OPS", {kind: op._replace(run=watched(op.run))
+                                              for kind, op in graph_module.OPS.items()})
+    # a float64 input, so the float32 copy forward makes is held by forward alone
+    out = forward(g, rand((1, *g.input_dims[1:])).astype(np.float64))
+    assert held == want
+    assert {i for i, ref in refs.items() if ref() is not None} == set(g.taps.values())
+    assert sorted(out) == sorted(g.taps)

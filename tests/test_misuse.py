@@ -171,6 +171,12 @@ MISUSE = [
      lambda v: oracle_outputs([Detection(v, 1.0, (8.0, 8.0, 40.0, 40.0))], 3),
      r"gt class -1 lies outside \[0, num_classes=3\)"),
     ("OracleModel", "num_classes", 0, lambda v: OracleModel([], v), "num_classes must be"),
+    ("OracleModel.infer", "image", (3, 255, 255),
+     lambda v: OracleModel([], 1).infer(np.zeros(v, np.float32), Affine(1.0, 1.0)),
+     r"^image must be 4-D \(n, c, h, w\), got \(3, 255, 255\)"),
+    ("OracleModel.infer", "to_original", (1.0, 1.0),
+     lambda v: OracleModel([], 1).infer(np.zeros((1, 3, 8, 8), np.float32), v),
+     r"^to_original must be an Affine mapping the frame to source pixels, got \(1.0, 1.0\)"),
     # one row per integer spelling the shared checks replaced; a bool is never an integer
     ("transpose_conv2d", "stride", 1.5,
      lambda v: transpose_conv2d(IMAGE, np.ones((3, 3, 4, 4)), stride=v), "stride must be"),
