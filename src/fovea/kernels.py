@@ -133,8 +133,8 @@ def conv2d(x, weights, bias, spec):
     into rows of width wp = w + 2*pad, plus one spare row, so tap (i, j) of a
     band of output rows from r0 is one contiguous run of that buffer, at
     offset (r0 + i)*wp + j; the band's GEMM computes wp - ow extra columns
-    per output row, which are dropped.  A strided conv gathers each window
-    of the padded input, and its width is ow.  The columns are built one
+    per output row, which are dropped.  A strided conv gathers windows of a
+    buffer with no spare row, and its width is ow.  The columns are built one
     band of output rows at a time, at most ``_COLS_BYTES`` each: a
     whole-image buffer is kh*kw times the input (57 MB for a 384-channel
     64x64 3x3 conv), which would set the peak resident memory of a forward
@@ -152,14 +152,11 @@ def conv2d(x, weights, bias, spec):
     if (kh, kw, s, p) == (1, 1, 1, 0):
         out = np.matmul(wm, x.reshape(n, g, k, h * wd))
     else:
-        if s == 1:
-            # the spare row keeps the last band's runs at taps j > 0 inside the buffer
-            xp = np.zeros((n, c, h + 2 * p + 1, wd + 2 * p), dtype=np.float32)
+        spare = int(s == 1)  # a spare row keeps the last band's runs at taps j > 0 inside
+        xp, width = x, wd + 2 * p if spare else ow
+        if p or spare:
+            xp = np.zeros((n, c, h + 2 * p + spare, wd + 2 * p), dtype=np.float32)
             xp[:, :, p : p + h, p : p + wd] = x
-            width = wd + 2 * p
-        else:
-            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-            width = ow
         sn, sc, sh, sw = xp.strides
         # (n, c, kh, kw, oh, width) view of every tap; a band's copy is its columns
         win = as_strided(xp, (n, c, kh, kw, oh, width), (sn, sc, sh, sw, s * sh, s * sw),

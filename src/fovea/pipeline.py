@@ -171,13 +171,12 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
 
     ``attention_maps`` maps size class -> (1, 1, h, w) score map;
     ``strides`` maps size class -> frame pixels per map pixel.  Output is
-    sorted by score descending, ties by (y, x, size) ascending.  Raises
-    ``ValueError`` for a NaN or infinite threshold, a key that is not a size
-    class, a map not shaped (1, 1, h, w), and a missing, non-finite or
-    non-positive stride.
+    sorted by score descending, ties by (y, x, size) ascending.  Wraps
+    ``_attention_columns``.  Raises ``ValueError`` for a NaN or infinite
+    threshold, a key that is not a size class, a map not shaped (1, 1, h, w)
+    or holding a NaN or inf, and a missing, non-finite or non-positive stride.
     """
     _require(math.isfinite(threshold), "threshold", "be finite", threshold)
-    locations = []
     for size, arr in attention_maps.items():
         _one_of("attention_maps key", size, SIZE_CLASSES)
         stride = strides.get(size)
@@ -185,12 +184,26 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
                  "be finite and > 0", stride)
         _require(np.ndim(arr) == 4 and np.shape(arr)[:2] == (1, 1), f"attention_maps[{size!r}]",
                  "be shaped (1, 1, h, w)", np.shape(arr))
+        bad = np.asarray(arr)[~np.isfinite(arr)]
+        _require(bad.size == 0, f"attention_maps[{size!r}]", "be finite", bad[:3].tolist())
+    columns = np.column_stack(_attention_columns(attention_maps, threshold, strides)).tolist()
+    return [ObjectLocation(x, y, SIZE_CLASSES[int(size)], score, "attention", scale)
+            for score, x, y, size in columns]
+
+
+def _attention_columns(attention_maps, threshold, strides):
+    """Array core of ``extract_locations``: float64 score, x, y and
+    ``SIZE_CLASSES`` index columns of the pixels above ``threshold``, ranked
+    by score descending, then y, then x, then size *name* ascending."""
+    rows = [np.empty((0, 4))]
+    for size, arr in attention_maps.items():
         scores = np.asarray(arr, dtype=np.float32)[0, 0]
         ys, xs = np.nonzero(scores > threshold)
-        locations += [ObjectLocation(x * stride, y * stride, size, score, "attention", scale)
-                      for y, x, score in zip(ys.tolist(), xs.tolist(), scores[ys, xs].tolist())]
-    locations.sort(key=lambda l: (-l.score, l.y, l.x, l.size))
-    return locations
+        rows.append(np.column_stack((scores[ys, xs], xs * strides[size], ys * strides[size],
+                                     np.full(len(xs), SIZE_CLASSES.index(size)))))
+    score, x, y, size = np.concatenate(rows).T
+    rank = np.lexsort((np.array(SIZE_CLASSES)[size.astype(int)], x, y, -score))
+    return score[rank], x[rank], y[rank], size[rank]
 
 
 def _suppress_columns(xs, ys, radius):
@@ -231,9 +244,16 @@ def make_crop(location, config, content_hw, frame_to_original):
 
     The window is clamped to stay inside the enlarged content canvas where
     possible (shifted inward, never padded); when the canvas is smaller than
-    the window it starts at 0 and sampling beyond reads zeros.
+    the window it starts at 0 and sampling beyond reads zeros.  Raises
+    ``ValueError`` for an unknown size, a NaN or inf ``location.x``, ``.y``
+    or ``content_hw``, and a ``frame_to_original`` that is not an ``Affine``.
     """
     zoom = config.zoom_for(location.size)
+    for name, value in (("location.x", location.x), ("location.y", location.y),
+                        ("content_hw", content_hw)):
+        _require(np.isfinite(value).all(), name, "be finite", value)
+    _require(isinstance(frame_to_original, Affine), "frame_to_original", "be an Affine",
+             frame_to_original)
     ch, cw = content_hw
     cx, cy = zoom * location.x, zoom * location.y
     canvas_w = int(round(cw * zoom))
@@ -534,11 +554,11 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     decisions, crop windows, pixel counts (``pixels_processed`` counts every
     frame and crop) and ``n_model_calls``, the ``infer`` calls made.
     ``crop_order`` permutes crop processing order (the result is invariant
-    to it; exists for order-independence tests).  Each frame's checked
-    corner maps become class, score and box columns through the array cores
-    that ``heatmap_peaks`` and ``group_corners`` wrap, and candidate
-    locations are ranked and suppressed as columns.  ``Detection``s are built
-    only for ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
+    to it; exists for order-independence tests).  Each frame's checked maps
+    become columns through the array cores that ``heatmap_peaks``,
+    ``group_corners`` and ``extract_locations`` wrap, and candidate locations
+    are ranked and suppressed as columns.  ``Detection``s are built only for
+    ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
     Raises ``ValueError`` for a ``model`` without ``infer`` (wrap an
     ``ArchGraph`` in ``GraphModel``), an image with a batch other than 1 or a
     non-finite pixel, and for bad corner maps or downsized-frame attention maps.
@@ -571,9 +591,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                      for size in SIZE_CLASSES if f"attn_{size}" in out}
         if attention:
             strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
-            locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)
-            peak, x, y, size = np.array([(l.score, l.x, l.y, SIZE_CLASSES.index(l.size))
-                                         for l in locs]).reshape(-1, 4).T
+            peak, x, y, size = _attention_columns(attention, config.attention_threshold, strides)
             attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
         strong = score > config.attention_threshold
         x1, y1, x2, y2 = remap.apply_box(boxes[strong]).T

@@ -28,6 +28,7 @@ from fovea import (Affine, ArchGraph, ConvSpec, Corner, CropWindow, Detection, N
                    write_tensor, zero_pad_to)
 
 NAN = float("nan")
+INF = float("inf")
 IMAGE = np.ones((1, 3, 8, 8), np.float32)
 HEAT = np.zeros((1, 3, 8, 8), np.float32)
 DETS = [Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0)), Detection(0, 0.8, (5.0, 0.0, 15.0, 10.0))]
@@ -47,9 +48,15 @@ def _conv_graph(**fields):
     return g
 
 
-def _crop_at(size):
-    return make_crop(ObjectLocation(x=10.0, y=10.0, size=size, score=0.9), SaccadeConfig(),
-                     (64, 64), Affine(1.0, 1.0))
+def _crop_at(size="small", x=10.0, y=10.0, content_hw=(64, 64), to_original=Affine(1.0, 1.0)):
+    return make_crop(ObjectLocation(x=x, y=y, size=size, score=0.9), SaccadeConfig(),
+                     content_hw, to_original)
+
+
+def _attention_with(value, where=(0, 0, 1, 2)):
+    arr = ATTENTION["small"].copy()
+    arr[where] = value
+    return {"small": arr}
 
 
 def _scene(noise=0.1, cls=0):
@@ -145,6 +152,19 @@ MISUSE = [
     ("attention_targets", "size_class", "tiny",
      lambda v: attention_targets([(0, 0, 8, 8)], (4, 4), v, 4), "size_class must be one of"),
     ("make_crop", "location.size", "tiny", _crop_at, "size must be one of"),
+    ("make_crop", "location.x", NAN, lambda v: _crop_at(x=v), "location.x must be finite"),
+    ("make_crop", "location.x", INF, lambda v: _crop_at(x=v), "location.x must be finite"),
+    ("make_crop", "location.y", -INF, lambda v: _crop_at(y=v), "location.y must be finite"),
+    ("make_crop", "content_hw", (64, NAN), lambda v: _crop_at(content_hw=v),
+     r"content_hw must be finite, got \(64, nan\)"),
+    ("make_crop", "frame_to_original", (1.0, 1.0), lambda v: _crop_at(to_original=v),
+     r"frame_to_original must be an Affine, got \(1.0, 1.0\)"),
+    ("extract_locations", "attention_maps", NAN,
+     lambda v: extract_locations(_attention_with(v), 0.3, STRIDES),
+     r"^attention_maps\['small'\] must be finite, got \[nan\]"),
+    ("extract_locations", "attention_maps", INF,
+     lambda v: extract_locations(_attention_with(v, ...), 0.3, STRIDES),
+     r"^attention_maps\['small'\] must be finite, got \[inf, inf, inf\]"),
     ("ConvSpec", "kernel", (2.5, 3), lambda v: ConvSpec(1, 1, v), "kernel must be a pair"),
     ("ConvSpec", "kernel", (3,), lambda v: ConvSpec(1, 1, v), "kernel must be a pair"),
     ("ConvSpec", "stride", 1.5, lambda v: ConvSpec(1, 1, (3, 3), stride=v), "stride must be"),

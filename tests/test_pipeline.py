@@ -11,9 +11,9 @@ from fovea.decode import (SIZE_CLASSES, Corner, Detection, _detections, _group_c
                           _size_index, group_corners, heatmap_peaks)
 from fovea.kernels import resize_longer_side
 from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
-                            SaccadeConfig, _clamp_boxes, crop_pixels, downsize_pair,
-                            extract_locations, iou, make_crop, resize_affine, run_saccade, soft_nms,
-                            strip_boundary_boxes, suppress_locations)
+                            SaccadeConfig, _attention_columns, _clamp_boxes, crop_pixels,
+                            downsize_pair, extract_locations, iou, make_crop, resize_affine,
+                            run_saccade, soft_nms, strip_boundary_boxes, suppress_locations)
 from fovea.scene import (OracleModel, SceneObject, SceneSpec, gen_scene, oracle_outputs,
                          random_scene)
 
@@ -159,6 +159,34 @@ def test_extract_locations_matches_threshold_scan():
         assert loc.score == pytest.approx(score)
     scores = [l.score for l in locs]
     assert scores == sorted(scores, reverse=True)
+
+
+def _cross_size_ties(seed):
+    """Coarse-ladder maps at 64, 32 and 16 px, plus one equal score at
+    small (4, 4), medium (2, 2) and large (1, 1): 4 * 255/64 = 2 * 255/32 =
+    255/16 exactly, so all three lie at one (y, x)."""
+    rng = np.random.default_rng(seed)
+    maps = {size: (rng.integers(0, 5, (hw, hw)) / 4).astype(np.float32)
+            for size, hw in (("small", 64), ("medium", 32), ("large", 16))}
+    for size, cell in (("small", 4), ("medium", 2), ("large", 1)):
+        maps[size][cell, cell] = 0.75
+    return _maps(maps)
+
+
+@pytest.mark.parametrize("maps", [
+    _cross_size_ties(0), _cross_size_ties(1), {}, _maps({"small": np.full((64, 64), 0.2)}),
+    _maps({"medium": np.zeros((32, 32)), "large": np.zeros((16, 16))})],
+    ids=["ties-0", "ties-1", "empty", "below", "zeros"])
+def test_attention_columns_equal_extract_locations_rows(maps):
+    score, x, y, size = _attention_columns(maps, 0.3, STRIDES)
+    locs = extract_locations(maps, 0.3, STRIDES)
+    want = [(l.score, l.x, l.y, SIZE_CLASSES.index(l.size)) for l in locs]
+    assert all(c.dtype == np.float64 and len(c) == len(want) for c in (score, x, y, size))
+    got = list(zip(score.tolist(), x.tolist(), y.tolist(), size.tolist()))
+    assert [_bits(row) for row in got] == [_bits(row) for row in want]
+    # exact ties at one (y, x) go by size name, as the string sort gives
+    tied = [SIZE_CLASSES[int(s)] for v, a, b, s in got if (v, a, b) == (0.75, 255 / 16, 255 / 16)]
+    assert tied == (["large", "medium", "small"] if len(maps) == 3 else [])
 
 
 # ---- suppression ---------------------------------------------------------------
@@ -1194,6 +1222,23 @@ def test_run_saccade_equals_object_path_reference(spec, margin, floor, corners):
     assert got == want
     assert trace["n_downsized_detections"] == n_downsized
     assert [c["n_detections"] for c in trace["crops"]] == crop_counts
+
+
+@pytest.mark.parametrize("seed, n_locations", [(0, 6800), (1, 6904)])
+def test_run_saccade_reads_attention_without_extract_locations(seed, n_locations, monkeypatch):
+    config = SaccadeConfig(max_regions=2, corners_per_kind=30, suppress_radius=4.0)
+    img, model = rand_image((300, 500), seed), _tie_rich_model(seed)
+    want, n_downsized, _ = _run_saccade_reference(img, model, config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_saccade called extract_locations")
+
+    monkeypatch.setattr(pipeline, "extract_locations", refuse)
+    trace = {}
+    got = run_saccade(img, model, config, trace=trace)
+    assert _packed(got) == _packed(want)
+    assert trace["n_downsized_detections"] == n_downsized
+    assert trace["n_locations"] == n_locations
 
 
 # ---- edge semantics the column path keeps --------------------------------------
