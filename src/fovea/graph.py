@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import skt
-from .kernels import (ConvSpec, _fit, _from_fields, _integer, _is_integer, _one_of, _require,
+from .kernels import (ConvSpec, _fit, _from_fields, _integer, _is_integer, _one_of, _require, as_tensor,
                       conv2d, depthwise_conv2d, relu, sigmoid, nearest_upsample2x, transpose_conv2d)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -386,17 +386,17 @@ def plan(graph, input_dims=None):
 def forward(graph, x, params=None):
     """Evaluate the graph on one input tensor; returns {tap name: tensor}.
 
-    Runs the cached ``plan``: (topological) node order, so repeated calls
-    with identical inputs and weights are bitwise identical.
+    Runs the cached ``plan`` of the input's own size: any size the shape rules
+    accept, not only ``input_dims``; a size they refuse raises ``plan``'s ValueError
+    naming the node.  Identical inputs and weights give bitwise identical taps.
     """
     params = params if params is not None else graph.params
-    x = np.asarray(x, dtype=np.float32)
-    _require(tuple(x.shape) == graph.input_dims, "input",
-             f"be shaped {graph.input_dims} as the graph declares", x.shape)
+    x = as_tensor(x, "input")
+    steps = plan(graph, x.shape)
     graph.check_weights(params)
     values = {"input": x}
     del x  # held by values alone, so it too is dropped after its last reader
-    for node, _, _, frees in plan(graph)[1:]:
+    for node, _, _, frees in steps[1:]:
         try:
             y = OPS[node.kind].run(node, [values[i] for i in node.inputs], params.get(node.id, {}))
         except ValueError as exc:

@@ -6,6 +6,7 @@ kernel flip).  All kernels are pure functions; each has a slow loop-level
 counterpart in ``fovea.naive`` used as an independent test oracle.
 """
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -45,6 +46,11 @@ def _integer(name, value, least=1):
     """Check that ``value`` is an int or numpy integer >= ``least``, not a bool."""
     if not _is_integer(value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _number(name, value):
+    """Check that ``value`` is a real number (int, float, numpy scalar or bool)."""
+    _require(isinstance(value, numbers.Real), name, "be a number", value)
 
 
 def _one_of(name, value, choices):

@@ -8,7 +8,6 @@ distances and crop construction live in one coordinate system.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -17,7 +16,7 @@ from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _long
                      _peak_columns, _size_index)
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
-from .kernels import (_bilinear_sample, _integer, _one_of, _require, as_tensor,
+from .kernels import (_bilinear_sample, _integer, _number, _one_of, _require, as_tensor,
                       resize_longer_side, zero_pad_to)
 
 CROP_SIZE = 255
@@ -105,8 +104,7 @@ class SaccadeConfig:
     def __post_init__(self):
         for f in fields(self):
             if f.type is float:
-                value = getattr(self, f.name)
-                _require(isinstance(value, numbers.Real), f.name, "be a number", value)
+                _number(f.name, getattr(self, f.name))
         zooms = (self.zoom_small, self.zoom_medium, self.zoom_large)
         _require(zooms[0] > zooms[1] > zooms[2] >= 1.0, "zoom scales",
                  "satisfy small > medium > large >= 1", zooms)
@@ -172,10 +170,12 @@ def extract_locations(attention_maps, threshold, strides, scale=255):
     ``attention_maps`` maps size class -> (1, 1, h, w) score map;
     ``strides`` maps size class -> frame pixels per map pixel.  Output is
     sorted by score descending, ties by (y, x, size) ascending.  Wraps
-    ``_attention_columns``.  Raises ``ValueError`` for a NaN or infinite
-    threshold, a key that is not a size class, a map not shaped (1, 1, h, w)
-    or holding a NaN or inf, and a missing, non-finite or non-positive stride.
+    ``_attention_columns``.  Raises ``ValueError`` for a threshold that is not
+    a finite number, a key that is not a size class, a map not shaped (1, 1,
+    h, w) or holding a NaN or inf, and a missing, non-finite or non-positive
+    stride.
     """
+    _number("threshold", threshold)
     _require(math.isfinite(threshold), "threshold", "be finite", threshold)
     for size, arr in attention_maps.items():
         _one_of("attention_maps key", size, SIZE_CLASSES)
@@ -245,13 +245,17 @@ def make_crop(location, config, content_hw, frame_to_original):
     The window is clamped to stay inside the enlarged content canvas where
     possible (shifted inward, never padded); when the canvas is smaller than
     the window it starts at 0 and sampling beyond reads zeros.  Raises
-    ``ValueError`` for an unknown size, a NaN or inf ``location.x``, ``.y``
-    or ``content_hw``, and a ``frame_to_original`` that is not an ``Affine``.
+    ``ValueError`` for an unknown size, a NaN or inf ``location.x`` or ``.y``,
+    a ``content_hw`` that is not two finite numbers >= 1, and a
+    ``frame_to_original`` that is not an ``Affine``.
     """
     zoom = config.zoom_for(location.size)
+    _require(np.shape(content_hw) == (2,) and np.asarray(content_hw).dtype.kind in "biuf",
+             "content_hw", "hold two numbers (h, w)", content_hw)
     for name, value in (("location.x", location.x), ("location.y", location.y),
                         ("content_hw", content_hw)):
         _require(np.isfinite(value).all(), name, "be finite", value)
+    _require(min(content_hw) >= 1, "content_hw", "be >= 1", content_hw)
     _require(isinstance(frame_to_original, Affine), "frame_to_original", "be an Affine",
              frame_to_original)
     ch, cw = content_hw
@@ -334,9 +338,9 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     exp(-iou^2 / sigma), linear mode scales by (1 - iou) when iou exceeds
     ``linear_threshold``.  Boxes whose score ends up (or starts) below
     ``score_floor`` are dropped.  Output sorts by final score, then class,
-    then box.  Raises ``ValueError`` for an unknown ``method``, a NaN
-    ``sigma``, ``score_floor`` or ``linear_threshold``, and a detection with
-    a non-finite score or box coordinate.
+    then box.  Raises ``ValueError`` for an unknown ``method``, a ``sigma``,
+    ``score_floor`` or ``linear_threshold`` that is not a number or is NaN, a
+    ``sigma`` <= 0, and a detection with a non-finite score or box coordinate.
 
     Each class's pool is held once as contiguous ``x1, y1, x2, y2`` and
     ``area`` columns in box order, with scratch buffers filled in place.  A
@@ -353,6 +357,9 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     a zero imaginary part glibc's ``cexp`` returns ``exp(x) * 1.0``: the same
     value, for a whole array in one call.
     """
+    for name, value in (("sigma", sigma), ("score_floor", score_floor),
+                        ("linear_threshold", linear_threshold)):
+        _number(name, value)
     _require(sigma > 0, "sigma", "be > 0", sigma)
     for name, value in (("score_floor", score_floor), ("linear_threshold", linear_threshold)):
         _require(value == value, name, "not be NaN", value)
@@ -421,8 +428,9 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
 
 class GraphModel:
     """Adapter running an ArchGraph, with its attached weights, as a model:
-    ``infer`` returns ``forward``'s ``{tap name: map}``.  Raises ``ValueError``
-    for a graph without weights or without the six corner taps."""
+    ``infer`` returns ``forward``'s ``{tap name: map}``.  It serves frames of
+    any size the graph's shape rules accept, with the same weights.  Raises
+    ``ValueError`` for a graph without weights or without the six corner taps."""
 
     def __init__(self, graph):
         if not graph.params:
@@ -539,6 +547,17 @@ def _location(row):
     return ObjectLocation(x, y, SIZE_CLASSES[int(size)], score, SOURCES[int(source)], int(scale))
 
 
+def _location_records(candidates, kept):
+    """The trace's dict per candidate row: ``ObjectLocation``'s fields in
+    order, then whether suppression ``kept`` the row."""
+    flags = np.zeros(len(candidates), dtype=bool)
+    flags[kept] = True
+    return [{"x": x, "y": y, "size": SIZE_CLASSES[int(size)], "score": score,
+             "source": SOURCES[int(source)], "scale": int(scale), "kept": flag}
+            for (source, score, x, y, size, scale), flag
+            in zip(candidates.tolist(), flags.tolist())]
+
+
 def run_saccade(image, model, config=None, trace=None, crop_order=None):
     """Full inference: downsize, rank candidate locations, zoom, detect, merge.
 
@@ -560,12 +579,16 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     are ranked and suppressed as columns.  ``Detection``s are built only for
     ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
     Raises ``ValueError`` for a ``model`` without ``infer`` (wrap an
-    ``ArchGraph`` in ``GraphModel``), an image with a batch other than 1 or a
-    non-finite pixel, and for bad corner maps or downsized-frame attention maps.
+    ``ArchGraph`` in ``GraphModel``), a ``config`` that is neither None nor a
+    ``SaccadeConfig`` (build one from a dict with ``SaccadeConfig.from_dict``),
+    an image with a batch other than 1 or a non-finite pixel, and for bad
+    corner maps or downsized-frame attention maps.
     """
     _require(callable(getattr(model, "infer", None)), "model",
              "provide infer(frame, to_original)", type(model).__name__)
-    config = config or SaccadeConfig()
+    _require(config is None or isinstance(config, SaccadeConfig), "config",
+             "be None or a SaccadeConfig (see SaccadeConfig.from_dict)", config)
+    config = SaccadeConfig() if config is None else config
     image = as_tensor(image, "image")
     _require(image.shape[0] == 1, "image", "hold a single picture (batch 1)", image.shape)
     _, _, img_h, img_w = image.shape
@@ -623,9 +646,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                      method=config.nms_method, linear_threshold=config.nms_linear_threshold)
 
     if trace is not None:
-        flags = np.isin(np.arange(len(candidates)), kept)
-        trace["locations"] = [{**asdict(_location(row)), "kept": flag}
-                              for row, flag in zip(candidates.tolist(), flags.tolist())]
+        trace["locations"] = _location_records(candidates, kept)
         trace["n_locations"] = len(candidates)
         trace["n_kept_locations"] = len(kept)
         trace["crops"] = [{**w.to_dict(), "n_detections": crop_det_counts[i],

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -146,3 +147,16 @@ def test_builders_emit_the_pinned_graphs(name, hw):
     else:
         g = BUILDERS[name](3, input_hw=(hw, hw))
     assert hashlib.sha256(g.to_json().encode()).hexdigest() == GRAPH_SHA256[name, hw]
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_emit_one_node_list_at_every_size(name):
+    # the premise of one graph and one seed serving every input size: only
+    # input_dims depends on input_hw, so forward and init_weights see the
+    # same nodes in the same order at 127, 255 and 511
+    docs = []
+    for hw in (127, 255, 511):
+        doc = json.loads(BUILDERS[name](3, input_hw=(hw, hw)).to_json())
+        assert doc.pop("input_dims") == [1, 3, hw, hw]
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]

@@ -187,6 +187,19 @@ def _empty_dir(path):
 
 
 TINY_GRAPH = {"input_dims": [1, 3, 8, 8], "nodes": [{"id": "input", "kind": "input"}]}
+# a stride-2 conv, upsampled and added back to its input: an odd height breaks the merge
+MERGE_GRAPH = {"input_dims": [1, 3, 8, 8], "taps": {"out": "merge"}, "nodes": [
+    {"id": "input", "kind": "input"},
+    {"id": "down", "kind": "conv", "inputs": ["input"], "in_channels": 3, "out_channels": 3,
+     "kernel": [3, 3], "stride": 2, "padding": 1},
+    {"id": "up", "kind": "upsample2x", "inputs": ["down"]},
+    {"id": "merge", "kind": "add", "inputs": ["input", "up"]}]}
+
+
+def _merge_weights(path):
+    _empty_dir(path)
+    _tensor(path / "down.w.skt", (3, 3, 3, 3))
+    return str(path)
 
 
 @pytest.mark.parametrize("make_argv, match", [
@@ -227,10 +240,14 @@ TINY_GRAPH = {"input_dims": [1, 3, 8, 8], "nodes": [{"id": "input", "kind": "inp
     (lambda tmp: ["arch", "init", _written(tmp / "tiny.json", TINY_GRAPH), "--seed", "-1",
                   "--out-dir", str(tmp / "weights")],
      "seed must be an integer >= 0, got -1"),
+    (lambda tmp: ["arch", "forward", _written(tmp / "merge.json", MERGE_GRAPH),
+                  "--weights", _merge_weights(tmp / "weights"),
+                  "--input", _tensor(tmp / "x.skt", (1, 3, 9, 8)), "--out-dir", str(tmp / "taps")],
+     r"node 'merge': add inputs disagree: \[\(1, 3, 9, 8\), \(1, 3, 10, 8\)\]"),
     (lambda tmp: ["arch", "forward", _written(tmp / "tiny.json", TINY_GRAPH),
                   "--weights", _empty_dir(tmp / "weights"),
-                  "--input", _tensor(tmp / "x.skt", (1, 3, 4, 4)), "--out-dir", str(tmp / "taps")],
-     r"input must be shaped \(1, 3, 8, 8\) as the graph declares, got \(1, 3, 4, 4\)"),
+                  "--input", _tensor(tmp / "x.skt", (3, 8, 8)), "--out-dir", str(tmp / "taps")],
+     r"input must be 4-D \(n, c, h, w\), got \(3, 8, 8\)"),
     (lambda tmp: ["compare", "--graphs", _written(tmp / "tiny.json", TINY_GRAPH),
                   "--input", "1x3x0x8"],
      r"input_dims must be four integers >= 1, got \(1, 3, 0, 8\)"),
@@ -238,7 +255,8 @@ TINY_GRAPH = {"input_dims": [1, 3, 8, 8], "nodes": [{"id": "input", "kind": "inp
         "saccade-config-non-numeric", "graph-node-not-an-object", "graph-nodes-not-a-list",
         "scene-oracle-zero-frame", "scene-oracle-three-value-box", "scene-spec-negative-height",
         "decode-peaks-three-dim-heat", "bench-zero-size", "bench-negative-size",
-        "arch-init-negative-seed", "arch-forward-wrong-input", "compare-zero-input-dim"])
+        "arch-init-negative-seed", "arch-forward-shape-rule-input", "arch-forward-three-dim-input",
+        "compare-zero-input-dim"])
 def test_cli_errors_are_one_line(tmp_path, make_argv, match):
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": []}))
     src = os.path.dirname(os.path.dirname(fovea.__file__))

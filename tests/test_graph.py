@@ -95,11 +95,48 @@ def test_init_weights_zeros_flag():
     assert all(np.all(t["w"] == 0) for t in g.params.values())
 
 
-def test_forward_rejects_wrong_input_dims():
+def _merge_graph():
+    # a stride-2 conv, upsampled and added back to its input: a merge that
+    # an odd height breaks
     g = ArchGraph((1, 3, 8, 8))
-    g.tap("out", "input")
-    with pytest.raises(ValueError, match="declares"):
-        forward(g, rand((1, 3, 9, 8)), params={})
+    g.add(_conv("down", out_channels=3, stride=2))
+    g.add(Node(id="up", kind="upsample2x", inputs=["down"]))
+    g.add(Node(id="merge", kind="add", inputs=["input", "up"]))
+    g.tap("out", "merge")
+    init_weights(g)
+    return g
+
+
+@pytest.mark.parametrize("shape, match", [
+    ((1, 3, 9, 8), r"^node 'merge': add inputs disagree: \[\(1, 3, 9, 8\), \(1, 3, 10, 8\)\]"),
+    ((1, 4, 8, 8), r"^node 'down': input channels must equal in_channels 3, got 4"),
+    ((3, 8, 8), r"^input must be 4-D \(n, c, h, w\), got \(3, 8, 8\)"),
+    ((1, 3, 0, 8), r"^all dims of input must be >= 1, got \(1, 3, 0, 8\)"),
+], ids=["shape-rule", "channels", "three-dim", "empty-dim"])
+def test_forward_rejects_input_the_graph_cannot_run(shape, match):
+    # a size the shape rules refuse names the node; a tensor that is not
+    # (n, c, h, w) names the input.  Neither caches a plan.
+    g = _merge_graph()
+    with pytest.raises(ValueError, match=match):
+        forward(g, np.zeros(shape, np.float32))
+    assert set(g._plans) <= {(1, 3, 8, 8)}
+
+
+def test_forward_runs_any_size_the_shape_rules_accept():
+    # one squeeze graph built at 255 runs a 127 frame with its own weights,
+    # tap for tap byte-equal to the same-seed graph built at 127
+    big = build_squeeze_hourglass(num_classes=2, input_hw=(255, 255))
+    small = build_squeeze_hourglass(num_classes=2, input_hw=(127, 127))
+    init_weights(big, seed=3)
+    init_weights(small, seed=3)
+    x = rand((1, 3, 127, 127), seed=4)
+    got, want = forward(big, x), forward(small, x)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert {(1, 3, 255, 255), (1, 3, 127, 127)} <= set(big._plans)
+    assert big.input_dims == (1, 3, 255, 255)
+    assert big.shapes()["input"] == (1, 3, 255, 255)
 
 
 def test_forward_is_threadsafe_on_shared_graph():

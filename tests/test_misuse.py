@@ -395,6 +395,31 @@ MISUSE = [
      "^bench size must be an integer >= 1, got 0"),
     ("bench", "sizes", -1, lambda v: bench(["soft_nms"], [v]),
      "^bench size must be an integer >= 1, got -1"),
+    # a config is a SaccadeConfig or None; a dict is refused, not run as the defaults
+    ("run_saccade", "config", {}, lambda v: run_saccade(IMAGE, OracleModel([], 1), v),
+     r"^config must be None or a SaccadeConfig \(see SaccadeConfig.from_dict\), got \{\}"),
+    ("run_saccade", "config", {"max_regions": 2},
+     lambda v: run_saccade(IMAGE, OracleModel([], 1), v),
+     r"^config must be None or a SaccadeConfig \(see SaccadeConfig.from_dict\)"),
+    # content_hw holds two finite numbers >= 1 before it is unpacked
+    ("make_crop", "content_hw", (64,), lambda v: _crop_at(content_hw=v),
+     r"^content_hw must hold two numbers \(h, w\), got \(64,\)"),
+    ("make_crop", "content_hw", ("64", "64"), lambda v: _crop_at(content_hw=v),
+     r"^content_hw must hold two numbers \(h, w\)"),
+    ("make_crop", "content_hw", (-64, 64), lambda v: _crop_at(content_hw=v),
+     r"^content_hw must be >= 1, got \(-64, 64\)"),
+    ("make_crop", "content_hw", (64, 0.5), lambda v: _crop_at(content_hw=v),
+     r"^content_hw must be >= 1, got \(64, 0.5\)"),
+    # a non-number is refused by name, as SaccadeConfig refuses one in a float field
+    ("soft_nms", "sigma", "a", lambda v: soft_nms(DETS, sigma=v),
+     "^sigma must be a number, got 'a'"),
+    ("soft_nms", "score_floor", "0.1", lambda v: soft_nms(DETS, score_floor=v),
+     "^score_floor must be a number, got '0.1'"),
+    ("soft_nms", "linear_threshold", None,
+     lambda v: soft_nms(DETS, method="linear", linear_threshold=v),
+     "^linear_threshold must be a number, got None"),
+    ("extract_locations", "threshold", "0.3", lambda v: extract_locations(ATTENTION, v, STRIDES),
+     "^threshold must be a number, got '0.3'"),
     # an input size given for one report, checked before shapes propagate
     ("cost_report", "input_dims", (1, 3, 255),
      lambda v: cost_report(build_squeeze_hourglass(3, (127, 127)), v),
@@ -418,7 +443,8 @@ NO_ROW = {
     "Emit": "appends nodes through ArchGraph.add, which checks each one",
     "CostReport": "a result record that cost_report builds",
     "DepthReport": "a result record that depth_report builds",
-    "forward": "its input-shape and weight checks are pinned in tests/test_graph.py",
+    "forward": "runs any size its shape rules accept; its checks (a non-4-D input, a size a "
+               "shape rule refuses, weights) are pinned in tests/test_graph.py",
     "relu": "total: takes any array numpy can cast to float32",
     "sigmoid": "total: takes any array numpy can cast to float32",
     "depth_report": _CHECKED_AS_BUILT,

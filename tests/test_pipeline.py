@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import struct
@@ -1116,6 +1117,32 @@ def test_trace_flags_match_suppression_on_tie_rich_pools(seed):
     sources = {l["source"] for l in trace["locations"]}
     assert trace["n_locations"] > 1000 and sources == {"box", "attention"}
     _assert_flags_match_suppression(trace, config.suppress_radius)
+
+
+def test_trace_location_records_equal_the_object_construction(monkeypatch):
+    # each record is a dict literal built from its candidate row; it must
+    # equal, key for key and type for type, asdict of the ObjectLocation that
+    # row makes, with kept flagged as np.isin flagged it
+    build, calls = pipeline._location_records, []
+
+    def spy(candidates, kept):
+        calls.append((candidates, kept))
+        return build(candidates, kept)
+
+    monkeypatch.setattr(pipeline, "_location_records", spy)
+    config = SaccadeConfig(max_regions=2, corners_per_kind=30, suppress_radius=4.0)
+    trace = {}
+    run_saccade(rand_image((300, 500), 0), _tie_rich_model(0), config, trace=trace)
+    (candidates, kept), = calls
+    flags = np.isin(np.arange(len(candidates)), kept)
+    want = [{**dataclasses.asdict(pipeline._location(row)), "kept": flag}
+            for row, flag in zip(candidates.tolist(), flags.tolist())]
+    got = trace["locations"]
+    assert len(got) == 6800 and 0 < len(kept) < 6800
+    assert got == want
+    for a, b in zip(got, want):
+        assert list(a) == list(b)
+        assert [type(v) for v in a.values()] == [type(v) for v in b.values()]
 
 
 # ---- the object path the column path replaced ----------------------------------
