@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _from_fields, _integer, _is_integer, _one_of, _pair, _require, max_pool2d
+from .kernels import _from_fields, _integer, _is_integer, _number, _one_of, _pair, _require, max_pool2d
 
 CLAMP_EPS = 1e-7  # keeps log() finite in the losses
 
@@ -117,10 +117,11 @@ def heatmap_peaks(heatmaps, k, offsets=None, embeddings=None, kind="tl"):
     sort by score descending with ties broken by (class, y, x) ascending.
     Offsets (1, 2, H, W; channel 0 = x) and embeddings (1, 1, H, W) are read
     out at each kept location when provided.  Wraps ``_peak_columns``.
-    Raises ``ValueError`` for a heatmap not shaped (1, C, H, W) or with a NaN
-    or infinite value, which would otherwise drop out of the window test
-    without an error, then for offsets or embeddings not shaped as above.
+    Raises ``ValueError`` for a ``kind`` not "tl" or "br", a heatmap not shaped
+    (1, C, H, W) or with a NaN or inf value, which would otherwise drop out of
+    the window test unnoticed, then for offsets or embeddings shaped otherwise.
     """
+    _one_of("kind", kind, ("tl", "br"))
     heatmaps = np.asarray(heatmaps, dtype=np.float32)
     _require(heatmaps.ndim == 4 and heatmaps.shape[0] == 1, "heatmaps", "be (1, C, H, W)",
              heatmaps.shape)
@@ -194,8 +195,10 @@ def focal_loss(pred, gt, alpha=2.0):
 
     loss = -(1/max(1, N_pos)) * sum[ gt*(1-p)^a*log(p) + (1-gt)*p^a*log(1-p) ]
     Predictions must lie in [0, 1]; they are clamped into (eps, 1-eps)
-    before the logs.
+    before the logs.  ``alpha`` must be a finite number >= 0.
     """
+    _number("alpha", alpha)
+    _require(0 <= alpha < math.inf, "alpha", "be finite and >= 0", alpha)
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     _require(p.shape == g.shape, "pred and gt", "share one shape", (p.shape, g.shape))

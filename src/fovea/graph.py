@@ -383,14 +383,14 @@ def plan(graph, input_dims=None):
     return steps
 
 
-def forward(graph, x, params=None):
-    """Evaluate the graph on one input tensor; returns {tap name: tensor}.
+def forward(graph, x):
+    """Evaluate the graph with its ``graph.params`` on one input; returns {tap name: tensor}.
 
     Runs the cached ``plan`` of the input's own size: any size the shape rules
     accept, not only ``input_dims``; a size they refuse raises ``plan``'s ValueError
     naming the node.  Identical inputs and weights give bitwise identical taps.
     """
-    params = params if params is not None else graph.params
+    params = graph.params
     x = as_tensor(x, "input")
     steps = plan(graph, x.shape)
     graph.check_weights(params)

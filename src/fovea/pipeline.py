@@ -164,31 +164,31 @@ def downsize_pair(image):
 # ---- candidate locations --------------------------------------------------------
 
 
-def extract_locations(attention_maps, threshold, strides, scale=255):
+def extract_locations(attention_maps, threshold, strides):
     """One location per attention pixel scoring strictly above the threshold.
 
     ``attention_maps`` maps size class -> (1, 1, h, w) score map;
     ``strides`` maps size class -> frame pixels per map pixel.  Output is
-    sorted by score descending, ties by (y, x, size) ascending.  Wraps
-    ``_attention_columns``.  Raises ``ValueError`` for a threshold that is not
-    a finite number, a key that is not a size class, a map not shaped (1, 1,
-    h, w) or holding a NaN or inf, and a missing, non-finite or non-positive
-    stride.
+    sorted by score descending, ties by (y, x, size) ascending, each with
+    ``ObjectLocation``'s default source and scale.  Wraps ``_attention_columns``.
+    Raises ``ValueError`` for a threshold that is not a finite number, a key
+    that is not a size class, a map not shaped (1, 1, h, w) or holding a NaN
+    or inf, and a missing stride or one that is not a finite number > 0.
     """
     _number("threshold", threshold)
     _require(math.isfinite(threshold), "threshold", "be finite", threshold)
     for size, arr in attention_maps.items():
         _one_of("attention_maps key", size, SIZE_CLASSES)
-        stride = strides.get(size)
-        _require(stride is not None and 0 < stride < math.inf, f"strides[{size!r}]",
-                 "be finite and > 0", stride)
+        name, stride = f"strides[{size!r}]", strides.get(size)
+        _require(stride is not None, name, "be finite and > 0", stride)
+        _number(name, stride)
+        _require(0 < stride < math.inf, name, "be finite and > 0", stride)
         _require(np.ndim(arr) == 4 and np.shape(arr)[:2] == (1, 1), f"attention_maps[{size!r}]",
                  "be shaped (1, 1, h, w)", np.shape(arr))
         bad = np.asarray(arr)[~np.isfinite(arr)]
         _require(bad.size == 0, f"attention_maps[{size!r}]", "be finite", bad[:3].tolist())
     columns = np.column_stack(_attention_columns(attention_maps, threshold, strides)).tolist()
-    return [ObjectLocation(x, y, SIZE_CLASSES[int(size)], score, "attention", scale)
-            for score, x, y, size in columns]
+    return [ObjectLocation(x, y, SIZE_CLASSES[int(size)], score) for score, x, y, size in columns]
 
 
 def _attention_columns(attention_maps, threshold, strides):
@@ -225,9 +225,10 @@ def suppress_locations(locations, radius=16.0):
     Box-sourced candidates outrank every attention-sourced one; within a
     source, higher score wins (ties by y, then x).  Keeping a location
     removes all remaining ones within Chebyshev distance ``radius``.  Wraps
-    ``_suppress_columns``.  Raises ``ValueError`` for a NaN or negative
-    radius and a location whose source is not one of ``SOURCES``.
+    ``_suppress_columns``.  Raises ``ValueError`` for a radius that is not a
+    number >= 0, and a location whose source is not one of ``SOURCES``.
     """
+    _number("radius", radius)
     _require(radius >= 0, "radius", "be >= 0", radius)
     for loc in locations:
         _one_of("location source", loc.source, SOURCES)
@@ -245,16 +246,17 @@ def make_crop(location, config, content_hw, frame_to_original):
     The window is clamped to stay inside the enlarged content canvas where
     possible (shifted inward, never padded); when the canvas is smaller than
     the window it starts at 0 and sampling beyond reads zeros.  Raises
-    ``ValueError`` for an unknown size, a NaN or inf ``location.x`` or ``.y``,
-    a ``content_hw`` that is not two finite numbers >= 1, and a
-    ``frame_to_original`` that is not an ``Affine``.
+    ``ValueError`` for an unknown size, a ``location.x`` or ``.y`` that is not
+    a finite number, a ``content_hw`` that is not two finite numbers >= 1,
+    and a ``frame_to_original`` that is not an ``Affine``.
     """
     zoom = config.zoom_for(location.size)
     _require(np.shape(content_hw) == (2,) and np.asarray(content_hw).dtype.kind in "biuf",
              "content_hw", "hold two numbers (h, w)", content_hw)
-    for name, value in (("location.x", location.x), ("location.y", location.y),
-                        ("content_hw", content_hw)):
-        _require(np.isfinite(value).all(), name, "be finite", value)
+    for name, value in (("location.x", location.x), ("location.y", location.y)):
+        _number(name, value)
+        _require(math.isfinite(value), name, "be finite", value)
+    _require(np.isfinite(content_hw).all(), "content_hw", "be finite", content_hw)
     _require(min(content_hw) >= 1, "content_hw", "be >= 1", content_hw)
     _require(isinstance(frame_to_original, Affine), "frame_to_original", "be an Affine",
              frame_to_original)
@@ -301,7 +303,8 @@ def _inside_margin(x1, y1, x2, y2, margin):
 
 
 def strip_boundary_boxes(dets, margin=0.0):
-    """Drop detections whose box comes within ``margin`` pixels of a crop edge."""
+    """Drop detections whose box comes within ``margin`` (a number >= 0) px of a crop edge."""
+    _number("margin", margin)
     _require(margin >= 0, "margin", "be >= 0", margin)
     return [d for d in dets if _inside_margin(*d.box, margin)]
 
@@ -310,24 +313,18 @@ def strip_boundary_boxes(dets, margin=0.0):
 
 
 def iou(box_a, box_b):
-    """IoU of two (x1, y1, x2, y2) boxes: 0.0 if they do not overlap, or on a NaN."""
+    """IoU of two boxes of 4 numbers (x1, y1, x2, y2), in float64 on ``float()`` of each
+    coordinate whatever their dtype: 0.0 if they do not overlap, or on a NaN."""
     for name, box in (("box_a", box_a), ("box_b", box_b)):
         _require(len(box) == 4, name, "hold 4 coordinates (x1, y1, x2, y2)", box)
-    return float(_iou_against(box_a, np.array([box_b], dtype=np.float64))[0])
-
-
-def _iou_against(box, boxes):
-    """IoU of ``box`` with every row of the (n, 4) float64 ``boxes``; 0.0
-    where they do not overlap or their union is not positive."""
-    ax1, ay1, ax2, ay2 = box
-    bx1, by1, bx2, by2 = boxes.T
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+        for value in box:
+            _number(f"{name} coordinate", value)
+    ax1, ay1, ax2, ay2, bx1, by1, bx2, by2 = map(float, [*box_a, *box_b])
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    ov = np.zeros(len(boxes))
-    np.divide(inter, union, out=ov, where=(iw > 0) & (ih > 0) & (union > 0))
-    return ov
+    return inter / union if iw > 0 and ih > 0 and union > 0 else 0.0
 
 
 def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_threshold=0.3):
@@ -496,19 +493,17 @@ def _infer_once(infer, frame, to_original, outputs):
     """``infer(frame, to_original)``, or the output it gave an earlier frame
     with an equal ``to_original`` and the same shape, dtype and bytes.
 
-    ``outputs`` maps each ``to_original`` to the first (frame, output) pair
-    seen under it.  Bytes, not values, decide: a crop whose padding holds
-    -0.0 where the frame holds +0.0 runs the model again.
+    ``outputs`` maps each ``to_original`` to every (frame, output) pair made
+    under it; bytes are read only on a shared ``to_original``, and they decide:
+    a crop whose padding holds -0.0 where the frame holds +0.0 runs again.
     """
-    seen = outputs.get(to_original)
-    if seen is not None:
-        pixels, out = seen
+    pairs = outputs.setdefault(to_original, [])
+    for pixels, out in pairs:
         if (pixels.shape == frame.shape and pixels.dtype == frame.dtype
                 and pixels.tobytes() == frame.tobytes()):
             return out
-    out = infer(frame, to_original)
-    outputs.setdefault(to_original, (frame, out))
-    return out
+    pairs.append((frame, infer(frame, to_original)))
+    return pairs[-1][1]
 
 
 def _detect_frame(out, name, config, margin=None):
@@ -566,10 +561,10 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     and the same for ``br``) and, optionally, ``attn_<size>`` per size class,
     which only the downsized frames read; other taps are ignored.  It is
     called once per distinct (pixels, ``to_original``) input: a crop whose
-    map equals an earlier frame's and whose pixels are byte-identical to it
-    (a zoom-1 crop is the whole 255 frame) reuses that output, so a stateful
-    model sees fewer calls than frames.  Each frame and crop still decodes on
-    its own.  Pass a dict as ``trace`` to collect locations, suppression
+    map and pixel bytes match an earlier frame or crop (a zoom-1 crop is the
+    255 frame, or an earlier zoom-1 crop) reuses its output, so a stateful
+    model sees fewer calls than frames.  Each frame and crop still decodes
+    on its own.  Pass a dict as ``trace`` to collect locations, suppression
     decisions, crop windows, pixel counts (``pixels_processed`` counts every
     frame and crop) and ``n_model_calls``, the ``infer`` calls made.
     ``crop_order`` permutes crop processing order (the result is invariant
@@ -596,7 +591,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     f255, aff255, content255, f192, aff192, content192 = downsize_pair(image)
     to_canonical = aff255.invert()
     n_model_calls = 0
-    outputs = {}  # to_original -> the first (frame, model output) under it
+    outputs = {}  # to_original -> every (frame, model output) under it
 
     def infer(frame, to_original):
         nonlocal n_model_calls

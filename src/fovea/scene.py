@@ -89,9 +89,10 @@ def random_scene(seed, n_objects, hw=(510, 510), num_classes=3):
     render (full frames and zoomed crops), so oracle peaks never collide.
     Boxes are drawn until ``n_objects`` fit or 4,000 draws are spent, so a
     crowded frame returns fewer objects than asked for: ``random_scene(0,
-    12)`` holds 8.  Raises ``ValueError`` for an ``n_objects`` that is not
-    an integer >= 0, and for a frame where no 36 px box fits the margin.
+    12)`` holds 8.  Raises ``ValueError`` for a ``seed`` or ``n_objects`` that
+    is not an integer >= 0, and for a frame where no 36 px box fits the margin.
     """
+    _integer("seed", seed, 0)
     _integer("n_objects", n_objects, 0)
     h, w = hw
     rng = np.random.default_rng(seed)

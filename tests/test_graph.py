@@ -18,7 +18,7 @@ def test_identity_stub_graph():
     g = ArchGraph((1, 2, 3, 3))
     g.tap("out", "input")
     x = rand((1, 2, 3, 3), seed=1)
-    out = forward(g, x, params={})
+    out = forward(g, x)
     assert np.array_equal(out["out"], x)
 
 
@@ -365,7 +365,7 @@ def test_plan_frees_a_value_added_to_itself_once():
     g.tap("out", "s")
     assert [step.frees for step in graph_module.plan(g)] == [(), ("input",), ("r",)]
     x = rand((1, 2, 4, 4))
-    assert np.array_equal(forward(g, x, params={})["out"], 2 * np.maximum(x, 0))
+    assert np.array_equal(forward(g, x)["out"], 2 * np.maximum(x, 0))
 
 
 @pytest.mark.parametrize("warm", ["forward", "shapes"])

@@ -420,6 +420,42 @@ MISUSE = [
      "^linear_threshold must be a number, got None"),
     ("extract_locations", "threshold", "0.3", lambda v: extract_locations(ATTENTION, v, STRIDES),
      "^threshold must be a number, got '0.3'"),
+    # the list APIs and make_crop refuse a non-number by name too; a missing
+    # stride keeps its own message
+    ("suppress_locations", "radius", "a", lambda v: suppress_locations([], radius=v),
+     "^radius must be a number, got 'a'"),
+    ("strip_boundary_boxes", "margin", "a", lambda v: strip_boundary_boxes([], margin=v),
+     "^margin must be a number, got 'a'"),
+    ("extract_locations", "strides", "4",
+     lambda v: extract_locations(ATTENTION, 0.3, {"small": v}),
+     r"^strides\['small'\] must be a number, got '4'"),
+    ("extract_locations", "strides", None,
+     lambda v: extract_locations(ATTENTION, 0.3, {"small": v}),
+     r"^strides\['small'\] must be finite and > 0, got None"),
+    ("make_crop", "location.x", "a", lambda v: _crop_at(x=v),
+     "^location.x must be a number, got 'a'"),
+    # a value that used to be taken as it came: a numeric string as an IoU
+    # coordinate, an unseeded scene, any corner kind, a NaN or negative focal
+    # exponent
+    ("iou", "box_a", ("0", "0", "1", "1"), lambda v: iou(v, (0.0, 0.0, 1.0, 1.0)),
+     "^box_a coordinate must be a number, got '0'"),
+    ("iou", "box_b", (0.0, 0.0, None, 1.0), lambda v: iou((0.0, 0.0, 1.0, 1.0), v),
+     "^box_b coordinate must be a number, got None"),
+    ("random_scene", "seed", None, lambda v: random_scene(v, 3),
+     "^seed must be an integer >= 0, got None"),
+    ("random_scene", "seed", 1.5, lambda v: random_scene(v, 3),
+     "^seed must be an integer >= 0, got 1.5"),
+    ("heatmap_peaks", "kind", "center", lambda v: heatmap_peaks(HEAT, 5, kind=v),
+     r"^unknown kind 'center': kind must be one of \['tl', 'br'\]"),
+    ("focal_loss", "alpha", NAN,
+     lambda v: focal_loss(np.array([[0.5]]), np.array([[1.0]]), alpha=v),
+     "^alpha must be finite and >= 0, got nan"),
+    ("focal_loss", "alpha", -1.0,
+     lambda v: focal_loss(np.array([[0.5]]), np.array([[1.0]]), alpha=v),
+     "^alpha must be finite and >= 0, got -1.0"),
+    ("focal_loss", "alpha", "2",
+     lambda v: focal_loss(np.array([[0.5]]), np.array([[1.0]]), alpha=v),
+     "^alpha must be a number, got '2'"),
     # an input size given for one report, checked before shapes propagate
     ("cost_report", "input_dims", (1, 3, 255),
      lambda v: cost_report(build_squeeze_hourglass(3, (127, 127)), v),

@@ -728,6 +728,62 @@ def test_iou_basics():
     assert iou((0, 0, 10, 10), (5, 0, 15, 10)) == pytest.approx(50 / 150)
 
 
+def _vector_iou(box_a, box_b):
+    """A frozen copy of the earlier vector formula: ``box_a`` as given
+    against ``box_b`` as one float64 row, 0.0 where the boxes do not overlap
+    or their union is not positive."""
+    ax1, ay1, ax2, ay2 = box_a
+    bx1, by1, bx2, by2 = np.array([box_b], dtype=np.float64).T
+    with np.errstate(all="ignore"):
+        iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+        ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+        inter = iw * ih
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+        ov = np.zeros(1)
+        np.divide(inter, union, out=ov, where=(iw > 0) & (ih > 0) & (union > 0))
+    return float(ov[0])
+
+
+def _iou_pairs(rng, n):
+    """Seeded box pairs: overlapping, touching, zero-area, and with NaN,
+    +-inf, -0.0 or 1e308 coordinates, as Python floats, ints and float64 arrays."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308]
+    pairs = []
+    for i in range(n):
+        a = rng.uniform(0, 40, 2).tolist()
+        a += (a[0] + rng.uniform(0, 30), a[1] + rng.uniform(0, 30))
+        b = rng.uniform(0, 40, 2).tolist()
+        b += (b[0] + rng.uniform(0, 30), b[1] + rng.uniform(0, 30))
+        kind = i % 5
+        if kind == 1:  # touching along x, or zero width
+            b[0] = a[2] if i % 2 else b[2]
+        elif kind == 2:
+            (a if i % 2 else b)[int(rng.integers(4))] = special[int(rng.integers(len(special)))]
+        elif kind == 3:
+            a, b = [int(v) for v in np.round(a)], [int(v) for v in np.round(b)]
+        elif kind == 4:
+            a, b = np.array(a), np.array(b)
+        pairs.append((a, b))
+    return pairs
+
+
+def test_iou_is_the_vector_formula_bit_for_bit():
+    for a, b in _iou_pairs(np.random.default_rng(90), 3000):
+        got, want = iou(a, b), _vector_iou(a, b)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (a, b, got, want)
+
+
+def test_iou_of_float32_boxes_is_symmetric_and_exactly_one_on_itself():
+    # float32 coordinates are widened before any arithmetic, so neither box's
+    # area is computed in float32
+    rng = np.random.default_rng(91)
+    for _ in range(500):
+        a, b = (np.concatenate([xy, xy + rng.uniform(1, 300, 2)]).astype(np.float32)
+                for xy in rng.uniform(0, 600, (2, 2)))
+        assert iou(a, a) == 1.0 and iou(b, b) == 1.0
+        assert iou(a, b) == iou(b, a)
+
+
 # ---- full pipeline -------------------------------------------------------------
 
 
@@ -1181,9 +1237,9 @@ def _run_saccade_reference(image, model, config):
         attention = {size: out[f"attn_{size}"] for size in SIZE_CLASSES if f"attn_{size}" in out}
         if attention:
             strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
-            locs = extract_locations(attention, config.attention_threshold, strides, scale=tag)
+            locs = extract_locations(attention, config.attention_threshold, strides)
             for loc in locs:
-                loc.x, loc.y = remap.apply(loc.x, loc.y)
+                loc.x, loc.y, loc.scale = *remap.apply(loc.x, loc.y), tag
             attention_locations += locs
         for det in _reference_decode(out, config):
             if det.score < config.nms_floor:
@@ -1432,6 +1488,20 @@ def test_two_zoom1_crops_of_the_noisy_library_reuse_the_255_frame(monkeypatch):
         img, pipeline.GraphModel(g), monkeypatch, SaccadeConfig(max_regions=2))
     assert [c["zoom"] for c in trace["crops"]] == [1.0, 1.0]
     assert (calls, ref_calls) == (2, 4)
+    assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
+
+
+def test_two_zoom1_crops_with_signed_zero_padding_share_one_model_call(monkeypatch):
+    # both zoom-1 crops map like the 255 frame, but the shifted image gives
+    # their padding -0.0 where the frame holds +0.0: the second crop reuses
+    # the first crop's output, not the frame's
+    spec = SceneSpec(480, 640, [SceneObject(0, (40, 40, 300, 260)),
+                                SceneObject(1, (340, 200, 600, 440))], seed=3)
+    img, gt = gen_scene(spec)
+    (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
+        img - 1.0, OracleModel(gt, num_classes=3), monkeypatch)
+    assert [c["zoom"] for c in trace["crops"]] == [1.0, 1.0]
+    assert (calls, trace["n_model_calls"], ref_calls) == (3, 3, 4)
     assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)
 
 
