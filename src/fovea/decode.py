@@ -176,9 +176,13 @@ def group_corners(tl_corners, br_corners, embed_threshold=0.5, downsample_factor
     y, as they do for the square 255x255 frames ``run_saccade`` decodes.
     Maps rendered for a non-square frame, such as
     ``oracle_outputs(gt, 3, frame_hw=(97, 641))``, are out of contract: their
-    boxes decode at the wrong scale on at least one axis.
+    boxes decode at the wrong scale on at least one axis.  Raises
+    ``ValueError`` for an ``embed_threshold`` that is not a number >= 0 and a
+    ``downsample_factor`` that is not a finite number > 0.
     """
+    _number("embed_threshold", embed_threshold)
     _require(embed_threshold >= 0, "embed_threshold", "be >= 0", embed_threshold)
+    _number("downsample_factor", downsample_factor)
     _require(0 < downsample_factor < math.inf, "downsample_factor", "be finite and > 0",
              downsample_factor)
     if not tl_corners or not br_corners:

@@ -42,32 +42,6 @@ def conv2d_naive(x, weights, bias, stride, padding):
     return out
 
 
-def depthwise_conv2d_naive(x, weights, stride, padding):
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    n, c, h, wd = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, c, oh, ow), dtype=np.float64)
-    for b in range(n):
-        for ch in range(c):
-            for oy in range(oh):
-                for ox in range(ow):
-                    acc = 0.0
-                    for i in range(kh):
-                        iy = oy * stride + i - padding
-                        if iy < 0 or iy >= h:
-                            continue
-                        for j in range(kw):
-                            ix = ox * stride + j - padding
-                            if ix < 0 or ix >= wd:
-                                continue
-                            acc += x[b, ch, iy, ix] * w[ch, 0, i, j]
-                    out[b, ch, oy, ox] = acc
-    return out
-
-
 def transpose_conv2d_naive(x, weights, bias, stride, padding):
     """Scatter form: every input pixel stamps a weighted kernel into the output."""
     x = np.asarray(x, dtype=np.float64)

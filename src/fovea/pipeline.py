@@ -45,11 +45,9 @@ class Affine:
         return Affine(self.sx * inner.sx, self.sy * inner.sy,
                       self.sx * inner.ox + self.ox, self.sy * inner.oy + self.oy)
 
-    def apply_box(self, box):
-        """Map an (x1, y1, x2, y2) box, or every row of an (n, 4) array."""
-        if isinstance(box, np.ndarray):
-            return box * (self.sx, self.sy, self.sx, self.sy) + (self.ox, self.oy, self.ox, self.oy)
-        return (*self.apply(box[0], box[1]), *self.apply(box[2], box[3]))
+    def apply_box(self, boxes):
+        """Map each (x1, y1, x2, y2) row of an (n, 4) float64 array, as ``apply`` a corner."""
+        return boxes * (self.sx, self.sy, self.sx, self.sy) + (self.ox, self.oy, self.ox, self.oy)
 
 
 def resize_affine(src_hw, dst_hw):
@@ -141,12 +139,12 @@ class SaccadeConfig:
 
 
 def downsize_pair(image):
-    """The two padded 255x255 candidate frames plus their maps to source pixels.
+    """The padded 255x255 candidate frames plus their maps to source pixels.
 
-    Returns (frame255, affine255, content255_hw, frame192, affine192,
-    content192_hw); content dims mark where real pixels end and zero padding
-    begins.  Raises ``ValueError`` for an image with a non-finite pixel: this
-    is the one scan of the whole image that ``run_saccade`` makes.
+    Returns one (frame, affine, content_hw) per ``DOWNSIZE_SCALES`` entry,
+    the canonical 255 frame first; content dims mark where real pixels end
+    and zero padding begins.  Raises ``ValueError`` for an image with a
+    non-finite pixel: the one scan of the whole image ``run_saccade`` makes.
     """
     image = as_tensor(image, "image")
     if not np.isfinite(image).all():
@@ -157,8 +155,7 @@ def downsize_pair(image):
         content = resized.shape[2:]
         aff = resize_affine(image.shape[2:], content)
         frames.append((zero_pad_to(resized, CROP_SIZE, CROP_SIZE), aff, content))
-    (f255, a255, c255), (f192, a192, c192) = frames
-    return f255, a255, c255, f192, a192, c192
+    return frames
 
 
 # ---- candidate locations --------------------------------------------------------
@@ -171,12 +168,12 @@ def extract_locations(attention_maps, threshold, strides):
     ``strides`` maps size class -> frame pixels per map pixel.  Output is
     sorted by score descending, ties by (y, x, size) ascending, each with
     ``ObjectLocation``'s default source and scale.  Wraps ``_attention_columns``.
-    Raises ``ValueError`` for a threshold that is not a finite number, a key
+    Raises ``ValueError`` for a threshold that is not a number in (0, 1), a key
     that is not a size class, a map not shaped (1, 1, h, w) or holding a NaN
     or inf, and a missing stride or one that is not a finite number > 0.
     """
     _number("threshold", threshold)
-    _require(math.isfinite(threshold), "threshold", "be finite", threshold)
+    _require(0.0 < threshold < 1.0, "threshold", "be in (0, 1)", threshold)
     for size, arr in attention_maps.items():
         _one_of("attention_maps key", size, SIZE_CLASSES)
         name, stride = f"strides[{size!r}]", strides.get(size)
@@ -335,9 +332,10 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     exp(-iou^2 / sigma), linear mode scales by (1 - iou) when iou exceeds
     ``linear_threshold``.  Boxes whose score ends up (or starts) below
     ``score_floor`` are dropped.  Output sorts by final score, then class,
-    then box.  Raises ``ValueError`` for an unknown ``method``, a ``sigma``,
-    ``score_floor`` or ``linear_threshold`` that is not a number or is NaN, a
-    ``sigma`` <= 0, and a detection with a non-finite score or box coordinate.
+    then box.  Raises ``ValueError`` for an unknown ``method``, a ``sigma``
+    that is not a number > 0, a ``score_floor`` outside [0, 1) or a
+    ``linear_threshold`` outside [0, 1] (as ``SaccadeConfig``), and a
+    detection with a non-finite score or box coordinate.
 
     Each class's pool is held once as contiguous ``x1, y1, x2, y2`` and
     ``area`` columns in box order, with scratch buffers filled in place.  A
@@ -358,8 +356,8 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
                         ("linear_threshold", linear_threshold)):
         _number(name, value)
     _require(sigma > 0, "sigma", "be > 0", sigma)
-    for name, value in (("score_floor", score_floor), ("linear_threshold", linear_threshold)):
-        _require(value == value, name, "not be NaN", value)
+    _require(0.0 <= score_floor < 1.0, "score_floor", "be in [0, 1)", score_floor)
+    _require(0.0 <= linear_threshold <= 1.0, "linear_threshold", "be in [0, 1]", linear_threshold)
     _one_of("method", method, _NMS_METHODS)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(len(dets), 4)
@@ -588,7 +586,8 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     _require(image.shape[0] == 1, "image", "hold a single picture (batch 1)", image.shape)
     _, _, img_h, img_w = image.shape
 
-    f255, aff255, content255, f192, aff192, content192 = downsize_pair(image)
+    frames = downsize_pair(image)
+    _, aff255, content255 = frames[0]
     to_canonical = aff255.invert()
     n_model_calls = 0
     outputs = {}  # to_original -> every (frame, model output) under it
@@ -600,17 +599,16 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
 
     box_rows, attention_rows = [], []  # the trace lists all box candidates first
     columns = []  # (class, score, boxes in source pixels) of each frame
-    for frame, aff, tag in ((f255, aff255, 255), (f192, aff192, 192)):
+    for (frame, aff, _), tag in zip(frames, DOWNSIZE_SCALES):
         out = _infer_once(infer, frame, aff, outputs)
         cls, score, boxes = _detect_frame(out, tag, config)
         # map this frame's coordinates into the canonical 255 frame
-        remap = Affine(1.0, 1.0) if tag == 255 else to_canonical.compose(aff)
+        remap = Affine(1.0, 1.0) if aff is aff255 else to_canonical.compose(aff)
         attention = {size: _checked_map(tag, f"attn {size}", out[f"attn_{size}"], 1, unit=True)
                      for size in SIZE_CLASSES if f"attn_{size}" in out}
-        if attention:
-            strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
-            peak, x, y, size = _attention_columns(attention, config.attention_threshold, strides)
-            attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
+        strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
+        peak, x, y, size = _attention_columns(attention, config.attention_threshold, strides)
+        attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
         strong = score > config.attention_threshold
         x1, y1, x2, y2 = remap.apply_box(boxes[strong]).T
         box_rows.append(_candidates("box", score[strong], (x1 + x2) / 2.0, (y1 + y2) / 2.0,
@@ -648,8 +646,8 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
                            "size_class": selected[i].size}
                           for i, w in enumerate(windows)]
         trace["n_crops"] = len(windows)
-        trace["n_downsized_detections"] = sum(len(score) for _, score, _ in columns[:2])
-        trace["pixels_processed"] = (2 + len(windows)) * CROP_SIZE * CROP_SIZE
+        trace["n_downsized_detections"] = sum(len(score) for _, score, _ in columns[:len(frames)])
+        trace["pixels_processed"] = (len(frames) + len(windows)) * CROP_SIZE * CROP_SIZE
         trace["n_model_calls"] = n_model_calls
         trace["pixels_full_resolution"] = img_h * img_w
         trace["pixels_ratio"] = trace["pixels_processed"] / trace["pixels_full_resolution"]

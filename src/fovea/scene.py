@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import Detection, _box_field, _strides, attention_targets, corner_targets
-from .kernels import _from_fields, _integer, _require, as_tensor
+from .kernels import _from_fields, _integer, _pair, _require, as_tensor
 from .pipeline import CROP_SIZE, Affine
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
@@ -90,10 +90,14 @@ def random_scene(seed, n_objects, hw=(510, 510), num_classes=3):
     Boxes are drawn until ``n_objects`` fit or 4,000 draws are spent, so a
     crowded frame returns fewer objects than asked for: ``random_scene(0,
     12)`` holds 8.  Raises ``ValueError`` for a ``seed`` or ``n_objects`` that
-    is not an integer >= 0, and for a frame where no 36 px box fits the margin.
+    is not an integer >= 0, an ``hw`` that is not a pair of integers >= 1, a
+    ``num_classes`` that is not an integer >= 1, and for a frame where no 36
+    px box fits the margin.
     """
     _integer("seed", seed, 0)
     _integer("n_objects", n_objects, 0)
+    _pair("hw", hw)
+    _integer("num_classes", num_classes)
     h, w = hw
     rng = np.random.default_rng(seed)
     margin = 24
@@ -164,11 +168,12 @@ def oracle_outputs(gt, num_classes, frame_hw=(CROP_SIZE, CROP_SIZE), tags=None):
 class OracleModel:
     """Stand-in for a trained network: answers from ground truth and geometry.
 
-    ``infer`` transforms the scene's ground-truth boxes into the queried
-    frame (via the frame's map back to source pixels), keeps the ones fully
-    inside, and returns ``oracle_outputs`` for them: ``{tap name: map}``, as
-    ``GraphModel.infer`` does.  Embedding tags stay attached to scene
-    objects, so the same object carries the same tag in every frame.
+    ``infer`` maps the scene's ground-truth boxes into the queried frame in
+    one ``apply_box`` call (through the inverse of the frame's map back to
+    source pixels), keeps the rows fully inside, and returns
+    ``oracle_outputs`` for them: ``{tap name: map}``, as ``GraphModel.infer``
+    does.  Embedding tags stay attached to scene objects (object i carries
+    i + 1), so the same object carries the same tag in every frame.
     """
 
     def __init__(self, gt, num_classes):
@@ -179,14 +184,10 @@ class OracleModel:
     def infer(self, image, to_original):
         _require(isinstance(to_original, Affine), "to_original",
                  "be an Affine mapping the frame to source pixels", to_original)
-        to_frame = to_original.invert()
         fh, fw = as_tensor(image, "image").shape[2:]
-        visible = []
-        tags = []
-        for i, det in enumerate(self.gt):
-            box = to_frame.apply_box(det.box)
-            if (box[0] >= 0 and box[1] >= 0 and
-                    box[2] <= fw - 1 and box[3] <= fh - 1):
-                visible.append(Detection(det.cls, ORACLE_PEAK, box))
-                tags.append(i + 1)
-        return oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=tags)
+        gt_boxes = np.array([det.box for det in self.gt], dtype=np.float64).reshape(-1, 4)
+        boxes = to_original.invert().apply_box(gt_boxes)
+        inside = np.flatnonzero((boxes[:, :2] >= 0).all(axis=1)
+                                & (boxes[:, 2:] <= (fw - 1, fh - 1)).all(axis=1))
+        visible = [Detection(self.gt[i].cls, ORACLE_PEAK, tuple(boxes[i].tolist())) for i in inside]
+        return oracle_outputs(visible, self.num_classes, frame_hw=(fh, fw), tags=inside + 1)

@@ -73,7 +73,7 @@ def test_criterion_1_kernel_oracle_equivalence():
             if h >= 3 - 2 and w >= 1:
                 got = depthwise_conv2d(x, dwts, ConvSpec(ic, ic, (3, 3), stride=stride,
                                                          padding=1, groups=ic))
-                np.testing.assert_allclose(got, naive.depthwise_conv2d_naive(x, dwts, stride, 1),
+                np.testing.assert_allclose(got, naive.conv2d_naive(x, dwts, None, stride, 1),
                                            rtol=RTOL, atol=1e-5)
 
             twts = rng.normal(size=(ic, oc, 4, 4)).astype(np.float32)

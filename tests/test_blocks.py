@@ -100,7 +100,7 @@ def test_residual_matches_composed_oracle():
 def _fire_oracle(x, p, name, stride):
     s = naive.conv2d_naive(x, p[f"{name}.squeeze"]["w"], p[f"{name}.squeeze"]["b"], 1, 0)
     b1 = naive.conv2d_naive(s, p[f"{name}.expand1x1"]["w"], p[f"{name}.expand1x1"]["b"], stride, 0)
-    b3 = naive.depthwise_conv2d_naive(s, p[f"{name}.expand3x3"]["w"], stride, 1)
+    b3 = naive.conv2d_naive(s, p[f"{name}.expand3x3"]["w"], None, stride, 1)
     return np.maximum(np.concatenate([b1, b3], axis=1), 0.0)
 
 

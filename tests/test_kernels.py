@@ -85,7 +85,7 @@ def test_conv2d_band_seams_match_naive(monkeypatch):
             want = naive.conv2d_naive(x, w, b, stride, pad)
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
         got = depthwise_conv2d(x, w, ConvSpec(4, 4, (3, 3), stride=stride, padding=pad, groups=4))
-        want = naive.depthwise_conv2d_naive(x, w, stride, pad)
+        want = naive.conv2d_naive(x, w, None, stride, pad)
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
 
 
@@ -128,7 +128,7 @@ def test_depthwise_matches_naive():
     x = rand((1, 4, 6, 6), seed=11)
     w = rand((4, 1, 3, 3), seed=12)
     got = depthwise_conv2d(x, w, _dw_spec(4))
-    want = naive.depthwise_conv2d_naive(x, w, 1, 1)
+    want = naive.conv2d_naive(x, w, None, 1, 1)
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=1e-6)
 
 
@@ -262,7 +262,7 @@ def test_depthwise_band_seams_match_conv2d_and_naive(monkeypatch):
             spec = ConvSpec(4, 4, (3, 3), padding=pad, groups=4)
             _assert_bytes_match_window(x, w, None, spec)
             np.testing.assert_allclose(depthwise_conv2d(x, w, spec),
-                                       naive.depthwise_conv2d_naive(x, w, 1, pad),
+                                       naive.conv2d_naive(x, w, None, 1, pad),
                                        rtol=RTOL, atol=1e-6)
 
 

@@ -463,6 +463,27 @@ MISUSE = [
     ("compare_archs", "input_dims", (1, 3, 127.5, 127),
      lambda v: compare_archs([("squeeze", build_squeeze_hourglass(3, (127, 127)))], v),
      r"^input_dims must be four integers >= 1, got \(1, 3, 127.5, 127\)"),
+    # a scene size or class count that was unpacked or drawn from unchecked
+    ("random_scene", "hw", "ab", lambda v: random_scene(0, 2, hw=v),
+     "^hw must be a pair of integers >= 1, got 'ab'"),
+    ("random_scene", "hw", (510,), lambda v: random_scene(0, 2, hw=v),
+     r"^hw must be a pair of integers >= 1, got \(510,\)"),
+    ("random_scene", "num_classes", 1.5, lambda v: random_scene(0, 2, num_classes=v),
+     "^num_classes must be an integer >= 1, got 1.5"),
+    ("random_scene", "num_classes", 0, lambda v: random_scene(0, 2, num_classes=v),
+     "^num_classes must be an integer >= 1, got 0"),
+    ("group_corners", "embed_threshold", "a", lambda v: group_corners(TL, BR, embed_threshold=v),
+     "^embed_threshold must be a number, got 'a'"),
+    ("group_corners", "downsample_factor", "a",
+     lambda v: group_corners(TL, BR, downsample_factor=v), "^downsample_factor must be a number"),
+    # the list APIs refuse the ranges SaccadeConfig refuses for the same values
+    ("soft_nms", "score_floor", -1, lambda v: soft_nms(DETS, score_floor=v),
+     r"^score_floor must be in \[0, 1\), got -1"),
+    ("soft_nms", "linear_threshold", -1,
+     lambda v: soft_nms(DETS, method="linear", linear_threshold=v),
+     r"^linear_threshold must be in \[0, 1\], got -1"),
+    ("extract_locations", "threshold", -1, lambda v: extract_locations(ATTENTION, v, STRIDES),
+     r"^threshold must be in \(0, 1\), got -1"),
 ]
 
 

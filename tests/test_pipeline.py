@@ -11,7 +11,7 @@ from fovea import naive, pipeline
 from fovea.decode import (SIZE_CLASSES, Corner, Detection, _detections, _group_columns,
                           _size_index, group_corners, heatmap_peaks)
 from fovea.kernels import resize_longer_side
-from fovea.pipeline import (Affine, CROP_SIZE, CropWindow, ObjectLocation,
+from fovea.pipeline import (Affine, CROP_SIZE, DOWNSIZE_SCALES, CropWindow, ObjectLocation,
                             SaccadeConfig, _attention_columns, _clamp_boxes, crop_pixels,
                             downsize_pair, extract_locations, iou, make_crop, resize_affine,
                             run_saccade, soft_nms, strip_boundary_boxes, suppress_locations)
@@ -39,7 +39,7 @@ def location_from_detection(det, scale=255):
 
 def test_downsize_pair_square_image():
     img = rand_image((510, 510))
-    f255, a255, c255, f192, a192, c192 = downsize_pair(img)
+    (f255, a255, c255), (f192, a192, c192) = downsize_pair(img)
     assert f255.shape == f192.shape == (1, 3, 255, 255)
     assert c255 == (255, 255) and c192 == (192, 192)
     assert np.all(f192[:, :, 192:, :] == 0) and np.all(f192[:, :, :, 192:] == 0)
@@ -47,15 +47,24 @@ def test_downsize_pair_square_image():
 
 def test_downsize_pair_nonsquare_padding():
     img = rand_image((400, 300), seed=1)
-    f255, a255, c255, _, _, c192 = downsize_pair(img)
+    (f255, a255, c255), (_, _, c192) = downsize_pair(img)
     assert c255 == (255, 191)  # 300 * 255/400 = 191.25 -> 191
     assert np.all(f255[:, :, :, 191:] == 0)
     assert c192 == (192, 144)
 
 
+def test_downsize_pair_returns_one_triple_per_scale():
+    img = rand_image((400, 300), seed=1)
+    frames = downsize_pair(img)
+    assert len(frames) == len(DOWNSIZE_SCALES)
+    for (frame, aff, content), scale in zip(frames, DOWNSIZE_SCALES):
+        assert frame.shape == (1, 3, CROP_SIZE, CROP_SIZE) and max(content) == scale
+        assert aff == resize_affine((400, 300), content)
+
+
 def test_downsize_affine_round_trip_within_half_pixel():
     img = rand_image((417, 333), seed=2)
-    _, a255, c255, _, a192, c192 = downsize_pair(img)
+    (_, a255, c255), (_, a192, c192) = downsize_pair(img)
     for aff, content in ((a255, c255), (a192, c192)):
         inv = aff.invert()
         for x, y in [(0, 0), (content[1] - 1, content[0] - 1), (10.5, 20.25)]:
@@ -96,7 +105,8 @@ def test_affine_round_trips_points_and_boxes_seeded_loop():
         _assert_close(a.compose(b).apply_box(boxes), a.apply_box(b.apply_box(boxes)))
         _assert_close(a.compose(b).invert().apply_box(boxes),
                       b.invert().apply_box(a.invert().apply_box(boxes)))
-        _assert_close(a.apply_box(boxes), [a.apply_box(tuple(row)) for row in boxes])
+        _assert_close(a.apply_box(boxes),
+                      [(*a.apply(x1, y1), *a.apply(x2, y2)) for x1, y1, x2, y2 in boxes])
 
 
 def test_resize_affine_inverts_to_the_reverse_resize_at_odd_aspects():
@@ -351,7 +361,7 @@ def test_make_crop_affine_matches_independent_composition():
 def test_crop_pixels_unit_zoom_matches_direct_slice():
     img = rand_image((510, 510), seed=6)
     downsized = resize_longer_side(img, 255)
-    _, aff, content, *_ = downsize_pair(img)
+    _, aff, content = downsize_pair(img)[0]
     w = make_crop(_loc(128.0, 128.0, 0.9, size="large"), SaccadeConfig(), content, aff)
     crop = crop_pixels(img, w)
     sliced = downsized[:, :, w.y0:w.y0 + 255, w.x0:w.x0 + 255]
@@ -413,7 +423,7 @@ def test_crop_pixels_bit_equal_to_2d_gather(hw):
     rng = np.random.default_rng(hw[0] * hw[1])
     img = rng.normal(size=(1, 3) + hw).astype(np.float32)  # signed pixels
     img[:, :, :9, :9] = -0.0
-    _, aff, content, *_ = downsize_pair(img)
+    _, aff, content = downsize_pair(img)[0]
     windows = []
     for size in ("large", "medium", "small"):  # zoom 1, 2, 4
         for x, y in ((0.0, 0.0), (127.0, 90.0), (254.0, 254.0)):
@@ -1227,7 +1237,7 @@ def _run_saccade_reference(image, model, config):
     mapped and clamped box by box.  Returns the merged detections, the
     downsized-frame detection count and each crop's detection count."""
     _, _, img_h, img_w = image.shape
-    f255, aff255, content255, f192, aff192, _ = downsize_pair(image)
+    (f255, aff255, content255), (f192, aff192, _) = downsize_pair(image)
     to_canonical = aff255.invert()
     attention_locations, box_dets_canonical, merged = [], [], []
     n_downsized = 0
@@ -1469,7 +1479,7 @@ def test_crop_equal_in_value_but_not_in_bytes_runs_the_model(monkeypatch):
     assert (calls, ref_calls) == (5, 5)
     assert dets == ref_dets and trace == ref_trace
     # the zoom-1 crop maps like the 255 frame, but its padding holds -0.0
-    f255, aff255 = downsize_pair(img)[:2]
+    f255, aff255, _ = downsize_pair(img)[0]
     c = next(c for c in trace["crops"] if c["zoom"] == 1.0)
     window = CropWindow(c["zoom"], c["x0"], c["y0"], c["size"], Affine(**c["to_original"]))
     crop = crop_pixels(img, window)
@@ -1545,7 +1555,7 @@ def test_crops_sharing_a_window_share_one_model_call(seed, monkeypatch):
     img = rand_image((300, 400), seed)
     (dets, trace, calls), (ref_dets, ref_trace, ref_calls) = _run_twice(
         img, _tie_rich_model(seed), monkeypatch, FEW_CORNERS)
-    aff255, aff192 = downsize_pair(img)[1::3]
+    aff255, aff192 = (aff for _, aff, _ in downsize_pair(img))
     distinct = {aff255, aff192} | {Affine(**c["to_original"]) for c in trace["crops"]}
     assert ref_calls == 2 + trace["n_crops"] == 14 and calls == len(distinct) == 12
     assert dets == ref_dets and _without_calls(trace) == _without_calls(ref_trace)

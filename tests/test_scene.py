@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fovea.builders import build_hourglass54
-from fovea.decode import (CLAMP_EPS, Detection, corner_targets, focal_loss, group_corners,
-                          heatmap_peaks, pull_push_offset_losses, size_class_of)
-from fovea.pipeline import CROP_SIZE, Affine, iou
+from fovea.decode import (CLAMP_EPS, SIZE_CLASSES, Detection, corner_targets, focal_loss,
+                          group_corners, heatmap_peaks, pull_push_offset_losses, size_class_of)
+from fovea.pipeline import (CROP_SIZE, Affine, ObjectLocation, SaccadeConfig, downsize_pair, iou,
+                            make_crop)
 from fovea.scene import (ATTENTION_MAP_HW, HEATMAP_HW, ORACLE_PEAK, OracleModel, SceneObject,
                          SceneSpec, gen_scene, oracle_outputs, random_scene)
 
@@ -125,6 +126,75 @@ def test_oracle_model_drops_boxes_outside_frame():
 def test_oracle_model_requires_geometry():
     with pytest.raises(ValueError, match="map"):
         OracleModel([], 1).infer(np.zeros((1, 3, 255, 255), np.float32), None)
+
+
+def _oracle_infer_per_box(model, image, to_original):
+    """``OracleModel.infer`` as it was: each ground-truth box mapped on its own,
+    one ``Affine.apply`` per corner, and kept if it lies inside the frame."""
+    to_frame = to_original.invert()
+    fh, fw = image.shape[2:]
+    visible, tags = [], []
+    for i, det in enumerate(model.gt):
+        box = (*to_frame.apply(det.box[0], det.box[1]), *to_frame.apply(det.box[2], det.box[3]))
+        if box[0] >= 0 and box[1] >= 0 and box[2] <= fw - 1 and box[3] <= fh - 1:
+            visible.append(Detection(det.cls, ORACLE_PEAK, box))
+            tags.append(i + 1)
+    return oracle_outputs(visible, model.num_classes, frame_hw=(fh, fw), tags=tags)
+
+
+def _oracle_infer_cases():
+    """(gt, frame, to_original): seeded scenes under their downsized-frame and
+    crop maps, boxes touching each frame edge or just past it, an empty gt,
+    integer boxes and maps with negative offsets."""
+    frame = np.zeros((1, 3, CROP_SIZE, CROP_SIZE), np.float32)
+    for seed in range(12):
+        hw = ((510, 510), (480, 640), (720, 960), (97, 641))[seed % 4]
+        gt = [Detection(o.cls, 1.0, o.box) for o in random_scene(seed, 1 + seed % 8, hw=hw).objects]
+        frames = downsize_pair(np.zeros((1, 3, *hw), np.float32))
+        for _, aff, _ in frames:
+            yield gt, frame, aff
+        _, aff, content = frames[0]
+        to_frame = aff.invert()
+        for size in SIZE_CLASSES:  # zoom 4, 2 and 1 crops around each object
+            for det in gt:
+                x, y = to_frame.apply((det.box[0] + det.box[2]) / 2, (det.box[1] + det.box[3]) / 2)
+                window = make_crop(ObjectLocation(x, y, size, 0.9), SaccadeConfig(), content, aff)
+                yield gt, frame, window.to_original
+        yield gt, frame, Affine(1.5, 1.5, -40.0, -25.5)
+    edges = [Detection(0, 1.0, (0.0, 100.0, 30.0, 140.0)),       # left edge
+             Detection(1, 1.0, (100.0, 0.0, 140.0, 30.0)),       # top edge
+             Detection(2, 1.0, (224.0, 100.0, 254.0, 140.0)),    # right edge
+             Detection(0, 1.0, (100.0, 224.0, 140.0, 254.0)),    # bottom edge
+             Detection(1, 1.0, (0.0, 0.0, 254.0, 254.0)),        # all four
+             Detection(2, 1.0, (-1e-9, 50.0, 20.0, 60.0)),       # just past the left edge
+             Detection(0, 1.0, (50.0, 60.0, 254.0000001, 70.0)),  # just past the right edge
+             Detection(1, 1.0, (170.0, -1e-9, 190.0, 20.0)),     # just past the top edge
+             Detection(2, 1.0, (60.0, 170.0, 70.0, 254.5))]      # just past the bottom edge
+    yield edges, frame, Affine(1.0, 1.0)
+    doubled = [Detection(d.cls, 1.0, tuple(2 * v for v in d.box)) for d in edges]
+    yield doubled, frame, Affine(2.0, 2.0)
+    yield edges[:2] + [Detection(2, 1.0, (600.0, 0.0, 640.0, 96.0))], \
+        np.zeros((1, 3, 97, 641), np.float32), Affine(1.0, 1.0)
+    yield [], frame, Affine(1.0, 1.0)
+    yield [], frame, Affine(0.5, 2.0, -3.0, -7.0)
+    integers = [Detection(0, 1.0, (10, 20, 60, 90)), Detection(2, 1.0, (0, 0, 254, 254)),
+                Detection(1, 1.0, (300, 8, 400, 100))]
+    yield integers, frame, Affine(1.0, 1.0)
+    yield integers, frame, Affine(2.0, 2.0, 3.0, 5.0)
+    yield integers, frame, Affine(0.75, 1.25, -60.0, -8.0)
+
+
+def test_oracle_infer_maps_every_box_at_once_as_the_per_box_loop_did():
+    cases = list(_oracle_infer_cases())
+    assert len(cases) >= 150
+    for gt, frame, to_original in cases:
+        model = OracleModel(gt, num_classes=3)
+        got = model.infer(frame, to_original)
+        want = _oracle_infer_per_box(model, frame, to_original)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), (to_original, name)
 
 
 def test_scene_spec_serialization_round_trip():
