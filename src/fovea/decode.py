@@ -57,9 +57,10 @@ class Corner:
 
 
 def _box_field(values):
-    """A JSON record's ``box`` as a tuple of 4 floats."""
+    """A JSON record's or ground-truth object's ``box`` as a tuple of 4 finite floats."""
     box = tuple(float(v) for v in values)
     _require(len(box) == 4, "box", "hold 4 coordinates (x1, y1, x2, y2)", values)
+    _require(all(map(math.isfinite, box)), "box", "be finite", values)
     return box
 
 

@@ -504,19 +504,14 @@ def _infer_once(infer, frame, to_original, outputs):
     return pairs[-1][1]
 
 
-def _detect_frame(out, name, config, margin=None):
+def _detect_frame(out, name, config):
     """The class, score and (n, 4) frame-pixel box columns of the detections
-    in one 255x255 frame's model output scoring at least ``nms_floor`` (with
-    a ``margin``, only those inside it)."""
+    in one 255x255 frame's model output scoring at least ``nms_floor``."""
     maps = _checked_corner_maps(out, name)
     tl, br = (_peak_columns(maps[f"{kind}_heat"], config.corners_per_kind, maps[f"{kind}_off"],
                             maps[f"{kind}_embed"]) for kind in ("tl", "br"))
     factor = CROP_SIZE / maps["tl_heat"].shape[2]
-    cls, score, boxes = _group_columns(tl, br, config.embed_threshold, factor, config.nms_floor)
-    if margin is not None:
-        inside = _inside_margin(*boxes.T, margin)
-        cls, score, boxes = cls[inside], score[inside], boxes[inside]
-    return cls, score, boxes
+    return _group_columns(tl, br, config.embed_threshold, factor, config.nms_floor)
 
 
 # ---- the full pipeline ------------------------------------------------------------
@@ -551,31 +546,75 @@ def _location_records(candidates, kept):
             in zip(candidates.tolist(), flags.tolist())]
 
 
-def run_saccade(image, model, config=None, trace=None, crop_order=None):
-    """Full inference: downsize, rank candidate locations, zoom, detect, merge.
+def _frame_pass(frames, infer, outputs, config):
+    """Candidate rows in the canonical 255 frame, every box row before every
+    attention row, and each frame's class, score and source-pixel box columns."""
+    to_canonical = frames[0][1].invert()
+    box_rows, attention_rows, columns = [], [], []
+    for i, ((frame, aff, _), tag) in enumerate(zip(frames, DOWNSIZE_SCALES)):
+        out = _infer_once(infer, frame, aff, outputs)
+        cls, score, boxes = _detect_frame(out, tag, config)
+        remap = to_canonical.compose(aff) if i else Affine(1.0, 1.0)
+        attention = {size: _checked_map(tag, f"attn {size}", out[f"attn_{size}"], 1, unit=True)
+                     for size in SIZE_CLASSES if f"attn_{size}" in out}
+        strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
+        peak, x, y, size = _attention_columns(attention, config.attention_threshold, strides)
+        attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
+        strong = score > config.attention_threshold
+        x1, y1, x2, y2 = remap.apply_box(boxes[strong]).T
+        box_rows.append(_candidates("box", score[strong], (x1 + x2) / 2.0, (y1 + y2) / 2.0,
+                                    _size_index(_longer_sides(x1, y1, x2, y2)), tag))
+        columns.append((cls, score, aff.apply_box(boxes)))
+    return np.concatenate(box_rows + attention_rows), columns
 
-    ``model`` provides ``infer(frame, to_original)``, which returns ``{tap
-    name: map}``: the six corner taps (``tl_heat``, ``tl_embed``, ``tl_off``
-    and the same for ``br``) and, optionally, ``attn_<size>`` per size class,
-    which only the downsized frames read; other taps are ignored.  It is
-    called once per distinct (pixels, ``to_original``) input: a crop whose
-    map and pixel bytes match an earlier frame or crop (a zoom-1 crop is the
-    255 frame, or an earlier zoom-1 crop) reuses its output, so a stateful
-    model sees fewer calls than frames.  Each frame and crop still decodes
-    on its own.  Pass a dict as ``trace`` to collect locations, suppression
-    decisions, crop windows, pixel counts (``pixels_processed`` counts every
-    frame and crop) and ``n_model_calls``, the ``infer`` calls made.
-    ``crop_order`` permutes crop processing order (the result is invariant
-    to it; exists for order-independence tests).  Each frame's checked maps
-    become columns through the array cores that ``heatmap_peaks``,
-    ``group_corners`` and ``extract_locations`` wrap, and candidate locations
-    are ranked and suppressed as columns.  ``Detection``s are built only for
-    ``soft_nms``'s input, ``ObjectLocation``s for the crops and trace.
-    Raises ``ValueError`` for a ``model`` without ``infer`` (wrap an
-    ``ArchGraph`` in ``GraphModel``), a ``config`` that is neither None nor a
-    ``SaccadeConfig`` (build one from a dict with ``SaccadeConfig.from_dict``),
-    an image with a batch other than 1 or a non-finite pixel, and for bad
-    corner maps or downsized-frame attention maps.
+
+def _select_crops(candidates, frame255, config):
+    """The kept candidate rows in rank order, the first ``max_regions`` as
+    ``ObjectLocation``s, and their windows on ``frame255``, the first frame triple."""
+    source, priority, x, y = candidates.T[:4]
+    rank = np.lexsort((x, y, -priority, source))  # stable: suppress_locations' sort on finite keys
+    kept = rank[_suppress_columns(x[rank], y[rank], config.suppress_radius)]
+    selected = [_location(row) for row in candidates[kept[:config.max_regions]].tolist()]
+    return kept, selected, [make_crop(loc, config, frame255[2], frame255[1]) for loc in selected]
+
+
+def _crop_pass(image, windows, crop_order, infer, outputs, config):
+    """Each window's class, score and source-pixel box columns inside
+    ``boundary_margin``, in window order; the windows run in ``crop_order``."""
+    order = list(crop_order) if crop_order is not None else list(range(len(windows)))
+    if sorted(order) != list(range(len(windows))):
+        raise ValueError("crop_order must be a permutation of the selected crop indices")
+    columns = [None] * len(windows)
+    for idx in order:
+        window = windows[idx]
+        out = _infer_once(infer, crop_pixels(image, window), window.to_original, outputs)
+        cls, score, boxes = _detect_frame(out, f"crop {idx}", config)
+        inside = _inside_margin(*boxes.T, config.boundary_margin)
+        columns[idx] = (cls[inside], score[inside], window.to_original.apply_box(boxes[inside]))
+    return columns
+
+
+def _merge(columns, width, height, config):
+    """``soft_nms`` of every column's detections, boxes clamped into the image."""
+    cls, score, boxes = (np.concatenate(column) for column in zip(*columns))
+    merged = _detections(cls, score, _clamp_boxes(boxes, width, height))
+    return soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
+                    method=config.nms_method, linear_threshold=config.nms_linear_threshold)
+
+
+def run_saccade(image, model, config=None, trace=None, crop_order=None):
+    """Full inference: the frame pass, crop selection, the crop pass and the merge.
+
+    ``model.infer(frame, to_original)`` returns ``{tap name: map}``: the six corner
+    taps (``tl_heat``, ``tl_embed``, ``tl_off``, the same for ``br``) and, on the
+    downsized frames, any ``attn_<size>``; other taps are ignored.  It runs once per
+    distinct input (see ``_infer_once``), and each frame and crop decodes on its own.
+    A dict ``trace`` collects locations, suppression decisions, crop windows, pixel
+    counts (``pixels_processed`` counts every frame and crop) and ``n_model_calls``.
+    ``crop_order`` permutes the crop pass, which leaves the result unchanged.  Raises
+    ``ValueError`` for a ``model`` without ``infer`` (wrap an ``ArchGraph`` in
+    ``GraphModel``), a ``config`` that is neither None nor a ``SaccadeConfig``, an image
+    with a batch other than 1 or a non-finite pixel, and bad corner or attention maps.
     """
     _require(callable(getattr(model, "infer", None)), "model",
              "provide infer(frame, to_original)", type(model).__name__)
@@ -587,8 +626,6 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     _, _, img_h, img_w = image.shape
 
     frames = downsize_pair(image)
-    _, aff255, content255 = frames[0]
-    to_canonical = aff255.invert()
     n_model_calls = 0
     outputs = {}  # to_original -> every (frame, model output) under it
 
@@ -597,56 +634,19 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
         n_model_calls += 1
         return model.infer(frame, to_original)
 
-    box_rows, attention_rows = [], []  # the trace lists all box candidates first
-    columns = []  # (class, score, boxes in source pixels) of each frame
-    for (frame, aff, _), tag in zip(frames, DOWNSIZE_SCALES):
-        out = _infer_once(infer, frame, aff, outputs)
-        cls, score, boxes = _detect_frame(out, tag, config)
-        # map this frame's coordinates into the canonical 255 frame
-        remap = Affine(1.0, 1.0) if aff is aff255 else to_canonical.compose(aff)
-        attention = {size: _checked_map(tag, f"attn {size}", out[f"attn_{size}"], 1, unit=True)
-                     for size in SIZE_CLASSES if f"attn_{size}" in out}
-        strides = {size: CROP_SIZE / arr.shape[2] for size, arr in attention.items()}
-        peak, x, y, size = _attention_columns(attention, config.attention_threshold, strides)
-        attention_rows.append(_candidates("attention", peak, *remap.apply(x, y), size, tag))
-        strong = score > config.attention_threshold
-        x1, y1, x2, y2 = remap.apply_box(boxes[strong]).T
-        box_rows.append(_candidates("box", score[strong], (x1 + x2) / 2.0, (y1 + y2) / 2.0,
-                                    _size_index(_longer_sides(x1, y1, x2, y2)), tag))
-        columns.append((cls, score, aff.apply_box(boxes)))
-
-    candidates = np.concatenate(box_rows + attention_rows)
-    source, priority, x, y = candidates.T[:4]
-    rank = np.lexsort((x, y, -priority, source))  # stable: suppress_locations' sort on finite keys
-    kept = rank[_suppress_columns(x[rank], y[rank], config.suppress_radius)]
-    selected = [_location(row) for row in candidates[kept[:config.max_regions]].tolist()]
-    windows = [make_crop(loc, config, content255, aff255) for loc in selected]
-
-    order = list(crop_order) if crop_order is not None else list(range(len(windows)))
-    if sorted(order) != list(range(len(windows))):
-        raise ValueError("crop_order must be a permutation of the selected crop indices")
-    crop_det_counts = [0] * len(windows)
-    for idx in order:
-        window = windows[idx]
-        out = _infer_once(infer, crop_pixels(image, window), window.to_original, outputs)
-        cls, score, boxes = _detect_frame(out, f"crop {idx}", config, config.boundary_margin)
-        crop_det_counts[idx] = len(score)
-        columns.append((cls, score, window.to_original.apply_box(boxes)))
-
-    cls, score, boxes = (np.concatenate(column) for column in zip(*columns))
-    merged = _detections(cls, score, _clamp_boxes(boxes, img_w, img_h))
-    final = soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
-                     method=config.nms_method, linear_threshold=config.nms_linear_threshold)
+    candidates, frame_columns = _frame_pass(frames, infer, outputs, config)
+    kept, selected, windows = _select_crops(candidates, frames[0], config)
+    crop_columns = _crop_pass(image, windows, crop_order, infer, outputs, config)
+    final = _merge(frame_columns + crop_columns, img_w, img_h, config)
 
     if trace is not None:
         trace["locations"] = _location_records(candidates, kept)
         trace["n_locations"] = len(candidates)
         trace["n_kept_locations"] = len(kept)
-        trace["crops"] = [{**w.to_dict(), "n_detections": crop_det_counts[i],
-                           "size_class": selected[i].size}
-                          for i, w in enumerate(windows)]
+        trace["crops"] = [{**w.to_dict(), "n_detections": len(score), "size_class": loc.size}
+                          for w, loc, (_, score, _) in zip(windows, selected, crop_columns)]
         trace["n_crops"] = len(windows)
-        trace["n_downsized_detections"] = sum(len(score) for _, score, _ in columns[:len(frames)])
+        trace["n_downsized_detections"] = sum(len(score) for _, score, _ in frame_columns)
         trace["pixels_processed"] = (len(frames) + len(windows)) * CROP_SIZE * CROP_SIZE
         trace["n_model_calls"] = n_model_calls
         trace["pixels_full_resolution"] = img_h * img_w

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decode import Detection, _box_field, _strides, attention_targets, corner_targets
-from .kernels import _from_fields, _integer, _pair, _require, as_tensor
+from .kernels import _from_fields, _integer, _is_integer, _pair, _require, as_tensor
 from .pipeline import CROP_SIZE, Affine
 
 ATTENTION_MAP_HW = {"small": (64, 64), "medium": (32, 32), "large": (16, 16)}
@@ -173,12 +173,19 @@ class OracleModel:
     source pixels), keeps the rows fully inside, and returns
     ``oracle_outputs`` for them: ``{tap name: map}``, as ``GraphModel.infer``
     does.  Embedding tags stay attached to scene objects (object i carries
-    i + 1), so the same object carries the same tag in every frame.
+    i + 1), so the same object carries the same tag in every frame.  Raises
+    ``ValueError`` naming ``gt[i]`` for a box that is not 4 finite coordinates
+    and a class that is not an integer in [0, ``num_classes``).
     """
 
     def __init__(self, gt, num_classes):
         _integer("num_classes", num_classes)
         self.gt = list(gt)
+        for i, det in enumerate(self.gt):
+            with _from_fields(f"gt[{i}]"):
+                _box_field(det.box)
+            _require(_is_integer(det.cls, 0) and det.cls < num_classes, f"gt[{i}] class",
+                     f"be an integer in [0, {num_classes})", det.cls)
         self.num_classes = num_classes
 
     def infer(self, image, to_original):

@@ -484,6 +484,29 @@ MISUSE = [
      r"^linear_threshold must be in \[0, 1\], got -1"),
     ("extract_locations", "threshold", -1, lambda v: extract_locations(ATTENTION, v, STRIDES),
      r"^threshold must be in \(0, 1\), got -1"),
+    # ground truth is checked where it enters the oracle, not in the frame it shows in;
+    # JSON records refuse a non-finite box by the same rule
+    ("OracleModel", "gt box", (1.0, 2.0, NAN, 40.0),
+     lambda v: OracleModel([Detection(0, 1.0, v)], 3),
+     r"^gt\[0\]: missing or bad field box must be finite, got \(1.0, 2.0, nan, 40.0\)"),
+    ("OracleModel", "gt box", (1.0, 2.0, 40.0), lambda v: OracleModel([Detection(0, 1.0, v)], 3),
+     r"^gt\[0\]: missing or bad field box must hold 4 coordinates \(x1, y1, x2, y2\)"),
+    ("OracleModel", "gt class", 3,
+     lambda v: OracleModel([DETS[0], Detection(v, 1.0, (1.0, 2.0, 30.0, 40.0))], 3),
+     r"^gt\[1\] class must be an integer in \[0, 3\), got 3"),
+    ("OracleModel", "gt class", -1,
+     lambda v: OracleModel([Detection(v, 1.0, (1.0, 2.0, 30.0, 40.0))], 3),
+     r"^gt\[0\] class must be an integer in \[0, 3\), got -1"),
+    ("OracleModel", "gt class", 1.5,
+     lambda v: OracleModel([Detection(v, 1.0, (1.0, 2.0, 30.0, 40.0))], 3),
+     r"^gt\[0\] class must be an integer in \[0, 3\), got 1.5"),
+    ("Detection.from_dict", "box", [10, 10, NAN, 60],
+     lambda v: Detection.from_dict({"class": 0, "score": 1.0, "box": v}),
+     r"^detection: missing or bad field box must be finite, got \[10, 10, nan, 60\]"),
+    ("SceneSpec.from_dict", "objects.box", [8, 8, 40, INF],
+     lambda v: SceneSpec.from_dict({"height": 64, "width": 64,
+                                    "objects": [{"class": 0, "box": v}]}),
+     "^scene spec: missing or bad field box must be finite"),
 ]
 
 

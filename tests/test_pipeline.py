@@ -1630,6 +1630,33 @@ def test_tracer_wraps_live_names_and_restores_them(monkeypatch):
     assert rows["pipeline.soft_nms"]["out"] == len(dets)
 
 
+def test_tracer_sees_every_saccade_stage(monkeypatch):
+    # the stages call downsize_pair, crop_pixels and soft_nms by their module
+    # names at call time; an alias bound earlier would hide them from the tracer
+    from fovea import analysis, build_squeeze_hourglass, init_weights
+    tracing = _perfbench("tracing", monkeypatch)
+    img, gt = gen_scene(random_scene(0, 3))
+    g = build_squeeze_hourglass(3)
+    init_weights(g, seed=0)
+    for model, config, macs in ((OracleModel(gt, num_classes=3), None, {}),
+                                (pipeline.GraphModel(g), SaccadeConfig(max_regions=2),
+                                 {id(g): analysis.cost_report(g).macs})):
+        tracer, trace = tracing.Tracer(macs), {}
+        tracer.install()
+        try:
+            dets = pipeline.run_saccade(img, model, config, trace=trace)
+        finally:
+            tracer.uninstall()
+        rows = tracer.summarize()
+        assert trace["n_crops"] >= 1
+        assert rows["pipeline.downsize_pair"]["calls"] == 1
+        assert rows["kernels.resize_longer_side"]["calls"] == 2
+        assert rows["pipeline.crop_pixels"]["calls"] == trace["n_crops"]
+        assert rows["pipeline.model_infer"]["calls"] == trace["n_model_calls"]
+        assert rows["pipeline.soft_nms"]["calls"] == 1
+        assert rows["pipeline.soft_nms"]["out"] == len(dets)
+
+
 def test_tracer_counts_each_conv_node_once(monkeypatch):
     # depthwise_conv2d runs through kernels.conv2d, but the tracer wraps the
     # names graph looks up, so each conv and dwconv node is one span
