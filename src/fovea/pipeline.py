@@ -16,13 +16,12 @@ from .decode import (SIZE_CLASSES, Detection, _detections, _group_columns, _long
                      _peak_columns, _size_index)
 from .decode import group_corners, heatmap_peaks  # noqa: F401  perfbench/tracing.py wraps them here
 from .graph import forward
-from .kernels import (_bilinear_sample, _integer, _number, _one_of, _require, as_tensor,
-                      resize_longer_side, zero_pad_to)
+from .kernels import (_bilinear_sample, _integer, _is_integer, _number, _one_of, _require,
+                      as_tensor, resize_longer_side, zero_pad_to)
 
 CROP_SIZE = 255
 DOWNSIZE_SCALES = (255, 192)
 SOURCES = ("box", "attention")  # candidate sources, in rank order
-_NMS_METHODS = ("gaussian", "linear")
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,8 @@ class CropWindow:
 
 @dataclass
 class SaccadeConfig:
+    """The saccade's settings; soft-NMS decays by exp(-iou^2 / ``nms_sigma``)."""
+
     attention_threshold: float = 0.3
     zoom_small: float = 4.0
     zoom_medium: float = 2.0
@@ -93,8 +94,6 @@ class SaccadeConfig:
     suppress_radius: float = 16.0
     nms_sigma: float = 0.5
     nms_floor: float = 0.001
-    nms_method: str = "gaussian"
-    nms_linear_threshold: float = 0.3
     boundary_margin: float = 0.0
     embed_threshold: float = 0.5
     corners_per_kind: int = 100
@@ -108,13 +107,11 @@ class SaccadeConfig:
                  "satisfy small > medium > large >= 1", zooms)
         _integer("max_regions", self.max_regions)
         _integer("corners_per_kind", self.corners_per_kind)
-        _one_of("nms_method", self.nms_method, _NMS_METHODS)
         for name, ok, want in (
                 ("attention_threshold", 0.0 < self.attention_threshold < 1.0, "lie in (0, 1)"),
                 ("suppress_radius", self.suppress_radius >= 0, "be >= 0"),
                 ("nms_sigma", self.nms_sigma > 0, "be > 0"),
                 ("nms_floor", 0.0 <= self.nms_floor < 1.0, "lie in [0, 1)"),
-                ("nms_linear_threshold", 0.0 <= self.nms_linear_threshold <= 1.0, "lie in [0, 1]"),
                 ("boundary_margin", 0.0 <= self.boundary_margin < CROP_SIZE / 2,
                  f"lie in [0, {CROP_SIZE / 2})"),
                 ("embed_threshold", self.embed_threshold >= 0.0, "be >= 0")):
@@ -324,18 +321,15 @@ def iou(box_a, box_b):
     return inter / union if iw > 0 and ih > 0 and union > 0 else 0.0
 
 
-def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_threshold=0.3):
-    """Per-class score-decay duplicate removal.
+def soft_nms(dets, sigma=0.5, score_floor=0.001):
+    """Per-class Gaussian score-decay duplicate removal.
 
-    Repeatedly keep the highest-scoring remaining box (ties: smallest box
-    tuple first); gaussian mode decays every other box by
-    exp(-iou^2 / sigma), linear mode scales by (1 - iou) when iou exceeds
-    ``linear_threshold``.  Boxes whose score ends up (or starts) below
-    ``score_floor`` are dropped.  Output sorts by final score, then class,
-    then box.  Raises ``ValueError`` for an unknown ``method``, a ``sigma``
-    that is not a number > 0, a ``score_floor`` outside [0, 1) or a
-    ``linear_threshold`` outside [0, 1] (as ``SaccadeConfig``), and a
-    detection with a non-finite score or box coordinate.
+    Repeatedly keep the highest-scoring remaining box (ties: smallest box tuple
+    first) and decay every other box by exp(-iou^2 / sigma).  Boxes whose score
+    ends up (or starts) below ``score_floor`` are dropped.  Output sorts by final
+    score, then class, then box.  Raises ``ValueError`` for a ``sigma`` that is
+    not a number > 0, a ``score_floor`` outside [0, 1) (as ``SaccadeConfig``),
+    and a detection with a non-finite score or box coordinate.
 
     Each class's pool is held once as contiguous ``x1, y1, x2, y2`` and
     ``area`` columns in box order, with scratch buffers filled in place.  A
@@ -345,20 +339,16 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
     than half of them are dead.  The arithmetic per pair is that of
     ``iou()``, so every score is bit-equal to the plain greedy loop.
 
-    The gaussian decay must be the ``math.exp`` of that loop, which is the C
-    library's ``exp``.  Plain ``np.exp`` runs numpy's own vectorized float64
-    routine, which differs from it in the last bit on a few percent of
-    values.  numpy's complex ``exp`` calls the C library's ``cexp``, and for
-    a zero imaginary part glibc's ``cexp`` returns ``exp(x) * 1.0``: the same
-    value, for a whole array in one call.
+    The decay must be the ``math.exp`` of that loop, which is the C library's
+    ``exp``.  Plain ``np.exp`` runs numpy's own vectorized float64 routine, which
+    differs from it in the last bit on a few percent of values.  numpy's complex
+    ``exp`` calls the C library's ``cexp``, and for a zero imaginary part glibc's
+    ``cexp`` returns ``exp(x) * 1.0``: the same value, for a whole array in one call.
     """
-    for name, value in (("sigma", sigma), ("score_floor", score_floor),
-                        ("linear_threshold", linear_threshold)):
+    for name, value in (("sigma", sigma), ("score_floor", score_floor)):
         _number(name, value)
     _require(sigma > 0, "sigma", "be > 0", sigma)
     _require(0.0 <= score_floor < 1.0, "score_floor", "be in [0, 1)", score_floor)
-    _require(0.0 <= linear_threshold <= 1.0, "linear_threshold", "be in [0, 1]", linear_threshold)
-    _one_of("method", method, _NMS_METHODS)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(len(dets), 4)
     bad = np.flatnonzero(~(np.isfinite(scores) & np.isfinite(boxes).all(axis=1)))
@@ -396,13 +386,8 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001, method="gaussian", linear_thres
                 pos = union > 0
                 hit, inter, union = hit[pos], inter[pos], union[pos]
             ov = np.divide(inter, union, out=inter)
-            if method == "gaussian":
-                # libm's exp through complex cexp: see the docstring
-                decay = np.exp((-(ov * ov) / sigma).astype(np.complex128)).real
-            else:
-                over = ov > linear_threshold
-                hit, decay = hit[over], 1.0 - ov[over]
-            decayed = s[hit] * decay
+            # libm's exp through complex cexp: see the docstring
+            decayed = s[hit] * np.exp((-(ov * ov) / sigma).astype(np.complex128)).real
             dropped = ~(decayed >= score_floor)  # not <, so a NaN score is dropped as well
             n_dropped = int(np.count_nonzero(dropped))
             if n_dropped:
@@ -582,8 +567,8 @@ def _crop_pass(image, windows, crop_order, infer, outputs, config):
     """Each window's class, score and source-pixel box columns inside
     ``boundary_margin``, in window order; the windows run in ``crop_order``."""
     order = list(crop_order) if crop_order is not None else list(range(len(windows)))
-    if sorted(order) != list(range(len(windows))):
-        raise ValueError("crop_order must be a permutation of the selected crop indices")
+    _require(all(_is_integer(i, 0) for i in order) and sorted(order) == list(range(len(windows))),
+             "crop_order", f"be a permutation of range({len(windows)})", crop_order)
     columns = [None] * len(windows)
     for idx in order:
         window = windows[idx]
@@ -598,8 +583,7 @@ def _merge(columns, width, height, config):
     """``soft_nms`` of every column's detections, boxes clamped into the image."""
     cls, score, boxes = (np.concatenate(column) for column in zip(*columns))
     merged = _detections(cls, score, _clamp_boxes(boxes, width, height))
-    return soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
-                    method=config.nms_method, linear_threshold=config.nms_linear_threshold)
+    return soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor)
 
 
 def run_saccade(image, model, config=None, trace=None, crop_order=None):
@@ -614,7 +598,8 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     ``crop_order`` permutes the crop pass, which leaves the result unchanged.  Raises
     ``ValueError`` for a ``model`` without ``infer`` (wrap an ``ArchGraph`` in
     ``GraphModel``), a ``config`` that is neither None nor a ``SaccadeConfig``, an image
-    with a batch other than 1 or a non-finite pixel, and bad corner or attention maps.
+    with a batch other than 1 or a non-finite pixel, bad corner or attention maps, and a
+    ``crop_order`` that is not a permutation of the integer crop indices.
     """
     _require(callable(getattr(model, "infer", None)), "model",
              "provide infer(frame, to_original)", type(model).__name__)

@@ -175,7 +175,8 @@ class OracleModel:
     does.  Embedding tags stay attached to scene objects (object i carries
     i + 1), so the same object carries the same tag in every frame.  Raises
     ``ValueError`` naming ``gt[i]`` for a box that is not 4 finite coordinates
-    and a class that is not an integer in [0, ``num_classes``).
+    or is inverted (x2 < x1 or y2 < y1), and a class that is not an integer in
+    [0, ``num_classes``).
     """
 
     def __init__(self, gt, num_classes):
@@ -183,7 +184,8 @@ class OracleModel:
         self.gt = list(gt)
         for i, det in enumerate(self.gt):
             with _from_fields(f"gt[{i}]"):
-                _box_field(det.box)
+                x1, y1, x2, y2 = _box_field(det.box)
+            _require(x1 <= x2 and y1 <= y2, f"gt[{i}] box", "have x1 <= x2 and y1 <= y2", det.box)
             _require(_is_integer(det.cls, 0) and det.cls < num_classes, f"gt[{i}] class",
                      f"be an integer in [0, {num_classes})", det.cls)
         self.num_classes = num_classes

@@ -79,6 +79,12 @@ SKT = fovea.skt.tensor_to_bytes(np.zeros(4, np.float32))  # 10-byte header, 16-b
 SKT_FILES = {"truncated": SKT[:-4], "bad-magic": b"NOPE" + SKT[4:], "trailing-bytes": SKT + b"\0"}
 
 
+def _saccade_in_crop_order(order):
+    # random_scene(0, 3) selects 3 crops, so only the element types make these orders bad
+    image, gt = gen_scene(random_scene(0, 3))
+    return run_saccade(image, OracleModel(gt, 3), crop_order=order)
+
+
 def _read_skt(name):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / f"{name}.skt"
@@ -104,8 +110,6 @@ MISUSE = [
     ("heatmap_peaks", "heatmaps", NAN, lambda v: heatmap_peaks(np.full_like(HEAT, v), 10),
      "heatmaps hold non-finite"),
     ("soft_nms", "score_floor", NAN, lambda v: soft_nms(DETS, score_floor=v), "score_floor"),
-    ("soft_nms", "linear_threshold", NAN,
-     lambda v: soft_nms(DETS, method="linear", linear_threshold=v), "linear_threshold"),
     ("init_weights", "seed", 1.5, lambda v: init_weights(_conv_graph(), seed=v), "seed must be"),
     ("init_weights", "seed", -1, lambda v: init_weights(_conv_graph(), seed=v), "seed must be"),
     ("heatmap_peaks", "offsets", (1, 2, 4, 4),
@@ -415,9 +419,6 @@ MISUSE = [
      "^sigma must be a number, got 'a'"),
     ("soft_nms", "score_floor", "0.1", lambda v: soft_nms(DETS, score_floor=v),
      "^score_floor must be a number, got '0.1'"),
-    ("soft_nms", "linear_threshold", None,
-     lambda v: soft_nms(DETS, method="linear", linear_threshold=v),
-     "^linear_threshold must be a number, got None"),
     ("extract_locations", "threshold", "0.3", lambda v: extract_locations(ATTENTION, v, STRIDES),
      "^threshold must be a number, got '0.3'"),
     # the list APIs and make_crop refuse a non-number by name too; a missing
@@ -479,9 +480,6 @@ MISUSE = [
     # the list APIs refuse the ranges SaccadeConfig refuses for the same values
     ("soft_nms", "score_floor", -1, lambda v: soft_nms(DETS, score_floor=v),
      r"^score_floor must be in \[0, 1\), got -1"),
-    ("soft_nms", "linear_threshold", -1,
-     lambda v: soft_nms(DETS, method="linear", linear_threshold=v),
-     r"^linear_threshold must be in \[0, 1\], got -1"),
     ("extract_locations", "threshold", -1, lambda v: extract_locations(ATTENTION, v, STRIDES),
      r"^threshold must be in \(0, 1\), got -1"),
     # ground truth is checked where it enters the oracle, not in the frame it shows in;
@@ -507,6 +505,23 @@ MISUSE = [
      lambda v: SceneSpec.from_dict({"height": 64, "width": 64,
                                     "objects": [{"class": 0, "box": v}]}),
      "^scene spec: missing or bad field box must be finite"),
+    # a crop index is an integer: a float cannot index the windows, a bool would run as 0 or 1
+    ("run_saccade", "crop_order", [0.0, 1, 2], _saccade_in_crop_order,
+     r"^crop_order must be a permutation of range\(3\), got \[0.0, 1, 2\]"),
+    ("run_saccade", "crop_order", [True, 0, 2], _saccade_in_crop_order,
+     r"^crop_order must be a permutation of range\(3\), got \[True, 0, 2\]"),
+    # an inverted ground-truth box fails at construction, not inside attention_targets
+    ("OracleModel", "gt box", (40.0, 2.0, 10.0, 40.0),
+     lambda v: OracleModel([DETS[0], Detection(0, 1.0, v)], 3),
+     r"^gt\[1\] box must have x1 <= x2 and y1 <= y2, got \(40.0, 2.0, 10.0, 40.0\)"),
+    ("OracleModel", "gt box", (1.0, 40.0, 30.0, 10.0),
+     lambda v: OracleModel([Detection(0, 1.0, v)], 3),
+     r"^gt\[0\] box must have x1 <= x2 and y1 <= y2, got \(1.0, 40.0, 30.0, 10.0\)"),
+    # a config file that still sets the dropped linear soft-NMS fields is refused by key
+    ("SaccadeConfig.from_dict", "nms_method", {"nms_method": "gaussian"}, SaccadeConfig.from_dict,
+     r"^unknown SaccadeConfig key\(s\) \['nms_method'\]"),
+    ("SaccadeConfig.from_dict", "nms_linear_threshold", {"nms_linear_threshold": 0.3},
+     SaccadeConfig.from_dict, r"^unknown SaccadeConfig key\(s\) \['nms_linear_threshold'\]"),
 ]
 
 

@@ -537,7 +537,7 @@ def test_soft_nms_drops_below_floor():
     assert out == []
 
 
-def _soft_nms_oracle(dets, sigma, floor, method="gaussian", linear_threshold=0.3):
+def _soft_nms_oracle(dets, sigma, floor):
     """Independent greedy reference: same conventions, plain loops."""
     out = []
     for cls in sorted({d.cls for d in dets}):
@@ -556,10 +556,7 @@ def _soft_nms_oracle(dets, sigma, floor, method="gaussian", linear_threshold=0.3
                     union = ((box[2] - box[0]) * (box[3] - box[1])
                              + (b[2] - b[0]) * (b[3] - b[1]) - inter)
                     ov = inter / union
-                if method == "gaussian":
-                    s2 = s * math.exp(-(ov * ov) / sigma)
-                else:
-                    s2 = s * (1.0 - ov) if ov > linear_threshold else s
+                s2 = s * math.exp(-(ov * ov) / sigma)
                 if s2 >= floor:
                     rest.append([s2, b])
             pool = sorted(rest, key=lambda t: (-t[0], t[1]))
@@ -626,12 +623,11 @@ def _tied_dets(rng, n, classes=4):
     return dets[:n]
 
 
-@pytest.mark.parametrize("method", ["gaussian", "linear"])
 @pytest.mark.parametrize("n", [500, 1000, 2000])
-def test_soft_nms_matches_reference_at_benchmark_sizes(n, method):
+def test_soft_nms_matches_reference_at_benchmark_sizes(n):
     dets = _tied_dets(np.random.default_rng(n), n)
-    got = soft_nms(dets, sigma=0.5, score_floor=0.001, method=method)
-    want = _soft_nms_oracle(dets, 0.5, 0.001, method=method)
+    got = soft_nms(dets, sigma=0.5, score_floor=0.001)
+    want = _soft_nms_oracle(dets, 0.5, 0.001)
     assert [(d.cls, d.score, d.box) for d in got] == \
            [(d.cls, d.score, d.box) for d in want]
     assert all(type(d.score) is float for d in got)
@@ -663,11 +659,6 @@ def test_complex_exp_decay_pins_libm_exp(sigma):
     assert got.tobytes() == want.tobytes()
 
 
-def test_soft_nms_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method 'hard'"):
-        soft_nms([Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0))], method="hard")
-
-
 @pytest.mark.parametrize("bad", [Detection(1, math.nan, (0.0, 0.0, 10.0, 10.0)),
                                  Detection(1, 0.5, (0.0, math.inf, 10.0, 10.0)),
                                  Detection(1, 0.5, (0.0, 0.0, -math.inf, 10.0))])
@@ -678,32 +669,8 @@ def test_soft_nms_rejects_non_finite_input(bad):
         soft_nms(dets)
 
 
-def test_soft_nms_linear_mode():
-    box = (10.0, 10.0, 50.0, 50.0)
-    out = soft_nms([Detection(0, 0.9, box), Detection(0, 0.8, box)], method="linear")
-    assert len(out) == 1  # (1 - iou) = 0 kills the duplicate outright
-    shifted = (30.0, 10.0, 70.0, 50.0)
-    ov = iou(box, shifted)
-    out = soft_nms([Detection(0, 0.9, box), Detection(0, 0.8, shifted)], method="linear")
-    assert out[1].score == pytest.approx(0.8 * (1 - ov))
-
-
 def _as_rows(dets):
     return [(d.cls, d.score, d.box) for d in dets]
-
-
-def test_soft_nms_linear_never_decays_dead_duplicates():
-    # 200 exact duplicates die together at IoU 1 (factor 1 - 1.0 = 0), which
-    # leaves fewer than half the pool dead, so they stay in the columns, at
-    # -inf, while the overlapping boxes are picked.  A dead entry decayed
-    # again in linear mode reads -inf * (1 - iou), NaN at IoU 1
-    rng = np.random.default_rng(70)
-    box = (40.0, 40.0, 120.0, 110.0)
-    dets = [Detection(0, float(rng.uniform(0.05, 1.0)), box) for _ in range(200)]
-    dets += _random_dets(rng, 300, classes=1)
-    got = soft_nms(dets, method="linear")
-    assert _as_rows(got) == _as_rows(_soft_nms_oracle(dets, 0.5, 0.001, method="linear"))
-    assert sum(d.box == box for d in got) == 1
 
 
 def _noisy_dets(rng, n, classes=2, frame=255.0):
@@ -718,18 +685,16 @@ def _noisy_dets(rng, n, classes=2, frame=255.0):
     return dets
 
 
-@pytest.mark.parametrize("method", ["gaussian", "linear"])
-def test_soft_nms_matches_reference_on_a_noisy_pool(method):
+def test_soft_nms_matches_reference_on_a_noisy_pool():
     dets = _noisy_dets(np.random.default_rng(71), 3000)
-    got = soft_nms(dets, sigma=0.5, score_floor=0.001, method=method)
-    assert _as_rows(got) == _as_rows(_soft_nms_oracle(dets, 0.5, 0.001, method=method))
+    got = soft_nms(dets, sigma=0.5, score_floor=0.001)
+    assert _as_rows(got) == _as_rows(_soft_nms_oracle(dets, 0.5, 0.001))
 
 
-@pytest.mark.parametrize("method", ["gaussian", "linear"])
-def test_soft_nms_empty_and_all_below_floor_give_nothing(method):
-    assert soft_nms([], method=method) == []
+def test_soft_nms_empty_and_all_below_floor_give_nothing():
+    assert soft_nms([]) == []
     below = [Detection(c, 0.0009, (10.0 * c, 0.0, 10.0 * c + 30.0, 40.0)) for c in range(3)]
-    assert soft_nms(below, score_floor=0.001, method=method) == []
+    assert soft_nms(below, score_floor=0.001) == []
 
 
 def test_iou_basics():
@@ -850,9 +815,10 @@ def test_run_saccade_order_independent():
     trace = {}
     base = run_saccade(img, model, trace=trace)
     n = trace["n_crops"]
-    if n > 1:
-        perm = list(reversed(range(n)))
-        shuffled = run_saccade(img, model, crop_order=perm)
+    assert n > 1
+    perm = list(reversed(range(n)))
+    for order in (perm, np.array(perm)):  # numpy integers are crop indices too
+        shuffled = run_saccade(img, model, crop_order=order)
         assert [(d.cls, d.score, d.box) for d in shuffled] == \
                [(d.cls, d.score, d.box) for d in base]
 
@@ -908,8 +874,8 @@ def test_run_saccade_accepts_weighted_graph_directly():
     ({"nms_floor": -1.0}, "nms_floor"),
     ({"nms_floor": 1.5}, "nms_floor"),
     ({"corners_per_kind": 0}, "corners_per_kind"),
-    ({"nms_linear_threshold": 1.5}, "nms_linear_threshold"),
-    ({"nms_linear_threshold": -0.1}, "nms_linear_threshold"),
+    ({"attention_threshold": 0.0}, "attention_threshold"),
+    ({"attention_threshold": math.nan}, "attention_threshold"),
     ({"boundary_margin": -1.0}, "boundary_margin"),
     ({"boundary_margin": 200.0}, "boundary_margin"),
     ({"embed_threshold": -0.5}, "embed_threshold"),
@@ -940,8 +906,6 @@ def test_saccade_config_validation():
         SaccadeConfig(zoom_small=1.0)
     with pytest.raises(ValueError, match="attention_threshold"):
         SaccadeConfig(attention_threshold=1.5)
-    with pytest.raises(ValueError, match="nms_method"):
-        SaccadeConfig(nms_method="nope")
     cfg = SaccadeConfig()
     assert SaccadeConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.zoom_for("small") == 4.0
@@ -1278,8 +1242,7 @@ def _run_saccade_reference(image, model, config):
             merged.append(Detection(det.cls, det.score,
                                     _reference_box(window.to_original, det.box, img_w, img_h)))
         crop_counts.append(n_kept)
-    final = soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor,
-                     method=config.nms_method, linear_threshold=config.nms_linear_threshold)
+    final = soft_nms(merged, sigma=config.nms_sigma, score_floor=config.nms_floor)
     return final, n_downsized, crop_counts
 
 
@@ -1591,8 +1554,7 @@ def test_soft_nms_never_raises_a_score():
     rng = np.random.default_rng(62)
     for trial in range(12):
         dets = (_tied_dets if trial % 2 else _random_dets)(rng, int(rng.integers(5, 400)))
-        method = ("gaussian", "linear")[trial % 3 == 0]
-        out = soft_nms(dets, sigma=float(rng.uniform(0.05, 2.0)), method=method)
+        out = soft_nms(dets, sigma=float(rng.uniform(0.05, 2.0)))
         # match outputs to inputs with the same class and box, best to best
         pools = {}
         for d in dets:

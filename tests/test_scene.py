@@ -123,6 +123,16 @@ def test_oracle_model_drops_boxes_outside_frame():
     assert out["tl_heat"][0, 1].sum() == 0
 
 
+def test_oracle_model_takes_the_flat_boxes_gen_scene_draws():
+    # a box with x1 == x2 or y1 == y2 is a scene object; only an inverted one is refused
+    spec = SceneSpec(64, 64, [SceneObject(0, (10.0, 10.0, 10.0, 30.0)),
+                              SceneObject(1, (5.0, 20.0, 40.0, 20.0))])
+    _, gt = gen_scene(spec)
+    frame = np.zeros((1, 3, 64, 64), np.float32)
+    out = OracleModel(gt, num_classes=2).infer(frame, Affine(1.0, 1.0))
+    assert out["tl_heat"][0].max(axis=(1, 2)).tolist() == [np.float32(ORACLE_PEAK)] * 2
+
+
 def test_oracle_model_requires_geometry():
     with pytest.raises(ValueError, match="map"):
         OracleModel([], 1).infer(np.zeros((1, 3, 255, 255), np.float32), None)
