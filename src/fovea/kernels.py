@@ -135,16 +135,19 @@ def conv2d(x, weights, bias, spec):
     rows*width), with the reduction axis in (channel, kh, kw) order: the
     order of the weight layout, so ``weights.reshape(groups, ocg, icg*kh*kw)``
     is the left GEMM operand with no copy.  Every ``groups`` value, depthwise
-    included, takes this one path.  At stride 1 the input is zero-padded once
-    into rows of width wp = w + 2*pad, plus one spare row, so tap (i, j) of a
-    band of output rows from r0 is one contiguous run of that buffer, at
-    offset (r0 + i)*wp + j; the band's GEMM computes wp - ow extra columns
-    per output row, which are dropped.  A strided conv gathers windows of a
-    buffer with no spare row, and its width is ow.  The columns are built one
-    band of output rows at a time, at most ``_COLS_BYTES`` each: a
-    whole-image buffer is kh*kw times the input (57 MB for a 384-channel
-    64x64 3x3 conv), which would set the peak resident memory of a forward
-    pass.  A 1x1, stride-1, unpadded conv multiplies ``x`` itself.
+    included, takes this one path.  Work runs one band of output rows at a
+    time.  At stride 1 the input rows a band reads are zero-padded into a
+    small buffer of rows of width wp = w + 2*pad, plus one spare row, so tap
+    (i, j) of the band's output row r is one contiguous run of that buffer,
+    at offset (r + i)*wp + j; the band's GEMM computes wp - ow extra columns
+    per output row, which are dropped.  A strided conv gathers windows of
+    such a buffer with no spare row, or of ``x`` itself when unpadded, and its
+    width is ow.  A band's columns hold at most ``_COLS_BYTES``, and its
+    buffers are freed before the next band's are made: whole-image columns
+    are kh*kw times the input (57 MB for a 384-channel 64x64 3x3 conv), and a
+    whole padded copy is one more input, either of which would set the peak
+    memory of a forward pass.  A 1x1, stride-1, unpadded conv multiplies
+    ``x`` itself.
     """
     x, w = _conv_operands(x, weights, spec)
     bias = _bias(bias, spec.out_channels)
@@ -159,20 +162,27 @@ def conv2d(x, weights, bias, spec):
         out = np.matmul(wm, x.reshape(n, g, k, h * wd))
     else:
         spare = int(s == 1)  # a spare row keeps the last band's runs at taps j > 0 inside
-        xp, width = x, wd + 2 * p if spare else ow
-        if p or spare:
-            xp = np.zeros((n, c, h + 2 * p + spare, wd + 2 * p), dtype=np.float32)
-            xp[:, :, p : p + h, p : p + wd] = x
-        sn, sc, sh, sw = xp.strides
-        # (n, c, kh, kw, oh, width) view of every tap; a band's copy is its columns
-        win = as_strided(xp, (n, c, kh, kw, oh, width), (sn, sc, sh, sw, s * sh, s * sw),
-                         writeable=False)
+        width = wd + 2 * p if spare else ow
         out = np.empty((n, g, ocg, oh, ow), dtype=np.float32)
         band = max(1, _COLS_BYTES // (4 * n * c * kh * kw * width))
         for r0 in range(0, oh, band):
             r1 = min(oh, r0 + band)
-            cols = np.ascontiguousarray(win[..., r0:r1, :]).reshape(n, g, k, (r1 - r0) * width)
+            top, rows = r0 * s - p, (r1 - r0 - 1) * s + kh + spare  # padded rows the band reads
+            if p or spare:
+                src = np.zeros((n, c, rows, wd + 2 * p), dtype=np.float32)
+                lo, hi = max(0, top), min(h, top + rows)
+                if lo < hi:  # a band may read padding alone
+                    src[:, :, lo - top : hi - top, p : p + wd] = x[:, :, lo:hi]
+            else:
+                src = x[:, :, top : top + rows]
+            sn, sc, sh, sw = src.strides
+            # (n, c, kh, kw, rows, width) view of every tap; its copy is the band's columns
+            win = as_strided(src, (n, c, kh, kw, r1 - r0, width),
+                             (sn, sc, sh, sw, s * sh, s * sw), writeable=False)
+            cols = np.ascontiguousarray(win).reshape(n, g, k, (r1 - r0) * width)
+            del src, win  # each band's buffers go before the next band's are made
             out[..., r0:r1, :] = np.matmul(wm, cols).reshape(n, g, ocg, r1 - r0, width)[..., :ow]
+            del cols
     out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)

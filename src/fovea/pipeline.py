@@ -7,7 +7,12 @@ frame is the 255-longer-side downsized image; locations found on the
 distances and crop construction live in one coordinate system.
 """
 
+import ctypes
+import functools
 import math
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -126,6 +131,9 @@ class SaccadeConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"SaccadeConfig must be read from a dict (a JSON object), "
+                             f"got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown SaccadeConfig key(s) {unknown}")
@@ -409,8 +417,10 @@ def soft_nms(dets, sigma=0.5, score_floor=0.001):
 class GraphModel:
     """Adapter running an ArchGraph, with its attached weights, as a model:
     ``infer`` returns ``forward``'s ``{tap name: map}``.  It serves frames of
-    any size the graph's shape rules accept, with the same weights.  Raises
-    ``ValueError`` for a graph without weights or without the six corner taps."""
+    any size the graph's shape rules accept, with the same weights, and from
+    two threads at once: ``run_saccade`` overlaps a ``GraphModel``'s calls, two
+    at a time.  Raises ``ValueError`` for a graph without weights or without
+    the six corner taps."""
 
     def __init__(self, graph):
         if not graph.params:
@@ -489,6 +499,99 @@ def _infer_once(infer, frame, to_original, outputs):
     return pairs[-1][1]
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) calls of the thread count of the loaded OpenBLAS: the
+    first mapped shared library named like BLAS.  None when that library lacks
+    them, or the process may use fewer than 2 cores."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = [line.split()[-1] for line in f]
+        if len(os.sched_getaffinity(0)) < 2:
+            return None
+        path = next(p for p in paths if "blas" in os.path.basename(p).lower() and ".so" in p)
+        lib = ctypes.CDLL(path)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    put.restype, put.argtypes = None, [ctypes.c_int]
+    return get, put
+
+
+_WORKERS = {}  # pid -> its one model-call worker thread; a forked child starts its own
+_PINNED = threading.Lock()  # one overlap at a time pins and restores the BLAS thread count
+
+
+def _worker():
+    pid = os.getpid()
+    if pid not in _WORKERS:
+        _WORKERS[pid] = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fovea-model")
+    return _WORKERS[pid]
+
+
+def _settle(calls, infer):
+    """Set each (future, frame, to_original) of ``calls`` to ``infer(frame, to_original)``
+    or to the exception it raised."""
+    for future, frame, to_original in calls:
+        try:
+            future.set_result(infer(frame, to_original))
+        except Exception as exc:
+            future.set_exception(exc)
+
+
+class _ModelCalls:
+    """The ``infer`` a ``run_saccade`` hands ``_infer_once``: it counts each model
+    call on the calling thread.  For a ``GraphModel``, when ``_blas_threads`` finds
+    the thread count, it defers the call to a ``Future``, so that ``outputs`` makes a
+    pass's distinct calls two at a time; any other model is called at once."""
+
+    def __init__(self, model):
+        self.model, self.count, self.deferred = model, 0, []
+        self.blas = _blas_threads() if isinstance(model, GraphModel) else None
+
+    def __call__(self, frame, to_original):
+        self.count += 1
+        if self.blas is None:
+            return self.model.infer(frame, to_original)
+        self.deferred.append((Future(), frame, to_original))
+        return self.deferred[-1][0]
+
+    def outputs(self, items, outputs):
+        """Yield the model output of each (frame, to_original) of ``items`` in
+        order, each through ``_infer_once``.  Called at once, each output is made
+        when it is asked for.  Deferred, every distinct call of ``items`` is made
+        first, two at a time, and an output whose call raised raises when reached."""
+        made = (_infer_once(self, frame, to_original, outputs) for frame, to_original in items)
+        if self.blas is None:
+            yield from made
+            return
+        made = list(made)
+        calls, self.deferred = self.deferred, []
+        self._overlap(calls)
+        for future in made:
+            yield future.result()
+
+    def _overlap(self, calls):
+        """Make ``calls``: every other one on the worker thread while the calling
+        thread makes the rest, with OpenBLAS pinned to half its threads meanwhile."""
+        get, put = self.blas
+        with _PINNED:
+            n = get() if len(calls) > 1 else 0
+            if n < 1:  # one call, or no thread count to halve: in turn
+                _settle(calls, self.model.infer)
+                return
+            put(max(1, n // 2))
+            try:
+                worker = _worker().submit(_settle, calls[1::2], self.model.infer)
+                try:
+                    _settle(calls[::2], self.model.infer)
+                finally:
+                    worker.result()
+            finally:
+                put(n)
+
+
 def _detect_frame(out, name, config):
     """The class, score and (n, 4) frame-pixel box columns of the detections
     in one 255x255 frame's model output scoring at least ``nms_floor``."""
@@ -531,13 +634,13 @@ def _location_records(candidates, kept):
             in zip(candidates.tolist(), flags.tolist())]
 
 
-def _frame_pass(frames, infer, outputs, config):
+def _frame_pass(frames, calls, outputs, config):
     """Candidate rows in the canonical 255 frame, every box row before every
     attention row, and each frame's class, score and source-pixel box columns."""
     to_canonical = frames[0][1].invert()
     box_rows, attention_rows, columns = [], [], []
-    for i, ((frame, aff, _), tag) in enumerate(zip(frames, DOWNSIZE_SCALES)):
-        out = _infer_once(infer, frame, aff, outputs)
+    outs = calls.outputs(((frame, aff) for frame, aff, _ in frames), outputs)
+    for i, ((_, aff, _), tag, out) in enumerate(zip(frames, DOWNSIZE_SCALES, outs)):
         cls, score, boxes = _detect_frame(out, tag, config)
         remap = to_canonical.compose(aff) if i else Affine(1.0, 1.0)
         attention = {size: _checked_map(tag, f"attn {size}", out[f"attn_{size}"], 1, unit=True)
@@ -563,16 +666,16 @@ def _select_crops(candidates, frame255, config):
     return kept, selected, [make_crop(loc, config, frame255[2], frame255[1]) for loc in selected]
 
 
-def _crop_pass(image, windows, crop_order, infer, outputs, config):
+def _crop_pass(image, windows, crop_order, calls, outputs, config):
     """Each window's class, score and source-pixel box columns inside
     ``boundary_margin``, in window order; the windows run in ``crop_order``."""
     order = list(crop_order) if crop_order is not None else list(range(len(windows)))
     _require(all(_is_integer(i, 0) for i in order) and sorted(order) == list(range(len(windows))),
              "crop_order", f"be a permutation of range({len(windows)})", crop_order)
     columns = [None] * len(windows)
-    for idx in order:
+    crops = ((crop_pixels(image, windows[idx]), windows[idx].to_original) for idx in order)
+    for idx, out in zip(order, calls.outputs(crops, outputs)):
         window = windows[idx]
-        out = _infer_once(infer, crop_pixels(image, window), window.to_original, outputs)
         cls, score, boxes = _detect_frame(out, f"crop {idx}", config)
         inside = _inside_margin(*boxes.T, config.boundary_margin)
         columns[idx] = (cls[inside], score[inside], window.to_original.apply_box(boxes[inside]))
@@ -593,6 +696,13 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     taps (``tl_heat``, ``tl_embed``, ``tl_off``, the same for ``br``) and, on the
     downsized frames, any ``attn_<size>``; other taps are ignored.  It runs once per
     distinct input (see ``_infer_once``), and each frame and crop decodes on its own.
+    For a ``GraphModel``, each pass (the two frames, then the crops) makes its
+    distinct calls first, two at a time: one on the calling thread, one on a
+    persistent worker thread, with OpenBLAS pinned to half its threads (at least
+    1) while they overlap and restored after, even when a call raises.  Any other
+    model, or a process whose OpenBLAS thread count cannot be read and set or that
+    has under 2 cores, makes each call in turn, just before its frame or crop
+    decodes.  Decoding, checks, errors and the trace keep frame and window order.
     A dict ``trace`` collects locations, suppression decisions, crop windows, pixel
     counts (``pixels_processed`` counts every frame and crop) and ``n_model_calls``.
     ``crop_order`` permutes the crop pass, which leaves the result unchanged.  Raises
@@ -611,17 +721,12 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     _, _, img_h, img_w = image.shape
 
     frames = downsize_pair(image)
-    n_model_calls = 0
+    calls = _ModelCalls(model)
     outputs = {}  # to_original -> every (frame, model output) under it
 
-    def infer(frame, to_original):
-        nonlocal n_model_calls
-        n_model_calls += 1
-        return model.infer(frame, to_original)
-
-    candidates, frame_columns = _frame_pass(frames, infer, outputs, config)
+    candidates, frame_columns = _frame_pass(frames, calls, outputs, config)
     kept, selected, windows = _select_crops(candidates, frames[0], config)
-    crop_columns = _crop_pass(image, windows, crop_order, infer, outputs, config)
+    crop_columns = _crop_pass(image, windows, crop_order, calls, outputs, config)
     final = _merge(frame_columns + crop_columns, img_w, img_h, config)
 
     if trace is not None:
@@ -633,7 +738,7 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
         trace["n_crops"] = len(windows)
         trace["n_downsized_detections"] = sum(len(score) for _, score, _ in frame_columns)
         trace["pixels_processed"] = (len(frames) + len(windows)) * CROP_SIZE * CROP_SIZE
-        trace["n_model_calls"] = n_model_calls
+        trace["n_model_calls"] = calls.count
         trace["pixels_full_resolution"] = img_h * img_w
         trace["pixels_ratio"] = trace["pixels_processed"] / trace["pixels_full_resolution"]
         trace["n_detections"] = len(final)

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fovea import kernels
 from fovea.analysis import (compare_archs, compare_to_csv, cost_report, depth_report,
                             param_enumeration, structure_census)
 from fovea.builders import (BUILDERS, Emit, build_hourglass54, build_hourglass104_reference,
                             build_single_module, build_squeeze_hourglass)
-from fovea.graph import ArchGraph, init_weights
+from fovea.graph import ArchGraph, forward, init_weights
 
 
 def _single_conv_graph(in_c=4, out_c=8, k=1, hw=(6, 6), bias=True):
@@ -34,6 +37,24 @@ def test_live_peak_bytes_pinned(variant, hw, peak):
     report = cost_report(BUILDERS[variant](3, (hw, hw)))
     assert report.live_peak_bytes == peak
     assert report.to_dict()["live_peak_bytes"] == peak
+
+
+@pytest.mark.parametrize("variant", ["squeeze", "hourglass54", "hg104-ref"])
+def test_forward_peak_is_live_activations_plus_two_column_budgets(variant):
+    # conv2d pads only the input rows of one band at a time, in a buffer freed
+    # before the next band's: a forward's peak is what plan keeps live plus one
+    # band's columns and GEMM product (24, 30 and 28 MiB; a whole padded copy
+    # of each conv input read 28.1, 33.3 and 31.3)
+    g = BUILDERS[variant](3, (255, 255))
+    init_weights(g, seed=0)
+    x = np.random.default_rng(0).standard_normal((1, 3, 255, 255), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        forward(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cost_report(g).live_peak_bytes + 2 * kernels._COLS_BYTES
 
 
 def test_cost_macs_formula_3x3():

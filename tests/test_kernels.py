@@ -264,6 +264,21 @@ def test_depthwise_band_seams_match_conv2d_and_naive(monkeypatch):
             np.testing.assert_allclose(depthwise_conv2d(x, w, spec),
                                        naive.conv2d_naive(x, w, None, 1, pad),
                                        rtol=RTOL, atol=1e-6)
+    # each band pads only the input rows it reads, dense and depthwise alike:
+    # 5 strided output rows run as 3+2, 9 and 11 stride-1 rows as 3+3+3 and
+    # 3+3+3+2, or one row a band, so every seam reads rows from two bands' buffers
+    for k, stride, pad in ((3, 2, 1), (7, 2, 3), (3, 1, 1), (3, 1, 2)):
+        width = (10 + 2 * pad - k) // stride + 1 if stride > 1 else 10 + 2 * pad
+        for groups in (1, 4):
+            wk = rand((4, 4 // groups, k, k), seed=62 + k + groups)
+            spec = ConvSpec(4, 4, (k, k), stride=stride, padding=pad, groups=groups)
+            for budget in (4 * 2 * 4 * k * k * width * 3, 1):
+                monkeypatch.setattr(kernels, "_COLS_BYTES", budget)
+                np.testing.assert_allclose(conv2d(x, wk, None, spec),
+                                           naive.conv2d_naive(x, wk, None, stride, pad),
+                                           rtol=RTOL, atol=1e-6)
+                if stride > 1:  # the window reference bands the same rows, ow wide
+                    _assert_bytes_match_window(x, wk, None, spec)
 
 
 # ---- transpose conv ------------------------------------------------------------

@@ -522,6 +522,10 @@ MISUSE = [
      r"^unknown SaccadeConfig key\(s\) \['nms_method'\]"),
     ("SaccadeConfig.from_dict", "nms_linear_threshold", {"nms_linear_threshold": 0.3},
      SaccadeConfig.from_dict, r"^unknown SaccadeConfig key\(s\) \['nms_linear_threshold'\]"),
+    # a config that is not a JSON object is named as such, not read as keys or iterated
+    *(("SaccadeConfig.from_dict", "config", bad, SaccadeConfig.from_dict,
+       rf"^SaccadeConfig must be read from a dict \(a JSON object\), got {kind}$")
+      for bad, kind in ((None, "NoneType"), ([1], "list"), ("ab", "str"), (3, "int"))),
 ]
 
 

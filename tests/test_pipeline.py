@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import math
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -1566,6 +1568,118 @@ def test_soft_nms_never_raises_a_score():
             i = taken.get(key, 0)
             taken[key] = i + 1
             assert d.score <= ranked[i]
+
+
+# ---- a GraphModel's calls, two at a time -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def squeeze_model():
+    from fovea.builders import build_squeeze_hourglass
+    from fovea.graph import init_weights
+
+    g = build_squeeze_hourglass(3, input_hw=(255, 255))
+    init_weights(g, seed=0)
+    return pipeline.GraphModel(g)
+
+
+def _forward_threads(monkeypatch, fail_on_worker=False):
+    """The thread of every ``forward`` a ``GraphModel`` makes from now on, with
+    OpenBLAS's thread count as each began; ``fail_on_worker`` makes the worker's raise."""
+    from fovea.graph import forward
+
+    calls, caller = [], threading.get_ident()
+    blas = pipeline._blas_threads()
+
+    def recorded(graph, x):
+        calls.append((threading.get_ident(), blas and blas[0]()))
+        if fail_on_worker and threading.get_ident() != caller:
+            raise ValueError("the worker's call failed")
+        return forward(graph, x)
+
+    monkeypatch.setattr(pipeline, "forward", recorded)
+    return calls
+
+
+def test_overlapped_calls_match_calls_in_turn_on_the_noisy_library(squeeze_model, monkeypatch):
+    # perfbench's saccade_squeeze_noisy images; behind a wrapper that is not a
+    # GraphModel the same model runs one call at a time, interleaved with decoding
+    calls, caller = _forward_threads(monkeypatch), threading.get_ident()
+    config, on_worker = SaccadeConfig(max_regions=2), 0
+    for k, hw in enumerate(SCENE_SIZES):
+        img, _ = gen_scene(random_scene(k, 1 + 2 * k, hw=hw, num_classes=3))
+        counted, want_trace, trace = _counted(squeeze_model), {}, {}
+        want = _packed(run_saccade(img, counted, config, trace=want_trace))
+        assert {thread for thread, _ in calls} == {caller}
+        del calls[:]
+        assert _packed(run_saccade(img, squeeze_model, config, trace=trace)) == want
+        assert trace == want_trace and trace["n_model_calls"] == counted.calls == len(calls)
+        on_worker += sum(thread != caller for thread, _ in calls)
+        del calls[:]
+    # the worker makes one of each image's two frame calls, and more among the crops
+    assert on_worker >= len(SCENE_SIZES) or pipeline._blas_threads() is None
+
+
+def test_blas_threads_are_halved_while_calls_overlap_and_restored(squeeze_model, monkeypatch):
+    blas = pipeline._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread count to pin, or under 2 cores: calls run in turn")
+    get, put = blas
+    img, before = gen_scene(random_scene(0, 3))[0], get()
+    for n in (2, 1):  # 1 thread stays 1: two overlapping calls, one thread each
+        put(n)
+        try:
+            calls = _forward_threads(monkeypatch)
+            run_saccade(img, squeeze_model, SaccadeConfig(max_regions=2))
+            assert get() == n
+            assert [threads for _, threads in calls[:2]] == [max(1, n // 2)] * 2
+            # the worker's call raises, and its error surfaces at the 192 frame
+            _forward_threads(monkeypatch, fail_on_worker=True)
+            with pytest.raises(ValueError, match="the worker's call failed"):
+                run_saccade(img, squeeze_model, SaccadeConfig(max_regions=2))
+            assert get() == n
+        finally:
+            put(before)
+
+
+def test_saccades_on_more_threads_than_cores_keep_results_and_blas_threads(squeeze_model):
+    # each overlap's pin and restore of the one process-wide thread count must
+    # not interleave with another caller's, or a caller restores a pinned count
+    from concurrent.futures import ThreadPoolExecutor
+
+    blas, config = pipeline._blas_threads(), SaccadeConfig(max_regions=1)
+    images = [gen_scene(random_scene(k, 2))[0] for k in range(3)]
+    want = [_packed(run_saccade(img, _counted(squeeze_model), config)) for img in images]
+    before, interval = blas and blas[0](), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(run_saccade, img, squeeze_model, config) for img in images]
+            got = [_packed(future.result(timeout=300)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert blas is None or blas[0]() == before
+
+
+def test_forward_on_two_threads_matches_forward_in_turn(squeeze_model):
+    from concurrent.futures import ThreadPoolExecutor
+    from fovea.graph import forward
+
+    g = squeeze_model.graph
+    xs = [rand_image((255, 255), seed) for seed in (0, 1)]
+    want = [forward(g, x) for x in xs]
+    start = threading.Barrier(2)
+
+    def run(x):
+        start.wait()
+        return forward(g, x)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(run, xs))
+    for taps, want_taps in zip(got, want):
+        assert taps.keys() == want_taps.keys()
+        assert all(taps[name].tobytes() == want_taps[name].tobytes() for name in want_taps)
 
 
 # ---- the benchmark's tracer hooks ----------------------------------------------
