@@ -520,7 +520,7 @@ def _blas_threads():
 
 
 _WORKERS = {}  # pid -> its one model-call worker thread; a forked child starts its own
-_PINNED = threading.Lock()  # one overlap at a time pins and restores the BLAS thread count
+_PINNED = threading.Lock()  # held by the one overlap that pins and restores the BLAS thread count
 
 
 def _worker():
@@ -574,13 +574,15 @@ class _ModelCalls:
 
     def _overlap(self, calls):
         """Make ``calls``: every other one on the worker thread while the calling
-        thread makes the rest, with OpenBLAS pinned to half its threads meanwhile."""
+        thread makes the rest, with OpenBLAS pinned to half its threads meanwhile.
+        One call, or calls made while another thread's overlap holds the pin, run
+        in turn on the calling thread rather than wait for it."""
+        if len(calls) < 2 or not _PINNED.acquire(blocking=False):
+            _settle(calls, self.model.infer)
+            return
         get, put = self.blas
-        with _PINNED:
-            n = get() if len(calls) > 1 else 0
-            if n < 1:  # one call, or no thread count to halve: in turn
-                _settle(calls, self.model.infer)
-                return
+        try:
+            n = get()
             put(max(1, n // 2))
             try:
                 worker = _worker().submit(_settle, calls[1::2], self.model.infer)
@@ -590,6 +592,8 @@ class _ModelCalls:
                     worker.result()
             finally:
                 put(n)
+        finally:
+            _PINNED.release()
 
 
 def _detect_frame(out, name, config):
@@ -699,10 +703,15 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     For a ``GraphModel``, each pass (the two frames, then the crops) makes its
     distinct calls first, two at a time: one on the calling thread, one on a
     persistent worker thread, with OpenBLAS pinned to half its threads (at least
-    1) while they overlap and restored after, even when a call raises.  Any other
-    model, or a process whose OpenBLAS thread count cannot be read and set or that
-    has under 2 cores, makes each call in turn, just before its frame or crop
-    decodes.  Decoding, checks, errors and the trace keep frame and window order.
+    1) while they overlap and restored after, even when a call raises.  The count
+    is process-wide: while two calls overlap, every other thread's BLAS work runs
+    at half the threads too, and a count another thread sets meanwhile is
+    overwritten on restore.  One overlap runs at a time; a pass with one distinct
+    call, or one that starts while another thread's calls overlap, makes its calls
+    in turn on the calling thread and does not wait.  Any other model, or a
+    process whose OpenBLAS thread count cannot be read and set or that has under 2
+    cores, makes each call in turn, just before its frame or crop decodes.
+    Decoding, checks, errors and the trace keep frame and window order.
     A dict ``trace`` collects locations, suppression decisions, crop windows, pixel
     counts (``pixels_processed`` counts every frame and crop) and ``n_model_calls``.
     ``crop_order`` permutes the crop pass, which leaves the result unchanged.  Raises

@@ -1,8 +1,6 @@
 """The paired A/B summary of tools/ab.py, on synthetic runs (no benchmark is run)."""
 
 import importlib.util
-import json
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -94,26 +92,3 @@ def test_failed_calls_are_compared_when_every_pair_drops():
     assert lat["pairs"] == 0 and lat["failed_runs"] == {"parent": 3, "change": 4}
     assert lat["failed_share"] == {"parent": pytest.approx(0.1), "change": pytest.approx(0.3)}
     assert _rows(runs[:1])["latency_p50_s"]["failed_share"] == {"parent": 0.1, "change": None}
-
-
-def test_seed_reaches_every_run_and_its_record(tmp_path, monkeypatch):
-    # each run is asked for --seed and reads the record perfbench names after that seed
-    assert ab.parse_args(["--parent", "HEAD", "--out", "x.json"]).seed == 0
-    assert ab.parse_args(["--parent", "HEAD", "--out", "x.json", "--seed", "1"]).seed == 1
-    record = tmp_path / "perfbench" / "out" / "w-seed1-trace0.json"
-    record.parent.mkdir(parents=True)
-    seen = []
-
-    def fake_run(args, **kwargs):
-        seen.append(args)
-        record.write_text('{"output_digest": "d1", "machine": {}}')
-        metrics = {name: {"value": 1.0} for name in ("latency_p50_s", "images_per_s")}
-        line = json.dumps({"metrics": metrics, "failed": 0, "attempted": 4})
-        return subprocess.CompletedProcess(args, 0, stdout=line, stderr="")
-
-    monkeypatch.setattr(ab.subprocess, "run", fake_run)
-    runs = ab.run_pairs({"parent": str(tmp_path), "change": str(tmp_path)}, ["run"], ["w"],
-                        range(1), 5, seed=1)
-    assert [args[args.index("--seed") + 1] for args in seen] == ["1", "1"]
-    assert [(r["seed"], r["digest"]) for r in runs] == [(1, "d1"), (1, "d1")]
-    assert {row["seed"] for row in ab.summarize(runs, END_TO_END)} == {1}

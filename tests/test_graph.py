@@ -150,7 +150,7 @@ def test_forward_is_threadsafe_on_shared_graph():
         got = list(pool.map(lambda x: forward(g, x), inputs))
     for a, b in zip(got, want):
         for name in b:
-            assert np.array_equal(a[name], b[name])
+            assert a[name].tobytes() == b[name].tobytes(), name
 
 
 def _conv(node_id, inputs=("input",), **kw):

@@ -1662,24 +1662,21 @@ def test_saccades_on_more_threads_than_cores_keep_results_and_blas_threads(squee
     assert blas is None or blas[0]() == before
 
 
-def test_forward_on_two_threads_matches_forward_in_turn(squeeze_model):
+def test_a_pass_makes_its_calls_in_turn_while_another_thread_holds_the_pin(squeeze_model,
+                                                                            monkeypatch):
+    # a caller that finds another overlap in progress does not wait for it: its
+    # calls run on its own thread, at the thread count it finds, with equal results
     from concurrent.futures import ThreadPoolExecutor
-    from fovea.graph import forward
 
-    g = squeeze_model.graph
-    xs = [rand_image((255, 255), seed) for seed in (0, 1)]
-    want = [forward(g, x) for x in xs]
-    start = threading.Barrier(2)
-
-    def run(x):
-        start.wait()
-        return forward(g, x)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        got = list(pool.map(run, xs))
-    for taps, want_taps in zip(got, want):
-        assert taps.keys() == want_taps.keys()
-        assert all(taps[name].tobytes() == want_taps[name].tobytes() for name in want_taps)
+    img, config = gen_scene(random_scene(0, 3))[0], SaccadeConfig(max_regions=2)
+    want_trace, trace = {}, {}
+    want = _packed(run_saccade(img, _counted(squeeze_model), config, trace=want_trace))
+    calls = _forward_threads(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool, pipeline._PINNED:
+        future = pool.submit(run_saccade, img, squeeze_model, config, trace)
+        got = _packed(future.result(timeout=120))
+    assert got == want and trace == want_trace
+    assert len({thread for thread, _ in calls}) == 1 and len(calls) == trace["n_model_calls"]
 
 
 # ---- the benchmark's tracer hooks ----------------------------------------------

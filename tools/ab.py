@@ -6,8 +6,7 @@ Run it from the repository root.  Each side runs in its own tree, made with
 ``git archive``: the parent from ``--parent``, the change from ``--change``
 (by default the staged index, through ``git write-tree``).  Each tree runs
 its own ``perfbench/run.py`` on its own sources, as BENCHMARK.json's
-``command`` says, for its ``run_seconds`` at ``--seed`` (default 0) with
-``--trace 0``.
+``command`` says, for its ``run_seconds`` at seed 0 with ``--trace 0``.
 Pairs visit every workload in turn; within a pair the parent runs first on
 even pair indices and the change on odd ones.  Every run's exit code and
 last-line JSON are kept, with the output digest that perfbench writes under
@@ -38,6 +37,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+SEED = 0
 
 
 def git(*args):
@@ -61,16 +61,16 @@ def side_order(pair):
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
 
-def run_once(tree, command, side, pair, workload, seconds, seed):
-    """One benchmark run in ``tree`` at ``seed``: its exit code, last-line JSON and digest."""
-    record_path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
+def run_once(tree, command, side, pair, workload, seconds):
+    """One benchmark run in ``tree``: its exit code, last-line JSON and digest."""
+    record_path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{SEED}-trace0.json")
     if os.path.exists(record_path):
         os.remove(record_path)  # a failed run must not report the previous run's digest
-    args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+    args = [*command, "--workload", workload, "--seed", str(SEED), "--seconds", str(seconds),
             "--trace", "0"]
     start = time.perf_counter()
     proc = subprocess.run(args, cwd=tree, capture_output=True, text=True)
-    run = {"side": side, "pair": pair, "workload": workload, "seed": seed, "trace": 0,
+    run = {"side": side, "pair": pair, "workload": workload, "seed": SEED, "trace": 0,
            "exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 1)}
     lines = proc.stdout.strip().splitlines()
     try:
@@ -127,7 +127,7 @@ def summarize(runs, end_to_end):
         for metric in end_to_end:
             name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
             values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-            row = {"workload": workload, "seed": mine[0]["seed"], "trace": 0, "metric": name,
+            row = {"workload": workload, "seed": SEED, "trace": 0, "metric": name,
                    "pairs": len(pairs), "failed_runs": failed_runs, "failed_share": failed_calls,
                    "digests_equal": len(digests) == 1 and None not in digests}
             if pairs:
@@ -170,12 +170,12 @@ def report(rows):
         print(line, flush=True)
 
 
-def run_pairs(trees, command, workloads, pair_ids, seconds, seed):
+def run_pairs(trees, command, workloads, pair_ids, seconds):
     runs = []
     for pair in pair_ids:
         for workload in workloads:
             for side in side_order(pair):
-                run = run_once(trees[side], command, side, pair, workload, seconds, seed)
+                run = run_once(trees[side], command, side, pair, workload, seconds)
                 print(f"pair {pair} {workload} {side}: exit {run['exit']}, {run['wall_s']} s",
                       file=sys.stderr, flush=True)
                 runs.append(run)
@@ -188,7 +188,6 @@ def parse_args(argv):
     parser.add_argument("--change", help="commit or tree of the change (default: the staged index)")
     parser.add_argument("--workload", action="append", help="repeatable (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0, help="workload seed of every run")
     parser.add_argument("--extra", type=int, default=0,
                         help="more pairs for each workload with an unresolved metric")
     parser.add_argument("--out", required=True)
@@ -203,7 +202,7 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     revs = {"parent": git("rev-parse", "--short", args.parent),
             "change": git("rev-parse", "--short", args.change or git("write-tree"))}
-    doc = {"command": " ".join([*spec["command"], "--workload <w>", f"--seed {args.seed}",
+    doc = {"command": " ".join([*spec["command"], "--workload <w>", f"--seed {SEED}",
                                 f"--seconds {seconds:g}", "--trace 0"]),
            "parent": revs["parent"], "change": revs["change"], "machine": None,
            "order": "parent first on even pair indices"}
@@ -211,15 +210,14 @@ def main(argv=None):
         trees = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             export(revs[side], trees[side])
-        runs = run_pairs(trees, spec["command"], workloads, range(args.pairs), seconds, args.seed)
+        runs = run_pairs(trees, spec["command"], workloads, range(args.pairs), seconds)
         summary = summarize(runs, spec["end_to_end"])
         report(summary)
         unresolved = [w for w in workloads
                       if any(r["workload"] == w and verdict(r) == "unresolved" for r in summary)]
         if args.extra and unresolved:
             extra_runs = run_pairs(trees, spec["command"], unresolved,
-                                   range(args.pairs, args.pairs + args.extra), seconds,
-                                   args.seed)
+                                   range(args.pairs, args.pairs + args.extra), seconds)
             doc["extra"] = {"summary": summarize(extra_runs, spec["end_to_end"]),
                             "runs": extra_runs}
             print("extra pairs:")
