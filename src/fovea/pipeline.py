@@ -12,7 +12,7 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -110,6 +110,8 @@ class SaccadeConfig:
         zooms = (self.zoom_small, self.zoom_medium, self.zoom_large)
         _require(zooms[0] > zooms[1] > zooms[2] >= 1.0, "zoom scales",
                  "satisfy small > medium > large >= 1", zooms)
+        _require(math.isfinite(zooms[0] * CROP_SIZE), "zoom scales",
+                 f"be small enough that zoom * {CROP_SIZE} is finite", zooms)
         _integer("max_regions", self.max_regions)
         _integer("corners_per_kind", self.corners_per_kind)
         for name, ok, want in (
@@ -134,7 +136,7 @@ class SaccadeConfig:
         if not isinstance(d, dict):
             raise ValueError(f"SaccadeConfig must be read from a dict (a JSON object), "
                              f"got {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        unknown = sorted(set(d) - {f.name for f in fields(cls)}, key=repr)
         if unknown:
             raise ValueError(f"unknown SaccadeConfig key(s) {unknown}")
         return cls(**d)
@@ -418,9 +420,9 @@ class GraphModel:
     """Adapter running an ArchGraph, with its attached weights, as a model:
     ``infer`` returns ``forward``'s ``{tap name: map}``.  It serves frames of
     any size the graph's shape rules accept, with the same weights, and from
-    two threads at once: ``run_saccade`` overlaps a ``GraphModel``'s calls, two
-    at a time.  Raises ``ValueError`` for a graph without weights or without
-    the six corner taps."""
+    two threads at once: ``run_saccade`` makes a ``GraphModel``'s calls two at
+    a time.  Raises ``ValueError`` for a graph without weights or without the
+    six corner taps."""
 
     def __init__(self, graph):
         if not graph.params:
@@ -519,77 +521,65 @@ def _blas_threads():
     return get, put
 
 
-_WORKERS = {}  # pid -> its one model-call worker thread; a forked child starts its own
 _PINNED = threading.Lock()  # held by the one overlap that pins and restores the BLAS thread count
 
 
-def _worker():
-    pid = os.getpid()
-    if pid not in _WORKERS:
-        _WORKERS[pid] = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fovea-model")
-    return _WORKERS[pid]
-
-
 def _settle(calls, infer):
-    """Set each (future, frame, to_original) of ``calls`` to ``infer(frame, to_original)``
+    """Set each (future, (frame, to_original)) of ``calls`` to ``infer(frame, to_original)``
     or to the exception it raised."""
-    for future, frame, to_original in calls:
+    for future, args in calls:
         try:
-            future.set_result(infer(frame, to_original))
+            future.set_result(infer(*args))
         except Exception as exc:
             future.set_exception(exc)
 
 
 class _ModelCalls:
     """The ``infer`` a ``run_saccade`` hands ``_infer_once``: it counts each model
-    call on the calling thread.  For a ``GraphModel``, when ``_blas_threads`` finds
-    the thread count, it defers the call to a ``Future``, so that ``outputs`` makes a
-    pass's distinct calls two at a time; any other model is called at once."""
+    call on the calling thread and defers it to a ``Future``, which ``outputs`` settles."""
 
     def __init__(self, model):
-        self.model, self.count, self.deferred = model, 0, []
-        self.blas = _blas_threads() if isinstance(model, GraphModel) else None
+        self.model, self.count, self.deferred = model, 0, {}
 
     def __call__(self, frame, to_original):
         self.count += 1
-        if self.blas is None:
-            return self.model.infer(frame, to_original)
-        self.deferred.append((Future(), frame, to_original))
-        return self.deferred[-1][0]
+        future = Future()
+        self.deferred[future] = (frame, to_original)
+        return future
 
     def outputs(self, items, outputs):
         """Yield the model output of each (frame, to_original) of ``items`` in
-        order, each through ``_infer_once``.  Called at once, each output is made
-        when it is asked for.  Deferred, every distinct call of ``items`` is made
-        first, two at a time, and an output whose call raised raises when reached."""
-        made = (_infer_once(self, frame, to_original, outputs) for frame, to_original in items)
-        if self.blas is None:
-            yield from made
-            return
-        made = list(made)
-        calls, self.deferred = self.deferred, []
-        self._overlap(calls)
+        order, each through ``_infer_once``.  ``_overlap`` may make the distinct
+        calls first, two at a time; a call still pending is made on the calling
+        thread when its output is asked for, and a call that raised raises there."""
+        made = [_infer_once(self, frame, to_original, outputs) for frame, to_original in items]
+        calls, self.deferred = self.deferred, {}
+        self._overlap(list(calls.items()))
         for future in made:
+            if not future.done():
+                _settle([(future, calls[future])], self.model.infer)
             yield future.result()
 
     def _overlap(self, calls):
-        """Make ``calls``: every other one on the worker thread while the calling
-        thread makes the rest, with OpenBLAS pinned to half its threads meanwhile.
-        One call, or calls made while another thread's overlap holds the pin, run
-        in turn on the calling thread rather than wait for it."""
-        if len(calls) < 2 or not _PINNED.acquire(blocking=False):
-            _settle(calls, self.model.infer)
+        """Make ``calls`` of a ``GraphModel``, when ``_blas_threads`` finds the
+        thread count, there are at least 2 and no other thread's overlap holds
+        ``_PINNED``: those at odd indices on a thread started for them while the
+        calling thread makes the rest, with OpenBLAS pinned to half its threads
+        until both are done.  Otherwise make none of them."""
+        blas = isinstance(self.model, GraphModel) and _blas_threads()
+        if not (blas and len(calls) > 1 and _PINNED.acquire(blocking=False)):
             return
-        get, put = self.blas
+        get, put = blas
         try:
             n = get()
             put(max(1, n // 2))
             try:
-                worker = _worker().submit(_settle, calls[1::2], self.model.infer)
+                worker = threading.Thread(target=_settle, args=(calls[1::2], self.model.infer))
+                worker.start()
                 try:
                     _settle(calls[::2], self.model.infer)
                 finally:
-                    worker.result()
+                    worker.join()
             finally:
                 put(n)
         finally:
@@ -700,18 +690,17 @@ def run_saccade(image, model, config=None, trace=None, crop_order=None):
     taps (``tl_heat``, ``tl_embed``, ``tl_off``, the same for ``br``) and, on the
     downsized frames, any ``attn_<size>``; other taps are ignored.  It runs once per
     distinct input (see ``_infer_once``), and each frame and crop decodes on its own.
-    For a ``GraphModel``, each pass (the two frames, then the crops) makes its
-    distinct calls first, two at a time: one on the calling thread, one on a
-    persistent worker thread, with OpenBLAS pinned to half its threads (at least
-    1) while they overlap and restored after, even when a call raises.  The count
-    is process-wide: while two calls overlap, every other thread's BLAS work runs
-    at half the threads too, and a count another thread sets meanwhile is
-    overwritten on restore.  One overlap runs at a time; a pass with one distinct
-    call, or one that starts while another thread's calls overlap, makes its calls
-    in turn on the calling thread and does not wait.  Any other model, or a
-    process whose OpenBLAS thread count cannot be read and set or that has under 2
-    cores, makes each call in turn, just before its frame or crop decodes.
-    Decoding, checks, errors and the trace keep frame and window order.
+    Each pass (the two frames, then the crops) defers its distinct calls.  For a
+    ``GraphModel`` with at least 2 of them, in a process whose OpenBLAS thread
+    count can be read and set and that has 2 cores or more, they are made first,
+    two at a time: every other one on a thread started for the pass, with
+    OpenBLAS pinned to half its threads (at least 1) until both threads are done
+    and restored after, even when a call raises.  The count is process-wide:
+    meanwhile every other thread's BLAS work runs at half the threads too, and a
+    count another thread sets is overwritten on restore.  One overlap runs at a
+    time, and a pass that finds another in progress does not wait for it.  Any
+    call still pending is made on the calling thread just before its frame or
+    crop decodes.  Decoding, checks, errors and the trace keep frame and window order.
     A dict ``trace`` collects locations, suppression decisions, crop windows, pixel
     counts (``pixels_processed`` counts every frame and crop) and ``n_model_calls``.
     ``crop_order`` permutes the crop pass, which leaves the result unchanged.  Raises

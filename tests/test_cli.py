@@ -217,6 +217,9 @@ def _merge_weights(path):
     (lambda tmp: ["saccade", "run", "--image", str(tmp / "i.skt"),
                   "--config", _written(tmp / "config.json", None)],
      r"SaccadeConfig must be read from a dict \(a JSON object\), got NoneType"),
+    (lambda tmp: ["saccade", "run", "--image", str(tmp / "i.skt"),
+                  "--config", _written(tmp / "config.json", {"zoom_small": float("inf")})],
+     r"zoom scales must be small enough that zoom \* 255 is finite, got \(inf, 2.0, 1.0\)"),
     (lambda tmp: ["arch", "stats", _written(tmp / "list-node.json",
                                             {"input_dims": [1, 3, 8, 8], "nodes": [["input"]]})],
      "graph JSON node 0 must be an object"),
@@ -255,7 +258,8 @@ def _merge_weights(path):
                   "--input", "1x3x0x8"],
      r"input_dims must be four integers >= 1, got \(1, 3, 0, 8\)"),
 ], ids=["missing-file", "graph-without-input-dims", "build-zero-classes", "scene-spec-no-height",
-        "saccade-config-non-numeric", "saccade-config-null", "graph-node-not-an-object", "graph-nodes-not-a-list",
+        "saccade-config-non-numeric", "saccade-config-null", "saccade-config-infinite-zoom",
+        "graph-node-not-an-object", "graph-nodes-not-a-list",
         "scene-oracle-zero-frame", "scene-oracle-three-value-box", "scene-spec-negative-height",
         "decode-peaks-three-dim-heat", "bench-zero-size", "bench-negative-size",
         "arch-init-negative-seed", "arch-forward-shape-rule-input", "arch-forward-three-dim-input",

@@ -526,6 +526,13 @@ MISUSE = [
     *(("SaccadeConfig.from_dict", "config", bad, SaccadeConfig.from_dict,
        rf"^SaccadeConfig must be read from a dict \(a JSON object\), got {kind}$")
       for bad, kind in ((None, "NoneType"), ([1], "list"), ("ab", "str"), (3, "int"))),
+    # keys that do not sort against each other are still named, in repr order
+    ("SaccadeConfig.from_dict", "key", {1: 2, "a": 3}, SaccadeConfig.from_dict,
+     r"^unknown SaccadeConfig key\(s\) \['a', 1\]$"),
+    # a zoom whose crop canvas side overflows a float fails here, not in make_crop
+    *(("SaccadeConfig", "zoom_small", bad, lambda v: SaccadeConfig(zoom_small=v),
+       r"^zoom scales must be small enough that zoom \* 255 is finite")
+      for bad in (INF, 1e308)),
 ]
 
 

@@ -1615,8 +1615,11 @@ def test_overlapped_calls_match_calls_in_turn_on_the_noisy_library(squeeze_model
         assert _packed(run_saccade(img, squeeze_model, config, trace=trace)) == want
         assert trace == want_trace and trace["n_model_calls"] == counted.calls == len(calls)
         on_worker += sum(thread != caller for thread, _ in calls)
+        # every thread started for an overlap has ended when run_saccade returns
+        alive = {thread.ident for thread in threading.enumerate()}
+        assert {thread for thread, _ in calls} & alive == {caller}
         del calls[:]
-    # the worker makes one of each image's two frame calls, and more among the crops
+    # a started thread makes one of each image's two frame calls, and more among the crops
     assert on_worker >= len(SCENE_SIZES) or pipeline._blas_threads() is None
 
 
@@ -1677,6 +1680,23 @@ def test_a_pass_makes_its_calls_in_turn_while_another_thread_holds_the_pin(squee
         got = _packed(future.result(timeout=120))
     assert got == want and trace == want_trace
     assert len({thread for thread, _ in calls}) == 1 and len(calls) == trace["n_model_calls"]
+
+
+def test_a_pass_locked_out_of_the_overlap_raises_at_the_first_bad_frame(squeeze_model):
+    # a pass that makes its calls in turn makes each just before its frame decodes,
+    # so a bad 255 frame output raises before the 192 frame's forward runs
+    class ListFirst(pipeline.GraphModel):
+        calls = 0
+
+        def infer(self, image, to_original=None):
+            self.calls += 1
+            out = super().infer(image, to_original)
+            return list(out.values()) if self.calls == 1 else out
+
+    model, img = ListFirst(squeeze_model.graph), gen_scene(random_scene(0, 3))[0]
+    with pipeline._PINNED, pytest.raises(ValueError, match="^model output for frame 255 must"):
+        run_saccade(img, model)
+    assert model.calls == 1
 
 
 # ---- the benchmark's tracer hooks ----------------------------------------------
